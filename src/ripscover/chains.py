@@ -15,11 +15,9 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import CertificateError, ChainError, MoveError, ValidationError
 from .rips import build_skeleton, h1_class
-from .space import Entourage, FiniteSpace, compose, space_from_json
+from .space import Entourage, FiniteSpace, compose, entourage_at, space_from_json
 
 
 @dataclass(frozen=True)
@@ -167,8 +165,10 @@ class HomotopyCertificate:
 
     def to_json(self) -> dict:
         ent = {"n": self.entourage.n, "pairs": [list(p) for p in self.entourage.pairs()]}
-        if "eps" in self.entourage.meta:
-            ent["eps"] = self.entourage.meta["eps"]
+        meta = self.entourage.meta
+        if "eps" in meta:
+            ent["eps"] = meta["eps"]
+            ent["strict"] = meta.get("strict", False)
         return {
             "schema": 1,
             "kind": "homotopy_certificate",
@@ -184,23 +184,47 @@ class HomotopyCertificate:
 
     @classmethod
     def from_json(cls, doc: dict) -> "HomotopyCertificate":
+        """Parse a certificate; a relation labelled with an `eps` must be that
+        scale of the carried space, so a file cannot bring its own relation."""
         try:
             if doc.get("kind") != "homotopy_certificate":
                 raise CertificateError("not a homotopy certificate document")
             space = space_from_json(doc["space"])
             ent = doc["entourage"]
-            entourage = Entourage.from_pairs(int(ent["n"]), [tuple(p) for p in ent["pairs"]])
+            entourage = Entourage.from_pairs(
+                _index(ent["n"]), [(_index(i), _index(j)) for i, j in ent["pairs"]]
+            )
+            if "eps" in ent:
+                eps, strict = float(ent["eps"]), ent.get("strict", False)
+                if not isinstance(strict, bool):
+                    raise ValueError(f"strict must be true or false, got {strict!r}")
+                scale = entourage_at(space, eps, strict=strict)
+                if scale != entourage:
+                    raise CertificateError(
+                        f"the pair list is not the {'strict ' if strict else ''}eps={eps:g} "
+                        "scale of the certificate's space"
+                    )
+                entourage = scale
             moves = []
             for m in doc["moves"]:
                 if m[0] == "insert":
-                    moves.append(Insert(int(m[1]), int(m[2])))
+                    moves.append(Insert(_index(m[1]), _index(m[2])))
                 elif m[0] == "delete":
-                    moves.append(Delete(int(m[1])))
+                    moves.append(Delete(_index(m[1])))
                 else:
                     raise CertificateError(f"unknown move kind {m[0]!r}")
-            return cls(space, entourage, tuple(doc["start"]), tuple(moves), tuple(doc["end"]))
-        except (KeyError, IndexError, TypeError, ValidationError) as e:
+            start = tuple(_index(v) for v in doc["start"])
+            end = tuple(_index(v) for v in doc["end"])
+            return cls(space, entourage, start, tuple(moves), end)
+        except (KeyError, IndexError, TypeError, ValueError, ValidationError) as e:
             raise CertificateError(f"malformed certificate: {e}") from e
+
+
+def _index(v) -> int:
+    """An integer entry of a certificate; floats, strings and booleans are malformed."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -276,51 +300,49 @@ def _expand_moves(canonical: tuple[int, ...], target: tuple[int, ...]) -> list[M
     return moves
 
 
-def _neighbors(seq: tuple[int, ...], ent: Entourage, max_len: int):
-    """Canonical-state neighbors as (moves, new_canonical_state) pairs."""
-    rel = ent.rel
+def _neighbors(seq: tuple[int, ...], adj, common, max_len: int):
+    """Canonical-state neighbors as (moves, new_canonical_state) pairs.
+
+    `adj` and `common` are the skeleton's move tables.  Moves are plain
+    tuples, `(pos,)` for a delete and `(pos, vertex)` for an insert.  Deletes
+    come first by position, then inserts by position and vertex: this order
+    fixes which states the search visits and which certificate it returns.
+    """
     out = []
-    truncated = False
     L = len(seq)
     for i in range(1, L - 1):
-        if rel[seq[i - 1], seq[i + 1]]:
-            moves = [Delete(i)]
-            new = seq[:i] + seq[i + 1:]
-            if 0 < i < len(new) and new[i - 1] == new[i]:
-                # the deletion created one duplicate pair; collapse it
-                j = i if 0 < i < len(new) - 1 else i - 1
-                if 0 < j < len(new) - 1:
-                    moves.append(Delete(j))
-                    new = new[:j] + new[j + 1:]
-            out.append((moves, new))
-    if L + 1 <= max_len:
-        for i in range(1, L):
-            a, b = seq[i - 1], seq[i]
-            for v in np.nonzero(rel[a] & rel[b])[0]:
-                v = int(v)
-                if v != a and v != b:
-                    out.append(([Insert(i, v)], seq[:i] + (v,) + seq[i:]))
-    else:
-        truncated = True
-    return out, truncated
+        a, b = seq[i - 1], seq[i + 1]
+        if not adj[a][b]:
+            continue
+        if a != b or L == 3:  # (a, x, a) -> (a, a) is already canonical
+            out.append((((i,),), seq[:i] + seq[i + 1:]))
+        else:
+            # the deletion created one duplicate pair; collapse it
+            out.append((((i,), (i if i < L - 2 else i - 1,)), seq[:i] + seq[i + 2:]))
+    if L + 1 > max_len:
+        return out, True
+    for i in range(1, L):
+        head, tail = seq[:i], seq[i:]
+        for v in common[seq[i - 1]][seq[i]]:
+            out.append((((i, v),), head + (v,) + tail))
+    return out, False
 
 
-def _invert_edge(prev: tuple[int, ...], moves: list[Move]) -> list[Move]:
-    """Inverse move list: transforms the edge's result back into `prev`."""
-    inv: list[Move] = []
+def _move_objects(moves) -> list[Move]:
+    return [Insert(*m) if len(m) == 2 else Delete(*m) for m in moves]
+
+
+def _invert_edge(prev: tuple[int, ...], moves) -> list[tuple[int, ...]]:
+    """Inverse move tuples: transform the edge's result back into `prev`."""
+    inv = []
     states = [prev]
     cur = prev
     for m in moves:
-        if isinstance(m, Insert):
-            cur = cur[:m.pos] + (m.vertex,) + cur[m.pos:]
-        else:
-            cur = cur[:m.pos] + cur[m.pos + 1:]
+        pos = m[0]
+        cur = cur[:pos] + m[1:] + cur[pos:] if len(m) == 2 else cur[:pos] + cur[pos + 1:]
         states.append(cur)
     for m, before in zip(reversed(moves), reversed(states[:-1])):
-        if isinstance(m, Insert):
-            inv.append(Delete(m.pos))
-        else:
-            inv.append(Insert(m.pos, before[m.pos]))
+        inv.append((m[0],) if len(m) == 2 else (m[0], before[m[0]]))
     return inv
 
 
@@ -366,6 +388,7 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
     if cc == dd:
         return finish([])
 
+    adj, common = skel.move_tables()
     fwd: dict[tuple[int, ...], tuple | None] = {cc: None}
     bwd: dict[tuple[int, ...], tuple | None] = {dd: None}
     fq = deque([cc])
@@ -374,7 +397,7 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
     truncated_any = False
 
     def build_path(meet: tuple[int, ...]) -> list[Move]:
-        fpath: list[Move] = []
+        fpath: list[tuple[int, ...]] = []
         state = meet
         back = []
         while fwd[state] is not None:
@@ -388,7 +411,7 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
             prev, moves = bwd[state]
             fpath.extend(_invert_edge(prev, moves))
             state = prev
-        return fpath
+        return _move_objects(fpath)
 
     while fq or bq:
         if expanded >= budget.states:
@@ -405,7 +428,7 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
         for _ in range(len(queue)):
             state = queue.popleft()
             expanded += 1
-            neigh, trunc = _neighbors(state, ent, max_len)
+            neigh, trunc = _neighbors(state, adj, common, max_len)
             truncated_any = truncated_any or trunc
             for moves, new in neigh:
                 if new in seen:

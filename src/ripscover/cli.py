@@ -223,11 +223,14 @@ def cmd_short(args) -> int:
 def cmd_replay(args) -> int:
     cert = certificate_from_file(args.certificate)
     final = cert.replay()
+    meta = cert.entourage.meta
+    scale = {"eps": meta["eps"], "strict": meta["strict"]} if "eps" in meta else None
     _dump(
         {
             "schema": 1,
             "kind": "replay",
             "ok": True,
+            "scale": scale,
             "moves": len(cert.moves),
             "end": list(final.seq),
         },

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, SearchBudget, Trivalue, canonicalize, decide_homotopic, e_homotopic
+from .chains import (
+    DEFAULT_BUDGET,
+    Chain,
+    SearchBudget,
+    Trivalue,
+    canonicalize,
+    decide_homotopic,
+    e_homotopic,
+)
 from .errors import CarrierMismatch, ValidationError
 from .rips import build_skeleton
 from .space import (
@@ -26,8 +34,6 @@ from .space import (
     compose,
     image_under,
 )
-
-DEFAULT_BUDGET = SearchBudget()
 
 
 def generates_at(f: SpaceMap, e: Entourage, candidates) -> tuple[int, Entourage] | None:

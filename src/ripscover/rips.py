@@ -26,7 +26,7 @@ class RipsSkeleton:
     __slots__ = (
         "space", "entourage", "edges", "triangles",
         "parent", "depth", "roots", "component",
-        "edge_index", "gen_index", "generators", "_h1data",
+        "edge_index", "gen_index", "generators", "_h1data", "_moves",
     )
 
     def __init__(self, space: FiniteSpace, entourage: Entourage):
@@ -84,6 +84,7 @@ class RipsSkeleton:
         self.generators = generators
         self.gen_index = gen_index
         self._h1data = None
+        self._moves = None
 
     @property
     def n(self) -> int:
@@ -132,6 +133,28 @@ class RipsSkeleton:
         if self._h1data is None:
             self._h1data = _H1Data(self)
         return self._h1data
+
+    def move_tables(self) -> tuple[list[list[bool]], list[dict[int, tuple[int, ...]]]]:
+        """Adjacency rows and common neighbours for the chain-move search.
+
+        `adj[a][b]` is the relation; `common[a][b]`, for every related pair
+        (a == b included), is the ascending tuple of vertices v not in
+        {a, b} related to both.  Built on first use and kept with the
+        skeleton.
+        """
+        if self._moves is None:
+            adj = self.entourage.rel.tolist()
+            nbrs = [[v for v, r in enumerate(row) if r] for row in adj]
+            common: list[dict[int, tuple[int, ...]]] = [{} for _ in adj]
+            for a, row_a in enumerate(nbrs):
+                for b in row_a:
+                    if b < a:
+                        common[a][b] = common[b][a]
+                        continue
+                    row_b = adj[b]
+                    common[a][b] = tuple(v for v in row_a if row_b[v] and v != a and v != b)
+            self._moves = (adj, common)
+        return self._moves
 
     def to_json(self) -> dict:
         return {

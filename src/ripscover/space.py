@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import deque
 
 import numpy as np
@@ -36,6 +37,8 @@ class FiniteSpace:
             coords = np.asarray(coords, dtype=float)
             if coords.ndim != 2 or coords.shape[0] != n:
                 raise ValidationError("coords must be one vector per point")
+            if not np.isfinite(coords).all():
+                raise ValidationError("coords must be finite (no NaN or infinity)")
         if dist is None:
             if coords is None:
                 raise ValidationError("need coords or dist")
@@ -44,6 +47,9 @@ class FiniteSpace:
         dist = np.asarray(dist, dtype=float)
         if dist.shape != (n, n):
             raise ValidationError("dist must be an n x n matrix")
+        if not np.isfinite(dist).all():
+            i, j = np.argwhere(~np.isfinite(dist))[0]
+            raise ValidationError(f"non-finite distance at ({i},{j})")
         scale = max(1.0, float(np.abs(dist).max()))
         asym = float(np.abs(dist - dist.T).max())
         if asym > SYMMETRY_TOL * scale:
@@ -97,6 +103,8 @@ class FiniteSpace:
         raise ValidationError(f"unknown point {name!r}")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FiniteSpace)
             and self.labels == other.labels
@@ -185,6 +193,8 @@ class Entourage:
             raise CarrierMismatch(f"carrier sizes differ: {self.n} vs {other.n}")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Entourage) and self.n == other.n and np.array_equal(self.rel, other.rel)
 
     def __hash__(self):
@@ -197,8 +207,8 @@ class Entourage:
 
 def entourage_at(space: FiniteSpace, eps: float, strict: bool = False) -> Entourage:
     """Relation of pairs at distance <= eps (or < eps when strict)."""
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
+    if not math.isfinite(eps) or eps < 0:
+        raise ValidationError(f"eps must be finite and nonnegative, got {eps!r}")
     rel = (space.dist < eps) if strict else (space.dist <= eps)
     return Entourage(rel, meta={"eps": float(eps), "strict": bool(strict)})
 
@@ -349,8 +359,8 @@ class ScaleLadder:
     @classmethod
     def from_thresholds(cls, space: FiniteSpace, thresholds, strict: bool = False) -> "ScaleLadder":
         thresholds = [float(t) for t in thresholds]
-        if any(t < 0 for t in thresholds):
-            raise ValidationError("thresholds must be nonnegative")
+        if any(not math.isfinite(t) or t < 0 for t in thresholds):
+            raise ValidationError(f"thresholds must be finite and nonnegative, got {thresholds}")
         if any(a <= b for a, b in zip(thresholds, thresholds[1:])):
             raise ValidationError("thresholds must be strictly decreasing")
         scales = [entourage_at(space, t, strict=strict) for t in thresholds]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import (
+    DEFAULT_BUDGET,
     Chain,
     HomotopyCertificate,
     SearchBudget,
@@ -26,8 +27,6 @@ from .errors import ValidationError
 from .rips import H1Map, build_skeleton, h1_class, inclusion_h1_map
 from .snf import IntLattice, snf_invariants
 from .space import Entourage, FiniteSpace, ScaleLadder, component_labels
-
-DEFAULT_BUDGET = SearchBudget()
 
 LADDER_CAVEAT = (
     "stabilization within the ladder is necessary but not sufficient for the full scale filter"

@@ -3,7 +3,8 @@
 The homology oracle goes through boundary matrices and sympy's exact
 Smith machinery; the homotopy oracle is a plain single-source BFS over raw
 (uncanonicalized) chains.  Neither shares code with the package's own
-reduction paths.
+reduction paths.  `numpy_neighbors` keeps the original numpy enumeration of
+the canonical move graph, as the reference order for the table-driven one.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
+from ripscover.chains import Delete, Insert
 from ripscover.space import Entourage, FiniteSpace
 
 
@@ -108,6 +110,36 @@ def raw_move_bfs(ent: Entourage, start, goal, max_len: int, state_cap: int = 200
                             nxt.append(new)
         queue = nxt
     return False
+
+
+def numpy_neighbors(seq: tuple[int, ...], ent: Entourage, max_len: int):
+    """Canonical-state neighbors, one `np.nonzero` per link, as move objects.
+
+    Deletes by position (collapsing a duplicate pair the deletion creates),
+    then inserts by position and ascending vertex; returns (pairs, truncated).
+    """
+    rel = ent.rel
+    out = []
+    L = len(seq)
+    for i in range(1, L - 1):
+        if rel[seq[i - 1], seq[i + 1]]:
+            moves = [Delete(i)]
+            new = seq[:i] + seq[i + 1:]
+            if 0 < i < len(new) and new[i - 1] == new[i]:
+                j = i if 0 < i < len(new) - 1 else i - 1
+                if 0 < j < len(new) - 1:
+                    moves.append(Delete(j))
+                    new = new[:j] + new[j + 1:]
+            out.append((moves, new))
+    if L + 1 > max_len:
+        return out, True
+    for i in range(1, L):
+        a, b = seq[i - 1], seq[i]
+        for v in np.nonzero(rel[a] & rel[b])[0]:
+            v = int(v)
+            if v != a and v != b:
+                out.append(([Insert(i, v)], seq[:i] + (v,) + seq[i:]))
+    return out, False
 
 
 def random_entourage(rng: random.Random, n: int, p: float) -> Entourage:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,10 +20,11 @@ from ripscover.chains import (
     validate_chain,
 )
 from ripscover.errors import CertificateError, ChainError, MoveError
-from ripscover.gallery import hexagon_ex72
-from ripscover.space import entourage_at
+from ripscover.gallery import hexagon_ex72, hexagon_ex73
+from ripscover.rips import build_skeleton
+from ripscover.space import FiniteSpace, entourage_at
 
-from _oracles import random_chain, random_entourage, space_for
+from _oracles import numpy_neighbors, random_chain, random_entourage, space_for
 
 SP = hexagon_ex72().space
 E1 = entourage_at(SP, 1.0)
@@ -249,3 +251,64 @@ def test_collapse_moves_reach_canonical():
         for m in moves:
             chain = apply_move(chain, m)
         assert chain.seq == canon
+
+
+def _cyclic_cover_source(k=3, m=8, chord=0.9):
+    """The km-gon upstairs in a k-fold cyclic cover, neighbour chords 0.9."""
+    n = k * m
+    radius = chord / (2 * math.sin(math.pi / n))
+    coords = [(radius * math.cos(2 * math.pi * i / n), radius * math.sin(2 * math.pi * i / n))
+              for i in range(n)]
+    return FiniteSpace([f"s{i}" for i in range(n)], coords=coords)
+
+
+def _assert_same_neighbors(sp, ent, seq, max_len):
+    from ripscover.chains import _move_objects, _neighbors
+
+    adj, common = build_skeleton(sp, ent).move_tables()
+    got, truncated = _neighbors(seq, adj, common, max_len)
+    want, want_truncated = numpy_neighbors(seq, ent, max_len)
+    assert truncated == want_truncated
+    assert [(_move_objects(m), new) for m, new in got] == want
+
+
+def test_neighbors_match_numpy_enumeration():
+    ex73 = hexagon_ex73().space
+    cyc = _cyclic_cover_source()
+    cases = [(ex73, entourage_at(ex73, 1.0)), (ex73, entourage_at(ex73, 3.0)),
+             (cyc, entourage_at(cyc, 1.9)), (cyc, entourage_at(cyc, 1.2))]
+    rng = random.Random(21)
+    for sp, ent in cases:
+        checked = 0
+        while checked < 40:
+            raw = random_chain(rng, ent, rng.randint(1, 9))
+            if raw is None:
+                continue
+            seq = canonicalize(raw)
+            _assert_same_neighbors(sp, ent, seq, 4 * sp.n)
+            # at the length bound only deletions remain
+            _assert_same_neighbors(sp, ent, seq, len(seq))
+            checked += 1
+        for x in (0, sp.n - 1):
+            _assert_same_neighbors(sp, ent, (x, x), 4 * sp.n)  # two-point constant walk
+    # backtracks a, x, a exercise the duplicate-collapsing deletions
+    e1 = entourage_at(ex73, 1.0)
+    for seq in [(0, 6, 0), (0, 6, 0, 6), (1, 0, 6, 0, 5), (6, 0, 6, 0, 6), (0, 5, 0, 6, 1)]:
+        _assert_same_neighbors(ex73, e1, seq, 20)
+
+
+def test_pinned_certificate_moves():
+    sp = hexagon_ex73().space
+    e1 = entourage_at(sp, 1.0)
+    c = validate_chain(sp, e1, (0, 0, 5, 4, 3, 3, 2, 1))
+    d = validate_chain(sp, e1, (0, 6, 6, 1))
+    r = decide_homotopic(c, d)
+    assert r.is_yes()
+    assert r.certificate.moves == (
+        Delete(1), Delete(4), Insert(4, 6), Delete(5), Delete(3), Delete(2), Delete(1), Insert(2, 6),
+    )
+    back = decide_homotopic(d, c)
+    assert back.certificate.moves == (
+        Delete(2), Insert(1, 5), Insert(2, 4), Insert(3, 3), Insert(5, 2), Delete(4),
+        Insert(1, 0), Insert(5, 3),
+    )

@@ -1,10 +1,12 @@
 import json
 import os
 
+import pytest
 
+from ripscover.chains import decide_homotopic, validate_chain
 from ripscover.cli import main
-from ripscover.gallery import hexagon_ex72
-from ripscover.space import load_space
+from ripscover.gallery import hexagon_ex72, hexagon_ex73
+from ripscover.space import Entourage, entourage_at, load_space
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -162,3 +164,83 @@ def test_ladder_count_range_spec(tmp_path):
     doc = json.loads(out.read_text())
     assert [s["scale"] for s in doc["scales"]] == ["eps=3", "eps=2", "eps=1"]
     assert run(["analyze", "--gallery", "hexagon_ex72", "--ladder", "1@3:1"]) == 2
+
+
+def _join_certificate(tmp_path) -> dict:
+    cert = tmp_path / "cert.json"
+    run(["join", "--gallery", "hexagon_ex72", "--pair", "a,b",
+         "--target", "3", "--fine", "1", "--output", os.devnull,
+         "--certificate-out", str(cert)])
+    return json.loads(cert.read_text())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("moves", [["insert", "x", 2]]),
+    ("moves", [["delete", 1.5]]),
+    ("start", [0, "5", 1]),
+    ("end", [0, None]),
+])
+def test_replay_non_integer_entries_exit_3(tmp_path, capsys, field, value):
+    doc = _join_certificate(tmp_path)
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["replay", str(bad)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_replay_checks_relation_against_its_scale(tmp_path):
+    sp = hexagon_ex73().space
+    complete = Entourage.complete(sp.n)
+    arc = validate_chain(sp, complete, [0, 5, 4, 3, 2, 1])  # the planar arc from a to b
+    edge = validate_chain(sp, complete, [0, 1])
+    doc = decide_homotopic(arc, edge).certificate.to_json()
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    out = tmp_path / "replay.json"
+    assert run(["replay", str(cert), "--output", str(out)]) == 0  # an explicit relation
+    assert json.loads(out.read_text())["scale"] is None
+    # the same moves under the claim "this is eps=1 of the space": at eps=1
+    # the arc is not short, and the pair list is not that scale
+    doc["entourage"].update({"eps": 1.0, "strict": False})
+    cert.write_text(json.dumps(doc))
+    assert run(["replay", str(cert)]) == 3
+
+    e3 = entourage_at(sp, 3.0)
+    good = decide_homotopic(validate_chain(sp, e3, [0, 5, 4, 3, 2, 1]), validate_chain(sp, e3, [0, 1]))
+    doc = good.certificate.to_json()
+    assert doc["entourage"]["eps"] == 3.0 and doc["entourage"]["strict"] is False
+    cert.write_text(json.dumps(doc))
+    assert run(["replay", str(cert), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["scale"] == {"eps": 3.0, "strict": False}
+
+
+def _space_file(tmp_path, doc) -> str:
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))  # json writes NaN / Infinity literals
+    return str(path)
+
+
+def test_nan_distance_exits_2(tmp_path, capsys):
+    path = _space_file(tmp_path, {"labels": ["x", "y"], "dist": [[0.0, float("nan")], [float("nan"), 0.0]]})
+    assert run(["analyze", "--space", path, "--ladder", "1"]) == 2
+    assert "non-finite distance" in capsys.readouterr().err
+
+
+def test_infinite_coordinate_exits_2(tmp_path, capsys):
+    path = _space_file(tmp_path, {"labels": ["x", "y"], "coords": [[0.0, 0.0], [float("inf"), 1.0]]})
+    assert run(["analyze", "--space", path, "--ladder", "1"]) == 2
+    assert "coords must be finite" in capsys.readouterr().err
+
+
+def test_nan_eps_exits_2(capsys):
+    # NaN fails every comparison, so it used to yield the identity relation
+    assert run(["ball", "--gallery", "hexagon_ex72", "--eps", "nan", "--output", os.devnull]) == 2
+    assert run(["ball", "--gallery", "hexagon_ex72", "--eps", "inf", "--output", os.devnull]) == 2
+    assert "eps must be finite" in capsys.readouterr().err
+
+
+def test_nan_ladder_threshold_exits_2(capsys):
+    # NaN passes the "strictly decreasing" comparison
+    assert run(["analyze", "--gallery", "hexagon_ex72", "--ladder", "3,nan,1"]) == 2
+    assert "thresholds must be finite" in capsys.readouterr().err
