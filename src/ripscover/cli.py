@@ -90,7 +90,6 @@ def _resolve_ladder(args, space: FiniteSpace, recommended: ScaleLadder | None) -
 
 def _config_block(args) -> dict:
     return {
-        "seed": args.seed,
         "budget": {
             "states": args.budget_states,
             "max_chain_length": args.max_chain_length,
@@ -158,7 +157,7 @@ def cmd_cover(args) -> int:
         ladder = ScaleLadder.from_json(f.source, ladder_doc)
     else:
         raise ValidationError("no ladder: add one to the map file or pass --ladder")
-    report = uniform_cover_verdict(f, ladder, _budget(args), threads=args.threads)
+    report = uniform_cover_verdict(f, ladder, _budget(args))
     doc = report.to_json()
     doc["config"] = _config_block(args)
     _dump(doc, args.output)
@@ -279,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget-states", type=int, default=50_000, help="search state budget")
     parser.add_argument("--max-chain-length", type=int, default=None, help="hard chain length bound (default 4n)")
     parser.add_argument("--class-norm", type=int, default=8, help="class-vector norm bound for witness searches")
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for per-scale checks")
     parser.add_argument("--strict-thresholds", action="store_true", help="use < instead of <= for eps scales")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,7 +8,6 @@ ladder and the reports say so.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,7 +284,7 @@ class CoverReport:
 
 
 def uniform_cover_verdict(
-    f: SpaceMap, ladder: ScaleLadder, budget: SearchBudget | None = None, threads: int = 1
+    f: SpaceMap, ladder: ScaleLadder, budget: SearchBudget | None = None
 ) -> CoverReport:
     """Assemble every per-scale check and the ladder-level verdicts.
 
@@ -318,8 +317,7 @@ def uniform_cover_verdict(
             "generates_witness": None if gen is None else ladder.describe(gen[0]),
         }
 
-    def pair_entry(ij: tuple[int, int]) -> dict:
-        i, j = ij
+    def pair_entry(i: int, j: int) -> dict:
         ok_cl, cx_cl = chain_lifting_at(f, ladder[i], ladder[j])
         ok_c3, wit_c3 = c3_check(f, ladder[i], ladder[j])
         return {
@@ -332,14 +330,8 @@ def uniform_cover_verdict(
             "c2": c2_check(f, ladder[i], ladder[j], budget),
         }
 
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_scale = list(pool.map(scale_entry, range(k)))
-            per_pair = list(pool.map(pair_entry, pairs))
-    else:
-        per_scale = [scale_entry(i) for i in range(k)]
-        per_pair = [pair_entry(ij) for ij in pairs]
+    per_scale = [scale_entry(i) for i in range(k)]
+    per_pair = [pair_entry(i, j) for i in range(k) for j in range(i, k)]
 
     generates_ok = all(s["generates_witness"] is not None for s in per_scale)
     lifting_ok = all(

@@ -9,7 +9,6 @@ and torsion are all exact.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import CarrierMismatch, ChainError, ValidationError
 from .snf import IntLattice, eliminate_unit_pivots, reduce_vector, smith_normal_form
-from .space import Entourage, FiniteSpace
+from .space import Entourage, FiniteSpace, bfs_forest
 
 
 class RipsSkeleton:
@@ -47,26 +46,8 @@ class RipsSkeleton:
                 triangles.append((i, int(nbrs[a]), int(nbrs[b])))
         triangles.sort()
 
-        parent = [-1] * n
-        depth = [0] * n
-        component = [-1] * n
-        roots = []
-        for start in range(n):
-            if component[start] >= 0:
-                continue
-            comp = len(roots)
-            roots.append(start)
-            component[start] = comp
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in np.nonzero(rel[v])[0]:
-                    w = int(w)
-                    if component[w] < 0:
-                        component[w] = comp
-                        parent[w] = v
-                        depth[w] = depth[v] + 1
-                        queue.append(w)
+        parent, depth, component = bfs_forest(entourage)
+        roots = [v for v in range(n) if parent[v] < 0]
 
         edge_index = {e: k for k, e in enumerate(edges)}
         generators = [e for e in edges if parent[e[1]] != e[0] and parent[e[0]] != e[1]]

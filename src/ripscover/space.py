@@ -238,24 +238,36 @@ def is_chain_connected(space: FiniteSpace, e: Entourage) -> bool:
     return int(component_labels(e).max()) == 0
 
 
-def component_labels(e: Entourage) -> np.ndarray:
-    """Connected-component index per point (component ids by least member)."""
+def bfs_forest(e: Entourage) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first forest of the relation graph, grown from each unvisited
+    point in index order: parent (-1 at roots), depth and component id per
+    point.  Components are numbered in root order, so by least member."""
     n = e.n
-    labels = np.full(n, -1, dtype=int)
+    parent = [-1] * n
+    depth = [0] * n
+    component = [-1] * n
     comp = 0
     for start in range(n):
-        if labels[start] >= 0:
+        if component[start] >= 0:
             continue
-        labels[start] = comp
+        component[start] = comp
         queue = deque([start])
         while queue:
             v = queue.popleft()
             for w in np.nonzero(e.rel[v])[0]:
-                if labels[w] < 0:
-                    labels[w] = comp
-                    queue.append(int(w))
+                w = int(w)
+                if component[w] < 0:
+                    component[w] = comp
+                    parent[w] = v
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
         comp += 1
-    return labels
+    return parent, depth, component
+
+
+def component_labels(e: Entourage) -> np.ndarray:
+    """Connected-component index per point (component ids by least member)."""
+    return np.asarray(bfs_forest(e)[2])
 
 
 class SpaceMap:

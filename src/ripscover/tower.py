@@ -9,7 +9,8 @@ ladder never certifies the full filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -237,17 +238,22 @@ class JoinabilityVerdict:
         return doc
 
 
-class _ClassWalker:
-    """Breadth-first walk over (point, class-vector) states of a step graph,
-    tracking each partial walk's cycle class read at a coarser scale."""
+_CANDIDATES = 5  # class-matched walks tried per pair before answering unknown
 
-    def __init__(self, space, walk_rel: Entourage, target_skel, budget: SearchBudget):
+
+class _ClassWalker:
+    """Breadth-first walk from one root over (point, class-vector) states of a
+    step graph, tracking each partial walk's cycle class read at a coarser
+    target scale.  Everything that depends on the root is built on first use."""
+
+    def __init__(self, space, walk_rel: Entourage, target: Entourage, root: int, budget: SearchBudget):
         self.space = space
         self.walk_rel = walk_rel
-        self.data = target_skel.h1_data()
-        self.skel = target_skel
+        self.target = target
+        self.root = root
+        self.skel = build_skeleton(space, target)
+        self.data = self.skel.h1_data()
         self.budget = budget
-        self.dim = self.data.group.dim
         self.rank = self.data.group.rank
         self.torsion = self.data.group.torsion
         self._step_cache: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -267,11 +273,25 @@ class _ClassWalker:
             out[self.rank + i] %= d
         return tuple(out)
 
-    def explore(self, start: int):
-        """Reachable (point, class) states with parents; flags norm truncation."""
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return component_labels(self.walk_rel)
+
+    @cached_property
+    def lattice(self) -> IntLattice:
+        """Image of the root component's cycle classes in the target group."""
+        masked, _, _ = _mask_to_component(self.walk_rel, self.root)
+        sub = build_skeleton(self.space, masked)
+        return inclusion_h1_map(sub, self.skel).image_lattice()
+
+    @cached_property
+    def explored(self):
+        """Reachable (point, class) states with parents; flags truncation by
+        the state budget or the class norm."""
         zero = self.data.zero()
-        parents: dict[tuple[int, tuple[int, ...]], tuple | None] = {(start, zero): None}
-        queue = [(start, zero)]
+        start = (self.root, zero)
+        parents: dict[tuple[int, tuple[int, ...]], tuple | None] = {start: None}
+        queue = [start]
         expanded = 0
         truncated = False
         cap = self.budget.class_norm
@@ -298,8 +318,18 @@ class _ClassWalker:
             queue = nxt
         return parents, truncated
 
-    @staticmethod
-    def walk_of(parents, state) -> tuple[int, ...]:
+    @cached_property
+    def reach(self) -> dict[int, list[tuple[int, ...]]]:
+        """Sorted classes of the explored walks ending at each point."""
+        reach: dict[int, list] = {}
+        for (p, z) in self.explored[0]:
+            reach.setdefault(p, []).append(z)
+        for v in reach.values():
+            v.sort()
+        return reach
+
+    def walk_of(self, state) -> tuple[int, ...]:
+        parents = self.explored[0]
         seq = [state[0]]
         while parents[state] is not None:
             state, _ = parents[state]
@@ -307,10 +337,57 @@ class _ClassWalker:
         return tuple(reversed(seq))
 
 
-def _image_lattice_into(space, walk_rel: Entourage, basepoint: int, target_skel) -> IntLattice:
-    masked, _, _ = _mask_to_component(walk_rel, basepoint)
-    sub = build_skeleton(space, masked)
-    return inclusion_h1_map(sub, target_skel).image_lattice()
+def _witness_pair(walker: _ClassWalker, x: int, y: int, starts) -> tuple[Trivalue, tuple | None]:
+    """Is the target edge x-y homotopic to a walk x -> root -> y in the
+    walker's relation?
+
+    In order: both points lie in the root's component (exact); the class of
+    the loop x -> root -> y -> x lies in the image lattice (exact for
+    homology); then, for each start class z at x in `starts`, the walks
+    ending at (x, z) and at (y, z + edge class) are joined and checked with
+    `decide_homotopic`, at most `_CANDIDATES` of them.  On yes the walks
+    root -> x and root -> y come back with the verdict.
+    """
+    root, rel = walker.root, walker.walk_rel
+    if not walker.labels[x] == walker.labels[y] == walker.labels[root]:
+        return Trivalue("no", obstruction={
+            "kind": "unreachable_at_fine",
+            "note": "no fine-scale chain joins the root to both points of the pair",
+        }), None
+    loop = tuple(reversed(_any_walk(rel, root, x))) + _any_walk(rel, root, y)[1:] + (x,)
+    base_class = h1_class(walker.skel, loop)
+    if not walker.lattice.contains(list(base_class)):
+        return Trivalue("no", obstruction={
+            "kind": "h1_coset",
+            "base_class": list(base_class),
+            "image_lattice": [list(r) for r in walker.lattice.basis()],
+        }), None
+    parents, truncated = walker.explored
+    goal = walker.step_class(x, y)
+    edge = Chain(walker.space, walker.target, edge_seq(x, y))
+    tried = 0
+    for z in starts:
+        want = (y, walker.add(goal, z))
+        if want not in parents:
+            continue
+        walk_x, walk_y = walker.walk_of((x, z)), walker.walk_of(want)
+        chain = validate_chain(walker.space, walker.target, tuple(reversed(walk_x)) + walk_y[1:])
+        res = decide_homotopic(chain, edge, walker.budget)
+        tried += 1
+        if res.is_yes():
+            return res, (walk_x, walk_y)
+        if tried >= _CANDIDATES:
+            break
+    if truncated or tried:
+        return Trivalue("unknown", stats={
+            "reason": "no certified witness pair at this budget",
+            "candidates_tried": tried,
+            "norm_truncated": truncated,
+        }), None
+    return Trivalue("no", obstruction={
+        "kind": "h1_reachability",
+        "note": "state space exhausted: no witness pair attains the edge's class",
+    }), None
 
 
 def joinability_witness(
@@ -345,63 +422,17 @@ def joinability_witness(
         witness = TruncatedGeneralizedPath([tname, fname], (x,), [[], []])
         return verdictify(Trivalue("yes", certificate=cert), witness)
 
-    walk_rel = fine.without_pair(x, y)
-    labels = component_labels(walk_rel)
-    if labels[x] != labels[y]:
-        return verdictify(Trivalue("no", obstruction={
-            "kind": "unreachable_at_fine",
-            "note": "no fine-scale chain joins the pair once the direct link is removed",
-        }))
-
-    tskel = build_skeleton(space, target)
-    lattice = _image_lattice_into(space, walk_rel, x, tskel)
-    walker = _ClassWalker(space, walk_rel, tskel, budget)
-
-    # exact coset test: all walk defect classes form base + image-lattice
-    base_walk = _any_walk(walk_rel, x, y)
-    base_class = h1_class(tskel, base_walk + (x,))
-    if not lattice.contains(list(base_class)):
-        return verdictify(Trivalue("no", obstruction={
-            "kind": "h1_coset",
-            "base_class": list(base_class),
-            "image_lattice": [list(r) for r in lattice.basis()],
-            "note": "no fine chain has the edge's class; exact for homology, "
-                    "complete whenever homotopy at the target reduces to it",
-        }))
-
-    parents, truncated = walker.explore(x)
-    goal = walker.step_class(x, y)
-    tried = 0
-    for state in sorted(parents):
-        if state[0] != y or state[1] != goal:
-            continue
-        walk = walker.walk_of(parents, state)
-        chain = validate_chain(space, fine, walk)
-        target_chain = validate_chain(space, target, walk)
-        edge = Chain(space, target, edge_seq(x, y))
-        res = decide_homotopic(target_chain, edge, budget)
-        tried += 1
-        if res.is_yes():
-            defects = [list(h1_class(tskel, walk + (x,)))]
-            if fine.related(y, x):
-                fskel = build_skeleton(space, fine)
-                defects.append(list(h1_class(fskel, walk + (x,))))
-            else:
-                defects.append(None)
-            witness = TruncatedGeneralizedPath([tname, fname], chain.seq, defects)
-            return verdictify(res, witness)
-        if tried >= 5:
-            break
-    if truncated or tried:
-        return verdictify(Trivalue("unknown", stats={
-            "reason": "class-0 walks exist but none certified within budget",
-            "candidates_tried": tried,
-            "norm_truncated": truncated,
-        }))
-    return verdictify(Trivalue("no", obstruction={
-        "kind": "h1_reachability",
-        "note": "state space exhausted: no fine walk attains the edge's class",
-    }))
+    walker = _ClassWalker(space, fine.without_pair(x, y), target, x, budget)
+    verdict, walks = _witness_pair(walker, x, y, [walker.data.zero()])
+    if walks is None:
+        return verdictify(verdict)
+    walk = walks[1]
+    defects = [list(h1_class(walker.skel, walk + (x,)))]
+    if fine.related(y, x):
+        defects.append(list(h1_class(build_skeleton(space, fine), walk + (x,))))
+    else:
+        defects.append(None)
+    return verdictify(verdict, TruncatedGeneralizedPath([tname, fname], walk, defects))
 
 
 def _any_walk(rel: Entourage, x: int, y: int) -> tuple[int, ...]:
@@ -430,7 +461,12 @@ def _any_walk(rel: Entourage, x: int, y: int) -> tuple[int, ...]:
 def uniform_joinability_audit(space: FiniteSpace, ladder: ScaleLadder, budget: SearchBudget | None = None) -> dict:
     """For every coarse scale and finer scale, which fine pairs admit
     joinability witnesses at (coarse, finest)?  The summary verdict holds
-    when every scale that has finer scales is fully supported by one."""
+    when every scale that has finer scales is fully supported by one.
+
+    The witness never reads the fine index, and the ladder is nested, so each
+    coarse scale asks once per pair of the next finer scale and every cell
+    reads its pairs from those verdicts; full support then only grows with
+    the fine index, so the finest cell decides the scale."""
     budget = budget or DEFAULT_BUDGET
     if len(ladder) < 2:
         raise ValidationError("audit needs a ladder of length at least 2")
@@ -439,29 +475,28 @@ def uniform_joinability_audit(space: FiniteSpace, ladder: ScaleLadder, budget: S
     cells = []
     supported_scale = {}
     for i in range(k - 1):
-        any_full = False
+        verdicts = {
+            (px, py): joinability_witness(space, px, py, ladder[i], finest, budget).verdict
+            for (px, py) in ladder[i + 1].pairs()
+        }
         for j in range(i + 1, k):
             pairs = ladder[j].pairs()
-            failures = []
-            yes = 0
-            for (px, py) in pairs:
-                v = joinability_witness(space, px, py, ladder[i], finest, budget)
-                if v.verdict.is_yes():
-                    yes += 1
-                else:
-                    failures.append({"pair": [px, py], "verdict": v.verdict.kind})
-            full = yes == len(pairs)
-            any_full = any_full or full
+            failures = [
+                {"pair": [px, py], "verdict": verdicts[(px, py)].kind}
+                for (px, py) in pairs
+                if not verdicts[(px, py)].is_yes()
+            ]
+            yes = len(pairs) - len(failures)
             cells.append({
                 "scale": ladder.describe(i),
                 "fine": ladder.describe(j),
                 "pairs": len(pairs),
                 "witnessed": yes,
                 "fraction": 1.0 if not pairs else yes / len(pairs),
-                "fully_supported": full,
+                "fully_supported": not failures,
                 "failures": failures,
             })
-        supported_scale[ladder.describe(i)] = any_full
+        supported_scale[ladder.describe(i)] = cells[-1]["fully_supported"]
     return {
         "schema": 1,
         "kind": "uniform_joinability_audit",
@@ -493,26 +528,17 @@ def g_entourage(
     delta = ladder.finest()
     if not delta.issubset(target):
         raise ValidationError("the ladder's finest scale must sit inside the target")
-    tskel = build_skeleton(space, target)
-    walker = _ClassWalker(space, delta, tskel, budget)
-    parents, truncated = walker.explore(basepoint)
-    reach: dict[int, list] = {}
-    for (p, z) in parents:
-        reach.setdefault(p, []).append(z)
-    for v in reach.values():
-        v.sort()
-    lattice = _image_lattice_into(space, delta, basepoint, tskel)
-
+    walker = _ClassWalker(space, delta, target, basepoint, budget)
     verdicts: dict[tuple[int, int], Trivalue] = {}
     certified: list[tuple[int, int]] = []
     for (px, py) in target.pairs():
-        v = _certify_pair(
-            space, target, delta, tskel, walker, parents, reach, lattice,
-            basepoint, px, py, truncated, budget,
-        )
-        verdicts[(px, py)] = v
-        if v.is_yes():
+        v, walks = _witness_pair(walker, px, py, walker.reach.get(px, []))
+        if walks is not None:
+            v = Trivalue("yes", certificate=v.certificate, stats={
+                "witness_to_x": list(walks[0]), "witness_to_y": list(walks[1]),
+            })
             certified.append((px, py))
+        verdicts[(px, py)] = v
     ent = Entourage.from_pairs(space.n, certified, meta={"kind": "certified_pairs"})
     report = {
         "schema": 1,
@@ -524,57 +550,6 @@ def g_entourage(
             for (px, py) in target.pairs()
         ],
         "certified": [list(p) for p in certified],
-        "norm_truncated": truncated,
+        "norm_truncated": walker.explored[1],
     }
     return ent, report
-
-
-def _certify_pair(
-    space, target, delta, tskel, walker, parents, reach, lattice,
-    basepoint, px, py, truncated, budget,
-) -> Trivalue:
-    if px not in reach or py not in reach:
-        return Trivalue("no", obstruction={
-            "kind": "unreachable_at_fine",
-            "note": "no finest-scale chain reaches the pair from the basepoint",
-        })
-    # exact coset obstruction
-    cx = _any_walk(delta, basepoint, px)
-    cy = _any_walk(delta, basepoint, py)
-    loop = tuple(reversed(cx)) + cy[1:] + (px,)
-    base_class = h1_class(tskel, loop)
-    if not lattice.contains(list(base_class)):
-        return Trivalue("no", obstruction={
-            "kind": "h1_coset",
-            "base_class": list(base_class),
-            "image_lattice": [list(r) for r in lattice.basis()],
-        })
-    goal = walker.step_class(px, py)
-    tried = 0
-    for zc in reach[px]:
-        want = walker.add(goal, zc)
-        if want not in reach[py]:
-            continue
-        walk_c = walker.walk_of(parents, (px, zc))
-        walk_d = walker.walk_of(parents, (py, want))
-        seq = tuple(reversed(walk_c)) + walk_d[1:]
-        chain = validate_chain(space, target, seq)
-        edge = Chain(space, target, edge_seq(px, py))
-        res = decide_homotopic(chain, edge, budget)
-        tried += 1
-        if res.is_yes():
-            return Trivalue("yes", certificate=res.certificate, stats={
-                "witness_to_x": list(walk_c), "witness_to_y": list(walk_d),
-            })
-        if tried >= 5:
-            break
-    if truncated or tried:
-        return Trivalue("unknown", stats={
-            "reason": "no certified witness pair at this budget",
-            "candidates_tried": tried,
-            "norm_truncated": truncated,
-        })
-    return Trivalue("no", obstruction={
-        "kind": "h1_reachability",
-        "note": "state space exhausted: no witness pair attains the edge's class",
-    })

@@ -197,13 +197,6 @@ def test_uniform_cover_verdicts():
     assert rep.verdicts["uniform_covering_map_at_ladder"]
 
 
-def test_uniform_cover_threads_match():
-    lad = ScaleLadder([E2_12, E1_12, E0_12])
-    a = uniform_cover_verdict(F12, lad, SearchBudget(states=300))
-    b = uniform_cover_verdict(F12, lad, SearchBudget(states=300), threads=3)
-    assert a.to_json() == b.to_json()
-
-
 def test_cover_ball_simply_connected():
     sp = hexagon_ex72().space
     b = build_cover_ball(sp, entourage_at(sp, 3.0), 0, 4)

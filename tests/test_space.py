@@ -12,6 +12,8 @@ from ripscover.space import (
     ScaleLadder,
     SpaceMap,
     ball,
+    bfs_forest,
+    component_labels,
     compose,
     dump_space,
     entourage_at,
@@ -192,6 +194,16 @@ def test_chain_connected():
     assert is_chain_connected(sp, entourage_at(sp, 1.0))
     assert is_chain_connected(sp, Entourage.complete(6))
     assert not is_chain_connected(sp, Entourage.identity(6))
+
+
+def test_bfs_forest_components_by_least_member():
+    # path 3-1-4 and pair 0-2: components are numbered by least member
+    e = Entourage.from_pairs(5, [(3, 1), (1, 4), (0, 2)])
+    parent, depth, component = bfs_forest(e)
+    assert component == [0, 1, 0, 1, 1]
+    assert parent == [-1, -1, 0, 1, 1]
+    assert depth == [0, 0, 1, 1, 1]
+    assert component_labels(e).tolist() == component
 
 
 def test_ladder_validation():

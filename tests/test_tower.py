@@ -224,3 +224,50 @@ def test_g_entourage_budget_truncation():
     assert report["norm_truncated"]
     kinds = {p["verdict"] for p in report["pairs"]}
     assert "unknown" in kinds or "no" in kinds
+
+
+def test_g_entourage_truncated_budget_never_says_no_to_a_certified_pair():
+    # a truncated class walk may miss a pair's walks; that is unknown, not no
+    for g, eps in ((hexagon_ex73(), 3.0), (hexagon_ex72(), 3.0), (polygon(12, 1), 2.0)):
+        target = entourage_at(g.space, eps)
+        _, ref = g_entourage(g.space, target, g.ladder)
+        yes = {tuple(p["pair"]) for p in ref["pairs"] if p["verdict"] == "yes"}
+        assert yes
+        for states in (1, 5):
+            _, rep = g_entourage(g.space, target, g.ladder, SearchBudget(states=states))
+            false_no = [p["pair"] for p in rep["pairs"]
+                        if p["verdict"] == "no" and tuple(p["pair"]) in yes]
+            assert not false_no, (eps, states, false_no)
+
+
+def test_audit_matches_naive_loop():
+    # one verdict per (coarse scale, pair) must give the cells and summary a
+    # witness call per (coarse scale, fine scale, pair) gives
+    for g, budget in ((hexagon_ex73(), SearchBudget(states=2000)), (polygon(12, 1), None)):
+        lad = g.ladder
+        rep = uniform_joinability_audit(g.space, lad, budget)
+        cells, supported = [], {}
+        for i in range(len(lad) - 1):
+            any_full = False
+            for j in range(i + 1, len(lad)):
+                pairs = lad[j].pairs()
+                failures = []
+                for px, py in pairs:
+                    v = joinability_witness(g.space, px, py, lad[i], lad.finest(), budget).verdict
+                    if not v.is_yes():
+                        failures.append({"pair": [px, py], "verdict": v.kind})
+                yes = len(pairs) - len(failures)
+                cells.append({
+                    "scale": lad.describe(i),
+                    "fine": lad.describe(j),
+                    "pairs": len(pairs),
+                    "witnessed": yes,
+                    "fraction": 1.0 if not pairs else yes / len(pairs),
+                    "fully_supported": not failures,
+                    "failures": failures,
+                })
+                any_full = any_full or not failures
+            supported[lad.describe(i)] = any_full
+        assert rep["cells"] == cells
+        assert rep["supported_per_scale"] == supported
+        assert rep["uj_supported_at_depth"] == all(supported.values())
