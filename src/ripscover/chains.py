@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import CertificateError, ChainError, MoveError, ValidationError
 from .rips import build_skeleton, h1_class
-from .space import Entourage, FiniteSpace, compose, entourage_at, space_from_json
+from .space import Entourage, FiniteSpace, as_index, compose, entourage_at, space_from_json
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ class HomotopyCertificate:
             space = space_from_json(doc["space"])
             ent = doc["entourage"]
             entourage = Entourage.from_pairs(
-                _index(ent["n"]), [(_index(i), _index(j)) for i, j in ent["pairs"]]
+                as_index(ent["n"]), [(as_index(i), as_index(j)) for i, j in ent["pairs"]]
             )
             if "eps" in ent:
                 eps, strict = float(ent["eps"]), ent.get("strict", False)
@@ -208,23 +208,16 @@ class HomotopyCertificate:
             moves = []
             for m in doc["moves"]:
                 if m[0] == "insert":
-                    moves.append(Insert(_index(m[1]), _index(m[2])))
+                    moves.append(Insert(as_index(m[1]), as_index(m[2])))
                 elif m[0] == "delete":
-                    moves.append(Delete(_index(m[1])))
+                    moves.append(Delete(as_index(m[1])))
                 else:
                     raise CertificateError(f"unknown move kind {m[0]!r}")
-            start = tuple(_index(v) for v in doc["start"])
-            end = tuple(_index(v) for v in doc["end"])
+            start = tuple(as_index(v) for v in doc["start"])
+            end = tuple(as_index(v) for v in doc["end"])
             return cls(space, entourage, start, tuple(moves), end)
         except (KeyError, IndexError, TypeError, ValueError, ValidationError) as e:
             raise CertificateError(f"malformed certificate: {e}") from e
-
-
-def _index(v) -> int:
-    """An integer entry of a certificate; floats, strings and booleans are malformed."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ from .space import (
     FiniteSpace,
     ScaleLadder,
     SpaceMap,
+    as_index,
+    as_number,
     dump_space,
     entourage_at,
     load_space,
@@ -118,7 +120,7 @@ def cmd_analyze(args) -> int:
     if args.audit:
         doc["joinability_audit"] = uniform_joinability_audit(space, ladder, _budget(args))
     if args.certified_pairs is not None:
-        target = entourage_at(space, float(args.certified_pairs), strict=args.strict_thresholds)
+        target = entourage_at(space, args.certified_pairs, strict=args.strict_thresholds)
         _, rep = g_entourage(space, target, ladder, _budget(args))
         doc["certified_pairs"] = rep
     doc["config"] = _config_block(args)
@@ -134,19 +136,35 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _load_map(path: str) -> tuple[SpaceMap, list | None]:
+def _read_object(path: str, kind: str, keys) -> dict:
+    """A json object from a file that must hold every key in `keys`."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    try:
-        source = space_from_json(doc["source"]) if isinstance(doc["source"], dict) else load_space(doc["source"])
-        target = space_from_json(doc["target"]) if isinstance(doc["target"], dict) else load_space(doc["target"])
-        assign = doc["assign"]
-    except KeyError as e:
-        raise ValidationError(f"map file is missing {e}") from e
-    return SpaceMap(source, target, assign), doc.get("ladder")
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{kind} file must hold a json object")
+    for key in keys:
+        if key not in doc:
+            raise ValidationError(f"{kind} file is missing '{key}'")
+    return doc
+
+
+def _space_field(value) -> FiniteSpace:
+    """A space given inline as a json object or as a path to a space file."""
+    if isinstance(value, dict):
+        return space_from_json(value)
+    if isinstance(value, str):
+        return load_space(value)
+    raise ValidationError(f"a space must be a json object or a file path, got {value!r}")
+
+
+def _load_map(path: str) -> tuple[SpaceMap, list | None]:
+    doc = _read_object(path, "map", ("source", "target", "assign"))
+    if not isinstance(doc["assign"], list):
+        raise ValidationError("map 'assign' must be a list of target indices")
+    return SpaceMap(_space_field(doc["source"]), _space_field(doc["target"]), doc["assign"]), doc.get("ladder")
 
 
 def cmd_cover(args) -> int:
@@ -180,9 +198,9 @@ def cmd_join(args) -> int:
     if len(names) != 2:
         raise ValidationError("--pair needs two comma-separated points")
     x, y = (space.index_of(s.strip()) for s in names)
-    target = entourage_at(space, float(args.target), strict=args.strict_thresholds)
+    target = entourage_at(space, args.target, strict=args.strict_thresholds)
     if args.fine is not None:
-        fine = entourage_at(space, float(args.fine), strict=args.strict_thresholds)
+        fine = entourage_at(space, args.fine, strict=args.strict_thresholds)
     elif ladder is not None:
         fine = ladder.finest()
     else:
@@ -197,18 +215,13 @@ def cmd_join(args) -> int:
 
 
 def cmd_short(args) -> int:
-    try:
-        with open(args.chain) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{args.chain}:{e.lineno}:{e.colno}: {e.msg}") from e
-    try:
-        space = space_from_json(doc["space"]) if isinstance(doc["space"], dict) else load_space(doc["space"])
-        seq = [int(v) for v in doc["seq"]]
-    except KeyError as e:
-        raise ValidationError(f"chain file is missing {e}") from e
-    scale = entourage_at(space, float(args.scale), strict=args.strict_thresholds)
-    chain_scale = entourage_at(space, float(doc.get("eps", args.scale)), strict=args.strict_thresholds)
+    doc = _read_object(args.chain, "chain", ("space", "seq"))
+    space = _space_field(doc["space"])
+    if not isinstance(doc["seq"], list):
+        raise ValidationError("chain 'seq' must be a list of point indices")
+    seq = [as_index(v) for v in doc["seq"]]
+    scale = entourage_at(space, args.scale, strict=args.strict_thresholds)
+    chain_scale = entourage_at(space, as_number(doc.get("eps", args.scale)), strict=args.strict_thresholds)
     chain = validate_chain(space, chain_scale, seq)
     verdict = is_short(chain, scale, _budget(args))
     out = verdict.to_json()
@@ -240,7 +253,7 @@ def cmd_replay(args) -> int:
 
 def cmd_ball(args) -> int:
     space, recommended = _load_input(args)
-    scale = entourage_at(space, float(args.eps), strict=args.strict_thresholds)
+    scale = entourage_at(space, args.eps, strict=args.strict_thresholds)
     basepoint = space.index_of(args.basepoint) if args.basepoint is not None else (
         space.distinguished[0][1] if space.distinguished else 0
     )
@@ -293,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basepoint", help="basepoint label or index")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--audit", action="store_true", help="include the joinability audit")
-    p.add_argument("--certified-pairs", metavar="EPS", default=None,
+    p.add_argument("--certified-pairs", metavar="EPS", type=float, default=None,
                    help="include the certified-pair relation at this scale")
     p.set_defaults(func=cmd_analyze)
 
@@ -306,15 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("join", help="joinability witness for a pair")
     common_io(p)
     p.add_argument("--pair", required=True, help="two points, e.g. a,b")
-    p.add_argument("--target", required=True, help="target eps")
-    p.add_argument("--fine", default=None, help="fine eps (default: ladder's finest)")
+    p.add_argument("--target", type=float, required=True, help="target eps")
+    p.add_argument("--fine", type=float, default=None, help="fine eps (default: ladder's finest)")
     p.add_argument("--ladder", default=None, help="'auto' or comma thresholds")
     p.add_argument("--certificate-out", help="where to write the Yes certificate")
     p.set_defaults(func=cmd_join)
 
     p = sub.add_parser("short", help="is a chain short at a scale")
     p.add_argument("--chain", required=True, help="json file with space, seq, eps")
-    p.add_argument("--scale", required=True, help="scale eps to test shortness at")
+    p.add_argument("--scale", type=float, required=True, help="scale eps to test shortness at")
     p.add_argument("--certificate-out", help="where to write the Yes certificate")
     p.add_argument("--output", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_short)
@@ -326,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ball", help="bounded chain-class ball over a basepoint")
     common_io(p)
-    p.add_argument("--eps", required=True, help="scale eps")
+    p.add_argument("--eps", type=float, required=True, help="scale eps")
     p.add_argument("--basepoint", help="basepoint label or index")
     p.add_argument("--radius", type=int, default=5)
     p.add_argument("--format", choices=["json", "dot"], default="json")
@@ -347,7 +360,7 @@ def main(argv=None) -> int:
     except CertificateError as e:
         print(f"certificate error: {e}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except RipscoverError as e:

@@ -224,11 +224,12 @@ def hawaiian(m: int, samples: int = 16) -> GallerySpace:
 
     Circles leave the wedge point in spread directions so that none passes
     near another's center.  At the j-th recommended threshold the circles
-    past j collapse while the first j still read as cycles; the threshold
-    windows close up past m = 6.
+    past j collapse while the first j still read as cycles.  From m = 6 on
+    the fifth window is empty for every sample count (crushing circle 6
+    needs 1/3, above 0.95 * sqrt(3) / 5), so m is at most 5.
     """
-    if not (1 <= m <= 6):
-        raise ValidationError("hawaiian supports 1 <= m <= 6 circles")
+    if not (1 <= m <= 5):
+        raise ValidationError(f"hawaiian supports 1 <= m <= 5 circles, got {m}")
     if samples < 8:
         raise ValidationError("need at least 8 samples per circle")
     coords = [(0.0, 0.0)]

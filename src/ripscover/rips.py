@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CarrierMismatch, ChainError, ValidationError
 from .snf import IntLattice, eliminate_unit_pivots, reduce_vector, smith_normal_form
-from .space import Entourage, FiniteSpace, bfs_forest
+from .space import Entourage, FiniteSpace, bfs_forest, path_to_root
 
 
 class RipsSkeleton:
@@ -24,8 +24,8 @@ class RipsSkeleton:
 
     __slots__ = (
         "space", "entourage", "edges", "triangles",
-        "parent", "depth", "roots", "component",
-        "edge_index", "gen_index", "generators", "_h1data", "_moves",
+        "parent", "roots", "component",
+        "gen_index", "generators", "_h1data", "_moves",
     )
 
     def __init__(self, space: FiniteSpace, entourage: Entourage):
@@ -46,10 +46,9 @@ class RipsSkeleton:
                 triangles.append((i, int(nbrs[a]), int(nbrs[b])))
         triangles.sort()
 
-        parent, depth, component = bfs_forest(entourage)
+        parent, component = bfs_forest(entourage)
         roots = [v for v in range(n) if parent[v] < 0]
 
-        edge_index = {e: k for k, e in enumerate(edges)}
         generators = [e for e in edges if parent[e[1]] != e[0] and parent[e[0]] != e[1]]
         gen_index = {e: k for k, e in enumerate(generators)}
 
@@ -58,10 +57,8 @@ class RipsSkeleton:
         self.edges = edges
         self.triangles = triangles
         self.parent = parent
-        self.depth = depth
         self.roots = roots
         self.component = component
-        self.edge_index = edge_index
         self.generators = generators
         self.gen_index = gen_index
         self._h1data = None
@@ -71,9 +68,6 @@ class RipsSkeleton:
     def n(self) -> int:
         return self.space.n
 
-    def is_tree_edge(self, i: int, j: int) -> bool:
-        return self.parent[j] == i or self.parent[i] == j
-
     def step_gen(self, u: int, v: int) -> tuple[int, int] | None:
         """Generator index and sign of the step u -> v, or None on tree edges."""
         e = (u, v) if u < v else (v, u)
@@ -82,33 +76,11 @@ class RipsSkeleton:
             return None
         return g, (1 if u < v else -1)
 
-    def tree_steps_to_root(self, v: int) -> list[tuple[int, int]]:
-        steps = []
-        while self.parent[v] != -1:
-            steps.append((v, self.parent[v]))
-            v = self.parent[v]
-        return steps
-
-    def fundamental_cycle_edges(self, gen: int) -> dict[tuple[int, int], int]:
-        """Signed edge coefficients of the basis loop of one generator."""
+    def fundamental_walk(self, gen: int) -> list[int]:
+        """The basis loop of one generator a-b as a closed vertex walk
+        root -> a -> b -> root along the forest."""
         a, b = self.generators[gen]
-        vec: dict[tuple[int, int], int] = {}
-
-        def add_step(u, v):
-            e = (u, v) if u < v else (v, u)
-            s = 1 if u < v else -1
-            nv = vec.get(e, 0) + s
-            if nv:
-                vec[e] = nv
-            else:
-                vec.pop(e, None)
-
-        for u, v in reversed(self.tree_steps_to_root(a)):
-            add_step(v, u)  # walk root -> a
-        add_step(a, b)
-        for u, v in self.tree_steps_to_root(b):
-            add_step(u, v)  # walk b -> root
-        return vec
+        return path_to_root(self.parent, a)[::-1] + path_to_root(self.parent, b)
 
     def h1_data(self) -> "_H1Data":
         if self._h1data is None:
@@ -179,6 +151,17 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return self.dim == 0
 
+    def reduce(self, vec) -> tuple[int, ...]:
+        """Canonical coordinates of a class: torsion entries taken mod their factors."""
+        out = list(vec)
+        for i, d in enumerate(self.torsion, self.rank):
+            out[i] %= d
+        return tuple(out)
+
+    def relations(self) -> list[list[int]]:
+        """The vectors d * e_i that vanish in the group, one per torsion coordinate."""
+        return [[d if c == i else 0 for c in range(self.dim)] for i, d in enumerate(self.torsion, self.rank)]
+
     def __str__(self):
         if self.dim == 0:
             return "0"
@@ -197,17 +180,7 @@ class _H1Data:
     def __init__(self, skel: RipsSkeleton):
         rows = []
         for i, j, k in skel.triangles:
-            row: dict[int, int] = {}
-            for u, v in ((i, j), (j, k), (k, i)):
-                gs = skel.step_gen(u, v)
-                if gs is None:
-                    continue
-                g, s = gs
-                nv = row.get(g, 0) + s
-                if nv:
-                    row[g] = nv
-                else:
-                    row.pop(g, None)
+            row = _gen_vector(skel, ((i, j), (j, k), (k, i)))
             if row:
                 rows.append(row)
         subs, core = eliminate_unit_pivots(rows)
@@ -226,18 +199,13 @@ class _H1Data:
         free_core = [i for i, d in enumerate(dfull) if d == 0]
         torsion_core = [i for i, d in enumerate(dfull) if d >= 2]
 
-        self.skel = skel
         self.subs = subs
         self.touched = touched
-        self.touched_pos = {t: i for i, t in enumerate(touched)}
         self.untouched = untouched
         self.left = left
         self.left_inv = left_inv
-        self.free_core = free_core
-        self.torsion_core = torsion_core
-        self.torsion = tuple(dfull[i] for i in torsion_core)
-        self.rank = len(untouched) + len(free_core)
-        self.group = AbelianGroup(self.rank, self.torsion)
+        self.core_ids = free_core + torsion_core  # Smith rows of the free, then torsion, coordinates
+        self.group = AbelianGroup(len(untouched) + len(free_core), tuple(dfull[i] for i in torsion_core))
 
     def class_of(self, gen_vector: dict[int, int]) -> tuple[int, ...]:
         """Coordinates (free..., torsion...) of a cycle in generator form."""
@@ -245,19 +213,15 @@ class _H1Data:
         out = [x.get(g, 0) for g in self.untouched]
         if self.touched:
             xt = [x.get(t, 0) for t in self.touched]
-            z = [sum(lv * xv for lv, xv in zip(lrow, xt)) for lrow in self.left]
-            out.extend(z[i] for i in self.free_core)
-            out.extend(z[i] % d for i, d in zip(self.torsion_core, self.torsion))
-        return tuple(out)
+            out.extend(sum(lv * xv for lv, xv in zip(self.left[i], xt)) for i in self.core_ids)
+        return self.group.reduce(out)
 
     def representative(self, coord: int) -> dict[int, int]:
         """A generator-vector cycle whose class is the coord-th basis element."""
         nu = len(self.untouched)
         if coord < nu:
             return {self.untouched[coord]: 1}
-        core_pos = coord - nu
-        core_ids = self.free_core + self.torsion_core
-        i = core_ids[core_pos]
+        i = self.core_ids[coord - nu]
         return {
             self.touched[t]: self.left_inv[t][i]
             for t in range(len(self.touched))
@@ -273,13 +237,10 @@ def h1(skel: RipsSkeleton) -> AbelianGroup:
     return skel.h1_data().group
 
 
-def loop_gen_vector(skel: RipsSkeleton, seq) -> dict[int, int]:
+def _gen_vector(skel: RipsSkeleton, steps) -> dict[int, int]:
+    """Signed generator counts of the steps u -> v; forest steps and stays count zero."""
     vec: dict[int, int] = {}
-    for u, v in zip(seq, seq[1:]):
-        if u == v:
-            continue
-        if not skel.entourage.related(u, v):
-            raise ChainError(f"step ({u},{v}) not related at this scale")
+    for u, v in steps:
         gs = skel.step_gen(u, v)
         if gs is None:
             continue
@@ -290,6 +251,15 @@ def loop_gen_vector(skel: RipsSkeleton, seq) -> dict[int, int]:
         else:
             vec.pop(g, None)
     return vec
+
+
+def loop_gen_vector(skel: RipsSkeleton, seq) -> dict[int, int]:
+    """Generator vector of a vertex walk whose every step is related at the skeleton's scale."""
+    steps = list(zip(seq, seq[1:]))
+    for u, v in steps:
+        if not skel.entourage.related(u, v):
+            raise ChainError(f"step ({u},{v}) not related at this scale")
+    return _gen_vector(skel, steps)
 
 
 def h1_class(skel: RipsSkeleton, seq) -> tuple[int, ...]:
@@ -358,8 +328,7 @@ class H1Map:
     def apply(self, vec) -> tuple[int, ...]:
         if len(vec) != self.domain.dim:
             raise ValidationError("vector length mismatch")
-        out = [sum(r * v for r, v in zip(row, vec)) for row in self.matrix]
-        return _canonical(self.codomain, out)
+        return self.codomain.reduce(sum(r * v for r, v in zip(row, vec)) for row in self.matrix)
 
     def compose(self, inner: "H1Map") -> "H1Map":
         """self o inner (apply inner first)."""
@@ -371,20 +340,8 @@ class H1Map:
 
     def image_lattice(self) -> IntLattice:
         """Image subgroup in codomain coordinates, torsion relations included."""
-        m = self.codomain.dim
         vectors = [list(col) for col in zip(*self.matrix)] if self.domain.dim else []
-        for i, d in enumerate(self.codomain.torsion):
-            rel = [0] * m
-            rel[self.codomain.rank + i] = d
-            vectors.append(rel)
-        return IntLattice.from_vectors(m, vectors)
-
-
-def _canonical(group: AbelianGroup, vec) -> tuple[int, ...]:
-    out = list(vec)
-    for i, d in enumerate(group.torsion):
-        out[group.rank + i] %= d
-    return tuple(out)
+        return IntLattice.from_vectors(self.codomain.dim, vectors + self.codomain.relations())
 
 
 def inclusion_h1_map(fine: RipsSkeleton, coarse: RipsSkeleton) -> H1Map:
@@ -397,20 +354,10 @@ def inclusion_h1_map(fine: RipsSkeleton, coarse: RipsSkeleton) -> H1Map:
     cdata = coarse.h1_data()
     cols = []
     for coord in range(fdata.group.dim):
-        rep = fdata.representative(coord)
-        edge_vec: dict[tuple[int, int], int] = {}
-        for g, coef in rep.items():
-            for e, s in fine.fundamental_cycle_edges(g).items():
-                nv = edge_vec.get(e, 0) + coef * s
-                if nv:
-                    edge_vec[e] = nv
-                else:
-                    edge_vec.pop(e, None)
         cvec: dict[int, int] = {}
-        for e, coef in edge_vec.items():
-            g = coarse.gen_index.get(e)
-            if g is not None:
-                cvec[g] = cvec.get(g, 0) + coef
-        cols.append(_canonical(cdata.group, cdata.class_of(cvec)))
+        for g, coef in fdata.representative(coord).items():
+            for cg, s in loop_gen_vector(coarse, fine.fundamental_walk(g)).items():
+                cvec[cg] = cvec.get(cg, 0) + coef * s
+        cols.append(cdata.class_of(cvec))
     rows = tuple(tuple(col[r] for col in cols) for r in range(cdata.group.dim))
     return H1Map(fdata.group, cdata.group, rows)

@@ -21,6 +21,21 @@ COORD_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
 
 
+def as_index(v) -> int:
+    """An integer entry of an input document; floats, strings and booleans
+    are malformed, not truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValidationError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def as_number(v) -> float:
+    """A real-number entry of an input document; strings and booleans are malformed."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValidationError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 class FiniteSpace:
     """Points with labels, optional coordinates and a distance matrix."""
 
@@ -70,10 +85,10 @@ class FiniteSpace:
             if float(np.abs(euclid - dist).max()) > COORD_TOL * scale:
                 raise ValidationError("dist disagrees with Euclidean distance of coords")
         if distinguished:
-            for name, idx in dict(distinguished).items():
-                if not (0 <= int(idx) < n):
+            distinguished = tuple((str(k), as_index(v)) for k, v in dict(distinguished).items())
+            for name, idx in distinguished:
+                if not (0 <= idx < n):
                     raise ValidationError(f"distinguished point {name!r} out of range")
-            distinguished = tuple((str(k), int(v)) for k, v in dict(distinguished).items())
         else:
             distinguished = ()
         dist.flags.writeable = False
@@ -238,16 +253,16 @@ def is_chain_connected(space: FiniteSpace, e: Entourage) -> bool:
     return int(component_labels(e).max()) == 0
 
 
-def bfs_forest(e: Entourage) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first forest of the relation graph, grown from each unvisited
-    point in index order: parent (-1 at roots), depth and component id per
-    point.  Components are numbered in root order, so by least member."""
+def bfs_forest(e: Entourage, first: int = 0) -> tuple[list[int], list[int]]:
+    """Breadth-first forest of the relation graph, grown from `first` and
+    then from each unvisited point in index order, neighbours in ascending
+    order: parent (-1 at roots) and component id per point.  Components are
+    numbered in root order, so by least member when `first` is 0."""
     n = e.n
     parent = [-1] * n
-    depth = [0] * n
     component = [-1] * n
     comp = 0
-    for start in range(n):
+    for start in (first, *range(n)):
         if component[start] >= 0:
             continue
         component[start] = comp
@@ -259,15 +274,22 @@ def bfs_forest(e: Entourage) -> tuple[list[int], list[int], list[int]]:
                 if component[w] < 0:
                     component[w] = comp
                     parent[w] = v
-                    depth[w] = depth[v] + 1
                     queue.append(w)
         comp += 1
-    return parent, depth, component
+    return parent, component
+
+
+def path_to_root(parent: list[int], v: int) -> list[int]:
+    """The forest path v, parent[v], ... up to v's root."""
+    path = [v]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    return path
 
 
 def component_labels(e: Entourage) -> np.ndarray:
     """Connected-component index per point (component ids by least member)."""
-    return np.asarray(bfs_forest(e)[2])
+    return np.asarray(bfs_forest(e)[1])
 
 
 class SpaceMap:
@@ -276,7 +298,7 @@ class SpaceMap:
     __slots__ = ("source", "target", "assign")
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, assign):
-        assign = tuple(int(a) for a in assign)
+        assign = tuple(as_index(a) for a in assign)
         if len(assign) != source.n:
             raise ValidationError("assignment must cover every source point")
         for a in assign:
@@ -361,10 +383,7 @@ class ScaleLadder:
             if not fine.issubset(coarse):
                 raise ValidationError("ladder scales must be nested (each inside the previous)")
         if descriptors is None:
-            descriptors = [
-                {"eps": s.meta["eps"]} if "eps" in s.meta else {"pairs": s.pairs()}
-                for s in scales
-            ]
+            descriptors = [_describe_scale(s) for s in scales]
         self.scales = scales
         self.descriptors = list(descriptors)
 
@@ -375,8 +394,7 @@ class ScaleLadder:
             raise ValidationError(f"thresholds must be finite and nonnegative, got {thresholds}")
         if any(a <= b for a, b in zip(thresholds, thresholds[1:])):
             raise ValidationError("thresholds must be strictly decreasing")
-        scales = [entourage_at(space, t, strict=strict) for t in thresholds]
-        return cls(scales, descriptors=[{"eps": t} for t in thresholds])
+        return cls(entourage_at(space, t, strict=strict) for t in thresholds)
 
     def __len__(self):
         return len(self.scales)
@@ -411,36 +429,62 @@ class ScaleLadder:
 
     @classmethod
     def from_json(cls, space: FiniteSpace, doc) -> "ScaleLadder":
+        """Entries are {"eps": number, "strict": bool} (strict optional) or
+        {"pairs": [[i, j], ...], "label": str} (label optional)."""
+        if not isinstance(doc, list):
+            raise ValidationError(f"a ladder must be a list of scales, got {doc!r}")
         scales = []
         descriptors = []
         for entry in doc:
+            if not isinstance(entry, dict):
+                raise ValidationError(f"ladder entry must be an object, got {entry!r}")
             if "eps" in entry:
-                scales.append(entourage_at(space, float(entry["eps"]), strict=bool(entry.get("strict", False))))
-                descriptors.append({"eps": float(entry["eps"])})
+                strict = entry.get("strict", False)
+                if not isinstance(strict, bool):
+                    raise ValidationError(f"strict must be true or false, got {strict!r}")
+                scale = entourage_at(space, as_number(entry["eps"]), strict=strict)
+                d = _describe_scale(scale)
             elif "pairs" in entry:
-                scales.append(Entourage.from_pairs(space.n, [tuple(p) for p in entry["pairs"]]))
-                d = {"pairs": [tuple(p) for p in entry["pairs"]]}
+                try:
+                    pairs = [(as_index(i), as_index(j)) for i, j in entry["pairs"]]
+                except (TypeError, ValueError) as e:
+                    raise ValidationError(f"ladder pairs must be [i, j] index pairs: {e}") from e
+                scale = Entourage.from_pairs(space.n, pairs)
+                d = {"pairs": pairs}
                 if "label" in entry:
-                    d["label"] = entry["label"]
-                descriptors.append(d)
+                    d["label"] = str(entry["label"])
             else:
                 raise ValidationError("ladder entry needs 'eps' or 'pairs'")
+            scales.append(scale)
+            descriptors.append(d)
         return cls(scales, descriptors=descriptors)
 
 
+def _describe_scale(s: Entourage) -> dict:
+    """Ladder descriptor of one scale; `strict` appears only when set."""
+    if "eps" not in s.meta:
+        return {"pairs": s.pairs()}
+    if s.meta.get("strict"):
+        return {"eps": s.meta["eps"], "strict": True}
+    return {"eps": s.meta["eps"]}
+
+
 def space_from_json(doc: dict) -> FiniteSpace:
-    if "labels" not in doc:
+    if not isinstance(doc, dict) or "labels" not in doc:
         raise ValidationError("space json needs 'labels'")
     has_coords = "coords" in doc and doc["coords"] is not None
     has_dist = "dist" in doc and doc["dist"] is not None
     if has_coords == has_dist:
         raise ValidationError("space json needs exactly one of 'coords' or 'dist'")
-    return FiniteSpace(
-        doc["labels"],
-        dist=doc.get("dist"),
-        coords=doc.get("coords"),
-        distinguished=doc.get("distinguished"),
-    )
+    try:
+        return FiniteSpace(
+            doc["labels"],
+            dist=doc.get("dist"),
+            coords=doc.get("coords"),
+            distinguished=doc.get("distinguished"),
+        )
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"malformed space: {e}") from e
 
 
 def load_space(path: str, format: str | None = None) -> FiniteSpace:

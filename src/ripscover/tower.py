@@ -27,7 +27,7 @@ from .chains import (
 from .errors import ValidationError
 from .rips import H1Map, build_skeleton, h1_class, inclusion_h1_map
 from .snf import IntLattice, snf_invariants
-from .space import Entourage, FiniteSpace, ScaleLadder, component_labels
+from .space import Entourage, FiniteSpace, ScaleLadder, bfs_forest, component_labels, path_to_root
 
 LADDER_CAVEAT = (
     "stabilization within the ladder is necessary but not sufficient for the full scale filter"
@@ -60,20 +60,12 @@ class TowerReport:
     images: dict[tuple[int, int], IntLattice]
     scale_notes: list[dict]
 
-    def group_at(self, i: int):
-        return self.groups[i]
-
     def image(self, fine: int, coarse: int) -> IntLattice:
         return self.images[(fine, coarse)]
 
     def trivial_image_lattice(self, coarse: int) -> IntLattice:
         g = self.groups[coarse]
-        vectors = []
-        for t, d in enumerate(g.torsion):
-            v = [0] * g.dim
-            v[g.rank + t] = d
-            vectors.append(v)
-        return IntLattice.from_vectors(g.dim, vectors)
+        return IntLattice.from_vectors(g.dim, g.relations())
 
     def to_json(self) -> dict:
         return {
@@ -152,53 +144,35 @@ def build_tower(space: FiniteSpace, ladder: ScaleLadder, basepoint: int = 0) -> 
     return TowerReport(space, ladder, basepoint, skeletons, groups, bondings, maps, images, notes)
 
 
+def _first_depth(tower: TowerReport, a: int, holds, found: str, missing: str) -> dict:
+    """The smallest depth b past `a` where `holds(b)`, from the next finer scale to the finest."""
+    k = len(tower.ladder)
+    if not (0 <= a < k - 1):
+        raise ValidationError("index needs at least one finer scale")
+    doc = {"index": a, "scale": tower.ladder.describe(a), "status": missing, "caveat": LADDER_CAVEAT}
+    for b in range(a + 1, k):
+        if holds(b):
+            doc.update(status=found, at=b, at_scale=tower.ladder.describe(b))
+            break
+    return doc
+
+
 def ml_diagnostic(tower: TowerReport, a: int) -> dict:
     """Smallest verified depth past `a` where images into scale `a` stop
     shrinking; vacuous candidates (nothing finer to verify against) never count."""
     k = len(tower.ladder)
-    if not (0 <= a < k - 1):
-        raise ValidationError("index needs at least one finer scale")
-    for b in range(a + 1, k - 1):
-        img_b = tower.image(b, a)
-        if all(tower.image(c, a) == img_b for c in range(b + 1, k)):
-            return {
-                "index": a,
-                "scale": tower.ladder.describe(a),
-                "status": "stabilized_at",
-                "at": b,
-                "at_scale": tower.ladder.describe(b),
-                "caveat": LADDER_CAVEAT,
-            }
-    return {
-        "index": a,
-        "scale": tower.ladder.describe(a),
-        "status": "not_stabilized_within_ladder",
-        "caveat": LADDER_CAVEAT,
-    }
+
+    def stable(b):
+        return b < k - 1 and all(tower.image(c, a) == tower.image(b, a) for c in range(b + 1, k))
+
+    return _first_depth(tower, a, stable, "stabilized_at", "not_stabilized_within_ladder")
 
 
 def triviality_diagnostic(tower: TowerReport, a: int) -> dict:
     """Smallest depth past `a` whose image into scale `a` is the zero group."""
-    k = len(tower.ladder)
-    if not (0 <= a < k - 1):
-        raise ValidationError("index needs at least one finer scale")
-    trivial = tower.trivial_image_lattice(a)
-    for b in range(a + 1, k):
-        if tower.image(b, a) == trivial:
-            return {
-                "index": a,
-                "scale": tower.ladder.describe(a),
-                "status": "trivial_at",
-                "at": b,
-                "at_scale": tower.ladder.describe(b),
-                "caveat": LADDER_CAVEAT,
-            }
-    return {
-        "index": a,
-        "scale": tower.ladder.describe(a),
-        "status": "not_within_ladder",
-        "caveat": LADDER_CAVEAT,
-    }
+    return _first_depth(
+        tower, a, lambda b: tower.image(b, a) == tower.trivial_image_lattice(a), "trivial_at", "not_within_ladder"
+    )
 
 
 @dataclass
@@ -254,8 +228,7 @@ class _ClassWalker:
         self.skel = build_skeleton(space, target)
         self.data = self.skel.h1_data()
         self.budget = budget
-        self.rank = self.data.group.rank
-        self.torsion = self.data.group.torsion
+        self.group = self.data.group
         self._step_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def step_class(self, u: int, v: int) -> tuple[int, ...]:
@@ -267,15 +240,13 @@ class _ClassWalker:
             self._step_cache[key] = got
         return got
 
-    def add(self, z1, z2, sign=1):
-        out = [a + sign * b for a, b in zip(z1, z2)]
-        for i, d in enumerate(self.torsion):
-            out[self.rank + i] %= d
-        return tuple(out)
+    def add(self, z1, z2):
+        return self.group.reduce(a + b for a, b in zip(z1, z2))
 
     @cached_property
-    def labels(self) -> np.ndarray:
-        return component_labels(self.walk_rel)
+    def forest(self) -> tuple[list[int], list[int]]:
+        """BFS forest of the walk relation grown from the root: parents and components."""
+        return bfs_forest(self.walk_rel, first=self.root)
 
     @cached_property
     def lattice(self) -> IntLattice:
@@ -295,6 +266,7 @@ class _ClassWalker:
         expanded = 0
         truncated = False
         cap = self.budget.class_norm
+        rank = self.group.rank
         rel = self.walk_rel.rel
         while queue:
             nxt = []
@@ -308,7 +280,7 @@ class _ClassWalker:
                     if q == p:
                         continue
                     nz = self.add(z, self.step_class(p, q))
-                    if any(abs(v) > cap for v in nz[: self.rank]):
+                    if any(abs(v) > cap for v in nz[:rank]):
                         truncated = True
                         continue
                     ns = (q, nz)
@@ -320,12 +292,14 @@ class _ClassWalker:
 
     @cached_property
     def reach(self) -> dict[int, list[tuple[int, ...]]]:
-        """Sorted classes of the explored walks ending at each point."""
+        """Classes of the explored walks ending at each point, smallest first
+        (by coordinate sum of absolute values, then in order), so the short
+        walks of class zero come before long windings."""
         reach: dict[int, list] = {}
         for (p, z) in self.explored[0]:
             reach.setdefault(p, []).append(z)
         for v in reach.values():
-            v.sort()
+            v.sort(key=lambda z: (sum(map(abs, z)), z))
         return reach
 
     def walk_of(self, state) -> tuple[int, ...]:
@@ -348,13 +322,14 @@ def _witness_pair(walker: _ClassWalker, x: int, y: int, starts) -> tuple[Trivalu
     `decide_homotopic`, at most `_CANDIDATES` of them.  On yes the walks
     root -> x and root -> y come back with the verdict.
     """
-    root, rel = walker.root, walker.walk_rel
-    if not walker.labels[x] == walker.labels[y] == walker.labels[root]:
+    parent, component = walker.forest
+    if not component[x] == component[y] == component[walker.root]:
         return Trivalue("no", obstruction={
             "kind": "unreachable_at_fine",
             "note": "no fine-scale chain joins the root to both points of the pair",
         }), None
-    loop = tuple(reversed(_any_walk(rel, root, x))) + _any_walk(rel, root, y)[1:] + (x,)
+    # x -> root -> y -> x along the forest's shortest walks
+    loop = (*path_to_root(parent, x), *path_to_root(parent, y)[::-1][1:], x)
     base_class = h1_class(walker.skel, loop)
     if not walker.lattice.contains(list(base_class)):
         return Trivalue("no", obstruction={
@@ -433,29 +408,6 @@ def joinability_witness(
     else:
         defects.append(None)
     return verdictify(verdict, TruncatedGeneralizedPath([tname, fname], walk, defects))
-
-
-def _any_walk(rel: Entourage, x: int, y: int) -> tuple[int, ...]:
-    """A shortest walk from x to y in the relation graph (BFS, deterministic)."""
-    if x == y:
-        return (x,)
-    prev = {x: None}
-    queue = [x]
-    while queue:
-        nxt = []
-        for p in queue:
-            for q in np.nonzero(rel.rel[p])[0]:
-                q = int(q)
-                if q not in prev:
-                    prev[q] = p
-                    if q == y:
-                        seq = [y]
-                        while prev[seq[-1]] is not None:
-                            seq.append(prev[seq[-1]])
-                        return tuple(reversed(seq))
-                    nxt.append(q)
-        queue = nxt
-    raise ValidationError("no walk exists")
 
 
 def uniform_joinability_audit(space: FiniteSpace, ladder: ScaleLadder, budget: SearchBudget | None = None) -> dict:

@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ripscover.chains import decide_homotopic, validate_chain
 from ripscover.cli import main
@@ -244,3 +246,79 @@ def test_nan_ladder_threshold_exits_2(capsys):
     # NaN passes the "strictly decreasing" comparison
     assert run(["analyze", "--gallery", "hexagon_ex72", "--ladder", "3,nan,1"]) == 2
     assert "thresholds must be finite" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    try:
+        return run(argv)
+    except SystemExit as e:  # argparse rejects an option value with exit 2
+        return e.code
+
+
+def _identity_map() -> dict:
+    with open(os.path.join(FIXTURES, "identity_map.json")) as fh:
+        return json.load(fh)
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("case", [
+    ["join", "--gallery", "hexagon_ex72", "--pair", "a,b", "--target", "abc", "--fine", "1"],
+    ["ball", "--gallery", "hexagon_ex72", "--eps", "abc"],
+    ["analyze", "--gallery", "hexagon_ex72", "--certified-pairs", "abc"],
+    (("ladder", 0, "eps"), "abc"),
+    (("ladder", 0), {"pairs": [[0]]}),
+    (("ladder", 0), {"pairs": [[0, 1.5]]}),
+    (("ladder",), 5),
+    (("ladder", 0, "strict"), "false"),
+    (("assign", 0), "x"),
+    (("assign", 0), 0.5),
+    (("source", "labels"), 5),
+    (("source", "coords", 0), [1.0]),
+])
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    # a command line, or one field of the identity map file replaced
+    if isinstance(case, tuple):
+        doc = _identity_map()
+        _set(doc, *case)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        case = ["cover", "--map", str(bad), "--output", os.devnull]
+    assert _exit_code(case) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_POINTS = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+_MAP_FIELDS = [
+    ("source",), ("source", "labels"), ("source", "labels", 1), ("source", "coords"),
+    ("source", "coords", 1), ("source", "coords", 1, 0), ("target", "coords", 2),
+    ("target", "labels"), ("assign",), ("assign", 0), ("assign", 2), ("ladder",),
+    ("ladder", 0), ("ladder", 0, "eps"), ("ladder", 1, "eps"), ("ladder", 0, "strict"),
+    ("ladder", 1, "pairs"), ("ladder", 1, "label"),
+]
+_BAD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-1, 3), st.floats(-1, 3)), max_size=3),
+    st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["eps", "pairs", "strict", "labels"]), st.integers(0, 2), max_size=2),
+)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(_MAP_FIELDS), value=_BAD_VALUES)
+def test_map_loader_never_raises(tmp_path, path, value):
+    # one field of a 3-point identity map replaced by a value of the wrong
+    # shape or type: the command answers (0 or 1) or rejects the file (2)
+    space = {"labels": ["p", "q", "r"], "coords": [list(row) for row in _POINTS]}
+    doc = {"source": space, "target": json.loads(json.dumps(space)), "assign": [0, 1, 2],
+           "ladder": [{"eps": 1.5}, {"eps": 1.0}]}
+    _set(doc, path, value)
+    bad = tmp_path / "map.json"
+    bad.write_text(json.dumps(doc))
+    assert _exit_code(["cover", "--map", str(bad), "--output", os.devnull]) in (0, 1, 2)

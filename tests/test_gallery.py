@@ -118,3 +118,10 @@ def test_distinguished_distances():
     for pair, want in ((("a", "b"), 1.0), (("a", "c"), 1.0), (("b", "c"), 1.0)):
         i, j = (g73.space.index_of(k) for k in pair)
         assert abs(g73.space.dist[i, j] - want) <= TOL
+
+
+def test_hawaiian_caps_circle_count_at_five():
+    # from six circles on the fifth threshold window is empty at any sampling
+    with pytest.raises(ValidationError, match="1 <= m <= 5"):
+        hawaiian(6, 512)
+    assert len(hawaiian(5, 24).ladder) == 6

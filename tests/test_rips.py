@@ -40,8 +40,9 @@ def test_skeleton_triangles_are_exactly_3_cliques():
             if e.related(i, j) and e.related(j, k) and e.related(i, k)
         }
         assert set(sk.triangles) == want
+        edges = set(sk.edges)
         for (i, j, k) in sk.triangles:
-            assert (i, j) in sk.edge_index and (j, k) in sk.edge_index and (i, k) in sk.edge_index
+            assert (i, j) in edges and (j, k) in edges and (i, k) in edges
 
 
 def test_presentation_counts():

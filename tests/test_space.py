@@ -199,10 +199,9 @@ def test_chain_connected():
 def test_bfs_forest_components_by_least_member():
     # path 3-1-4 and pair 0-2: components are numbered by least member
     e = Entourage.from_pairs(5, [(3, 1), (1, 4), (0, 2)])
-    parent, depth, component = bfs_forest(e)
+    parent, component = bfs_forest(e)
     assert component == [0, 1, 0, 1, 1]
     assert parent == [-1, -1, 0, 1, 1]
-    assert depth == [0, 0, 1, 1, 1]
     assert component_labels(e).tolist() == component
 
 
@@ -256,3 +255,14 @@ def test_preimage_under_pullback():
     for i in range(12):
         for j in range(12):
             assert up.related(i, j) == down.related(i % 6, j % 6)
+
+
+def test_ladder_json_strict_is_a_boolean_and_echoed():
+    sp = hexagon_ex72().space
+    with pytest.raises(ValidationError, match="strict"):
+        ScaleLadder.from_json(sp, [{"eps": 1.0, "strict": "false"}])
+    strict = ScaleLadder.from_json(sp, [{"eps": 1.0, "strict": True}])
+    assert strict.finest() == entourage_at(sp, 1.0, strict=True)
+    assert strict.to_json() == [{"eps": 1.0, "strict": True}]
+    assert ScaleLadder.from_json(sp, [{"eps": 1.0, "strict": False}]).to_json() == [{"eps": 1.0}]
+    assert len(ScaleLadder.from_json(sp, [{"eps": 1.0}]).finest().pairs()) == 6

@@ -3,6 +3,7 @@ import pytest
 from ripscover.chains import SearchBudget
 from ripscover.errors import ValidationError
 from ripscover.gallery import hexagon_ex72, hexagon_ex73, polygon, solenoid
+from ripscover.rips import build_skeleton, h1
 from ripscover.snf import IntLattice
 from ripscover.space import Entourage, ScaleLadder, entourage_at
 from ripscover.tower import (
@@ -271,3 +272,15 @@ def test_audit_matches_naive_loop():
         assert rep["cells"] == cells
         assert rep["supported_per_scale"] == supported
         assert rep["uj_supported_at_depth"] == all(supported.values())
+
+
+def test_g_entourage_tries_short_walks_first():
+    # on a rank-1 target the class-zero walks must come before the windings:
+    # tried in ascending order, the 5 candidates were the most negative
+    # windings and all 24 pairs ended unknown at this budget
+    g = polygon(12, 1)
+    target = g.ladder[0]
+    assert h1(build_skeleton(g.space, target)).rank == 1
+    _, rep = g_entourage(g.space, target, g.ladder, SearchBudget(states=2000))
+    assert len(rep["pairs"]) == 24
+    assert [p["pair"] for p in rep["pairs"] if p["verdict"] != "yes"] == []
