@@ -331,13 +331,12 @@ def uniform_cover_verdict(
         }
 
     per_scale = [scale_entry(i) for i in range(k)]
-    per_pair = [pair_entry(i, j) for i in range(k) for j in range(i, k)]
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    per_pair = [pair_entry(i, j) for i, j in pairs]
+    lifting = {ij: p["chain_lifting"] for ij, p in zip(pairs, per_pair)}
 
     generates_ok = all(s["generates_witness"] is not None for s in per_scale)
-    lifting_ok = all(
-        any(p["chain_lifting"] for p in per_pair if p["scale"] == ladder.describe(i))
-        for i in range(k)
-    )
+    lifting_ok = all(any(lifting[i, j] for j in range(i, k)) for i in range(k))
     transverse_some = any(s["transverse"] for s in per_scale)
     ucm = generates_ok and lifting_ok and transverse_some
     simplicial_base = per_scale[-1]["simplicial_cover"]
@@ -355,7 +354,7 @@ def uniform_cover_verdict(
         "simplicial_implies_evenly": all(
             (not s["simplicial_cover"]) or s["evenly_covers"] for s in per_scale
         ),
-        "lifting_squares_give_structure": _prop_29b(f, ladder, per_pair),
+        "lifting_squares_give_structure": _prop_29b(f, ladder, lifting),
         "uniqueness_iff_transverse_per_scale": all(
             (not s["uniqueness_of_lifts"]) or s["transverse"] for s in per_scale
         ),
@@ -369,13 +368,11 @@ def uniform_cover_verdict(
     return CoverReport(ladder.to_json(), per_scale, per_pair, verdicts, implications)
 
 
-def _prop_29b(f: SpaceMap, ladder: ScaleLadder, per_pair: list[dict]) -> bool:
+def _prop_29b(f: SpaceMap, ladder: ScaleLadder, lifting: dict[tuple[int, int], bool]) -> bool:
     """Whenever D o D fits in E and chains lift at (D, F), the image of F
-    squares into the image of E; recorded as a concrete per-triple check."""
+    squares into the image of E; recorded as a concrete per-triple check.
+    `lifting[j, t]` is the chain-lifting verdict at ladder indices j <= t."""
     ok = True
-    lifting = {
-        (p["scale"], p["fine"]): p["chain_lifting"] for p in per_pair
-    }
     for i, e in enumerate(ladder):
         fe = image_under(f, e)
         for j, d in enumerate(ladder):
@@ -384,7 +381,7 @@ def _prop_29b(f: SpaceMap, ladder: ScaleLadder, per_pair: list[dict]) -> bool:
             if not compose(d, d).issubset(e):
                 continue
             for t in range(j, len(ladder)):
-                if not lifting.get((ladder.describe(j), ladder.describe(t))):
+                if not lifting[j, t]:
                     continue
                 ffin = image_under(f, ladder[t])
                 if not compose(ffin, ffin).issubset(fe):

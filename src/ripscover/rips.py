@@ -2,7 +2,8 @@
 
 Only vertices, edges and triangles are ever built; everything the package
 asks about loops factors through them.  Homology is computed from the
-triangle relators in the non-forest-edge basis, with a sparse unit-pivot
+triangle relators in the non-forest-edge basis: relators with one live
+generator are peeled in bulk, the few left go through a sparse unit-pivot
 phase feeding a small dense Smith form, so class vectors, representatives
 and torsion are all exact.
 """
@@ -25,7 +26,7 @@ class RipsSkeleton:
     __slots__ = (
         "space", "entourage", "edges", "triangles",
         "parent", "roots", "component",
-        "gen_index", "generators", "_h1data", "_moves",
+        "gen_index", "generators", "_tri", "_h1data", "_moves",
     )
 
     def __init__(self, space: FiniteSpace, entourage: Entourage):
@@ -34,17 +35,19 @@ class RipsSkeleton:
         rel = entourage.rel
         n = space.n
         iu, ju = np.nonzero(np.triu(rel, k=1))
-        edges = [(int(i), int(j)) for i, j in zip(iu, ju)]
-        triangles = []
-        for i in range(n):
-            nbrs = np.nonzero(rel[i])[0]
-            nbrs = nbrs[nbrs > i]
-            if nbrs.size < 2:
-                continue
-            sub = rel[np.ix_(nbrs, nbrs)]
-            for a, b in np.argwhere(np.triu(sub, k=1)):
-                triangles.append((i, int(nbrs[a]), int(nbrs[b])))
-        triangles.sort()
+        edges = list(zip(iu.tolist(), ju.tolist()))
+        # triangles i < j < k from the lexicographically sorted edges (i, j):
+        # np.nonzero walks rows, then k, so they come out sorted; edges go in
+        # blocks so the edge-by-vertex mask stays a few MB
+        cols = np.arange(n)
+        step = max(1, (1 << 22) // max(n, 1))
+        blocks = [np.empty((0, 3), dtype=np.intp)]
+        for s in range(0, len(iu), step):
+            a, b = iu[s:s + step], ju[s:s + step]
+            e, k = np.nonzero(rel[a] & rel[b] & (cols > b[:, None]))
+            blocks.append(np.stack([a[e], b[e], k], axis=1))
+        tri = np.concatenate(blocks)
+        triangles = list(zip(*tri.T.tolist()))
 
         parent, component = bfs_forest(entourage)
         roots = [v for v in range(n) if parent[v] < 0]
@@ -56,6 +59,7 @@ class RipsSkeleton:
         self.entourage = entourage
         self.edges = edges
         self.triangles = triangles
+        self._tri = tri
         self.parent = parent
         self.roots = roots
         self.component = component
@@ -175,19 +179,45 @@ class AbelianGroup:
 
 
 class _H1Data:
-    """Coordinates for H1 of a skeleton: class vectors and representatives."""
+    """Coordinates for H1 of a skeleton: class vectors and representatives.
+
+    Each triangle i < j < k gives the relator row +g(ij) + g(jk) - g(ik) over
+    the non-forest edges.  A row with one live generator kills it; peeling
+    such rows in bulk until none is left is exactly the first phase of
+    `eliminate_unit_pivots`, whose heap takes every one-entry row before any
+    longer one, and whose one-entry pivots only delete entries.  So the rows
+    that survive, in their original order, go through the same greedy with
+    the same ties, and give the same substitutions, core and class basis as
+    all rows would.  A killed generator is in no surviving row, so its
+    coordinate never reaches a class vector.
+    """
 
     def __init__(self, skel: RipsSkeleton):
-        rows = []
-        for i, j, k in skel.triangles:
-            row = _gen_vector(skel, ((i, j), (j, k), (k, i)))
-            if row:
-                rows.append(row)
+        ngen = len(skel.generators)
+        gid = np.full((skel.n, skel.n), -1, dtype=np.intp)
+        ends = np.array(skel.generators, dtype=np.intp).reshape(-1, 2)
+        gid[ends[:, 0], ends[:, 1]] = np.arange(ngen)
+        i, j, k = skel._tri.T
+        ids = np.stack([gid[i, j], gid[j, k], gid[i, k]], axis=1)
+        alive = np.ones(ngen + 1, dtype=bool)
+        alive[-1] = False  # forest edges (id -1) are never live
+        while True:
+            live = alive[ids]
+            count = live.sum(axis=1)
+            ones = count == 1
+            if not ones.any():
+                break
+            alive[ids[ones][live[ones]]] = False
+            ids = ids[count > 1]
+        rest = count > 1
+        rows = [
+            {g: s for g, s, on in zip(r, (1, 1, -1), mask) if on}
+            for r, mask in zip(ids[rest].tolist(), live[rest].tolist())
+        ]
         subs, core = eliminate_unit_pivots(rows)
         eliminated = {col for col, _, _ in subs}
-        ngen = len(skel.generators)
         touched = sorted({c for r in core for c in r})
-        untouched = [g for g in range(ngen) if g not in eliminated and g not in touched]
+        untouched = [g for g in np.flatnonzero(alive).tolist() if g not in eliminated and g not in touched]
 
         mat = [[r.get(t, 0) for r in core] for t in touched]
         if touched:

@@ -415,7 +415,7 @@ class ScaleLadder:
     def describe(self, i: int) -> str:
         d = self.descriptors[i]
         if "eps" in d:
-            return f"eps={d['eps']:g}"
+            return f"eps{'<' if d.get('strict') else '='}{d['eps']:g}"
         return d.get("label", f"scale#{i}")
 
     def to_json(self) -> list:

@@ -5,6 +5,8 @@ Smith machinery; the homotopy oracle is a plain single-source BFS over raw
 (uncanonicalized) chains.  Neither shares code with the package's own
 reduction paths.  `numpy_neighbors` keeps the original numpy enumeration of
 the canonical move graph, as the reference order for the table-driven one.
+`AllRowsH1` keeps the original H1 reduction, unit-pivot elimination over
+every triangle relator row, as the reference for the peeled one.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
 from ripscover.chains import Delete, Insert
+from ripscover.rips import AbelianGroup
+from ripscover.snf import eliminate_unit_pivots, reduce_vector, smith_normal_form
 from ripscover.space import Entourage, FiniteSpace
 
 
@@ -70,6 +74,45 @@ def _rank_rational(mat) -> int:
         if row == len(rows):
             break
     return rank
+
+
+class AllRowsH1:
+    """H1 coordinates of a skeleton from `eliminate_unit_pivots` run on one
+    relator row per triangle, with no peeling: fields and `class_of` as in
+    `rips._H1Data`."""
+
+    def __init__(self, skel):
+        rows = []
+        for i, j, k in skel.triangles:
+            row = {}
+            for u, v in ((i, j), (j, k), (k, i)):
+                gs = skel.step_gen(u, v)
+                if gs is not None:
+                    row[gs[0]] = gs[1]
+            if row:
+                rows.append(row)
+        subs, core = eliminate_unit_pivots(rows)
+        eliminated = {col for col, _, _ in subs}
+        touched = sorted({c for r in core for c in r})
+        self.subs = subs
+        self.touched = touched
+        self.untouched = [g for g in range(len(skel.generators)) if g not in eliminated and g not in touched]
+        if touched:
+            diag, self.left, self.left_inv = smith_normal_form([[r.get(t, 0) for r in core] for t in touched])
+        else:
+            diag, self.left, self.left_inv = [], [], []
+        dfull = list(diag) + [0] * (len(touched) - len(diag))
+        free = [i for i, d in enumerate(dfull) if d == 0]
+        torsion = [i for i, d in enumerate(dfull) if d >= 2]
+        self.core_ids = free + torsion
+        self.group = AbelianGroup(len(self.untouched) + len(free), tuple(dfull[i] for i in torsion))
+
+    def class_of(self, gen_vector: dict[int, int]) -> tuple[int, ...]:
+        x = reduce_vector(gen_vector, self.subs)
+        out = [x.get(g, 0) for g in self.untouched]
+        xt = [x.get(t, 0) for t in self.touched]
+        out.extend(sum(lv * xv for lv, xv in zip(self.left[i], xt)) for i in self.core_ids)
+        return self.group.reduce(out)
 
 
 def raw_move_bfs(ent: Entourage, start, goal, max_len: int, state_cap: int = 200_000):

@@ -330,3 +330,26 @@ def test_criterion_9_deterministic_reports(tmp_path):
         assert code_a == code_b
         assert out_a.read_bytes() == out_b.read_bytes(), f"nondeterministic: {cmd}"
     done(9, f"{len(commands)} report commands byte-identical across repeated runs")
+
+
+def test_criterion_9_pinned_h1_basis(tmp_path):
+    # the hawaiian(3, 16) tower as recorded before relators were peeled: a
+    # change to the elimination order that rotates the class basis shows here
+    out = tmp_path / "hawaiian.json"
+    assert cli_main(["analyze", "--gallery", "hawaiian:3,16", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["scales"] == [
+        {"component_size": 46, "components": 1, "rank": 0, "scale": "eps=2.1", "torsion": []},
+        {"component_size": 46, "components": 1, "rank": 1, "scale": "eps=1.28275", "torsion": []},
+        {"component_size": 46, "components": 1, "rank": 2, "scale": "eps=0.740596", "torsion": []},
+        {"component_size": 46, "components": 1, "rank": 3, "scale": "eps=0.506763", "torsion": []},
+    ]
+    assert doc["bondings"] == [
+        {"coarse": "eps=2.1", "fine": "eps=1.28275", "matrix": [], "snf": []},
+        {"coarse": "eps=1.28275", "fine": "eps=0.740596", "matrix": [[1, 0]], "snf": [1]},
+        {"coarse": "eps=0.740596", "fine": "eps=0.506763", "matrix": [[1, 0, 0], [0, 1, 0]], "snf": [1, 1]},
+    ]
+    assert doc["images"] == {
+        "1->0": [], "2->0": [], "2->1": [[1]], "3->0": [], "3->1": [[1]], "3->2": [[1, 0], [0, 1]],
+    }
+    done(9, "hawaiian:3,16 groups, bondings and images match the recorded basis")

@@ -322,3 +322,32 @@ def test_map_loader_never_raises(tmp_path, path, value):
     bad = tmp_path / "map.json"
     bad.write_text(json.dumps(doc))
     assert _exit_code(["cover", "--map", str(bad), "--output", os.devnull]) in (0, 1, 2)
+
+
+_SPACE_FIELDS = [  # (which metric the file gives, the field replaced)
+    ("coords", ("labels",)), ("coords", ("labels", 1)), ("coords", ("coords",)),
+    ("coords", ("coords", 1)), ("coords", ("coords", 1, 0)), ("coords", ("dist",)),
+    ("coords", ("distinguished",)), ("coords", ("distinguished", "p")),
+    ("dist", ("dist",)), ("dist", ("dist", 1)), ("dist", ("dist", 1, 2)), ("dist", ("dist", 0, 0)),
+    ("dist", ("coords",)), ("dist", ("labels", 2)), ("dist", ("distinguished", "q")),
+]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(_SPACE_FIELDS), value=_BAD_VALUES)
+def test_space_loader_never_raises(tmp_path, capsys, field, value):
+    # one field of a 3-point space file replaced by a value of the wrong shape
+    # or type: analyze reports (0 or 1) or rejects the file (2), no traceback
+    metric, path = field
+    doc = {"labels": ["p", "q", "r"], "distinguished": {"p": 0}}
+    if metric == "coords":
+        doc["coords"] = [list(row) for row in _POINTS]
+    else:
+        doc["dist"] = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.5], [1.0, 1.5, 0.0]]
+    _set(doc, path, value)
+    bad = tmp_path / "space.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _exit_code(["analyze", "--space", str(bad), "--ladder", "1.5,1", "--output", os.devnull]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

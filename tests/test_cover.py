@@ -254,3 +254,38 @@ def test_shipped_triangle_lift_regression_fixture():
     assert evenly_covers(f, e)[0]
     ok, cx = is_simplicial_cover(f, e)
     assert not ok and cx["kind"] == "triangle_lift"
+
+
+def test_strict_scale_is_its_own_scale(monkeypatch):
+    import json
+    import os
+
+    from ripscover import cover
+    from ripscover.space import space_from_json
+
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "double_cover_map.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    f = SpaceMap(space_from_json(doc["source"]), space_from_json(doc["target"]), doc["assign"])
+    ladder = ScaleLadder.from_json(f.source, [{"eps": 1.2}, {"eps": 0.6}, {"eps": 0.6, "strict": True}])
+    report = uniform_cover_verdict(f, ladder)
+    names = ["eps=1.2", "eps=0.6", "eps<0.6"]
+    assert [s["scale"] for s in report.per_scale] == names
+    assert [(p["scale"], p["fine"]) for p in report.per_pair] == [
+        (names[i], names[j]) for i in range(3) for j in range(i, 3)
+    ]
+    assert report.verdicts["failing"] == ["generates_structure"]
+
+    # two scales under one label: chains lift only from the first, so the
+    # second has no lifting pair of its own, whatever its name
+    pairs = [list(p) for p in ladder[1].pairs()]
+    twins = ScaleLadder.from_json(f.source, [{"pairs": pairs, "label": "s"}, {"pairs": pairs, "label": "s"}])
+    real = cover.chain_lifting_at
+
+    def lifting_from_first_scale(f, e, fine, basepoint=None):
+        return real(f, e, fine, basepoint) if e is twins[0] else (False, {"kind": "planted"})
+
+    monkeypatch.setattr(cover, "chain_lifting_at", lifting_from_first_scale)
+    report = uniform_cover_verdict(f, twins)
+    assert [p["chain_lifting"] for p in report.per_pair] == [True, True, False]
+    assert "chain_lifting" in report.verdicts["failing"]

@@ -1,9 +1,11 @@
+import json
 import random
 
+import numpy as np
 import pytest
 
 from ripscover.errors import ValidationError
-from ripscover.gallery import hexagon_ex72, polygon, solenoid
+from ripscover.gallery import hawaiian, hexagon_ex72, polygon, solenoid
 from ripscover.rips import (
     build_skeleton,
     edge_path_presentation,
@@ -13,7 +15,7 @@ from ripscover.rips import (
 )
 from ripscover.space import Entourage, entourage_at
 
-from _oracles import homology_oracle, random_entourage, space_for
+from _oracles import AllRowsH1, homology_oracle, random_entourage, space_for
 
 
 def test_skeleton_counts_hexagon():
@@ -39,7 +41,7 @@ def test_skeleton_triangles_are_exactly_3_cliques():
             for k in range(j + 1, n)
             if e.related(i, j) and e.related(j, k) and e.related(i, k)
         }
-        assert set(sk.triangles) == want
+        assert sk.triangles == sorted(want) and _plain_int_tuples(sk.triangles, 3)
         edges = set(sk.edges)
         for (i, j, k) in sk.triangles:
             assert (i, j) in edges and (j, k) in edges and (i, k) in edges
@@ -203,3 +205,93 @@ def test_generator_count_minus_relator_rank_gives_h1_rank():
             rows.append(row)
         rank_rel = _rank_rational(rows) if rows else 0
         assert len(sk.generators) - rank_rel == h1(sk).rank
+
+
+def _plain_int_tuples(items, width):
+    return all(type(t) is tuple and len(t) == width and all(type(v) is int for v in t) for t in items)
+
+
+def test_skeleton_output_is_plain_python():
+    two_triangles = Entourage.from_pairs(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    hexagon = hexagon_ex72().space
+    cases = [
+        (space_for(Entourage.identity(5)), Entourage.identity(5)),  # empty relation
+        (hexagon, entourage_at(hexagon, 1.0)),  # edges, no triangles
+        (space_for(Entourage.identity(1)), Entourage.identity(1)),  # one point
+        (space_for(two_triangles), two_triangles),  # a forest with two roots
+        (hexagon, entourage_at(hexagon, 3.0)),
+    ]
+    for sp, e in cases:
+        sk = build_skeleton(sp, e)
+        assert type(sk.triangles) is list and sk.triangles == sorted(sk.triangles)
+        assert type(sk.edges) is list and sk.edges == sorted(sk.edges)
+        assert _plain_int_tuples(sk.triangles, 3) and _plain_int_tuples(sk.edges, 2)
+        assert all(type(r) is int for r in sk.roots)
+        assert json.loads(json.dumps(sk.to_json()))["triangles"] == [list(t) for t in sk.triangles]
+    assert len(build_skeleton(*cases[3]).roots) == 2
+
+
+def test_h1_data_without_generators_or_triangles():
+    sp = space_for(Entourage.identity(4))
+    data = build_skeleton(sp, Entourage.identity(4)).h1_data()  # no generators
+    assert data.group.is_trivial() and data.class_of({}) == () and data.subs == []
+    tree = Entourage.from_pairs(4, [(0, 1), (1, 2), (1, 3)])
+    assert build_skeleton(space_for(tree), tree).h1_data().group.is_trivial()
+    hexagon = hexagon_ex72().space
+    sk = build_skeleton(hexagon, entourage_at(hexagon, 1.0))  # one generator, no triangles
+    data = sk.h1_data()
+    assert str(data.group) == "Z" and data.untouched == [0] and data.subs == []
+    assert data.class_of({0: 3}) == (3,)
+
+
+def _assert_same_as_all_rows(sk, rng, vectors=20):
+    data = sk.h1_data()
+    ref = AllRowsH1(sk)
+    assert data.untouched == ref.untouched
+    assert data.touched == ref.touched
+    assert data.group == ref.group
+    assert (data.left, data.left_inv, data.core_ids) == (ref.left, ref.left_inv, ref.core_ids)
+    # the peel is the greedy's one-entry phase: the same kills, then the same substitutions
+    head = len(ref.subs) - len(data.subs)
+    assert ref.subs[head:] == data.subs
+    assert all(len(row) == 1 for _, _, row in ref.subs[:head])
+    ngen = len(sk.generators)
+    killed = set(range(ngen)) - set(data.untouched) - set(data.touched) - {col for col, _, _ in data.subs}
+    assert sorted(col for col, _, _ in ref.subs[:head]) == sorted(killed)
+    for _ in range(vectors if ngen else 0):
+        vec = {rng.randrange(ngen): rng.randint(-3, 3) for _ in range(rng.randint(1, 8))}
+        assert data.class_of(vec) == ref.class_of(vec)
+
+
+def test_peeled_h1_matches_all_rows_elimination_random():
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        e = random_entourage(rng, n, rng.choice([0.25, 0.4, 0.55, 0.75]))
+        _assert_same_as_all_rows(build_skeleton(space_for(e), e), rng)
+
+
+def test_peeled_h1_matches_all_rows_elimination_hawaiian():
+    rng = random.Random(7)
+    small = hawaiian(3, 16)
+    for e in small.ladder:
+        _assert_same_as_all_rows(build_skeleton(small.space, e), rng)
+    large = hawaiian(5, 24)
+    for e in list(large.ladder)[2:6]:  # up to 68k triangles; the coarser two cost the oracle seconds
+        _assert_same_as_all_rows(build_skeleton(large.space, e), rng)
+
+
+def test_h1_matches_sympy_oracle_on_hawaiian():
+    # the coarse scales take the rational rank and sympy's Smith form minutes,
+    # so every scale is checked on the wedge point and every third sample,
+    # and the finest scale also in full
+    g = hawaiian(3, 16)
+    idx = list(range(0, g.space.n, 3))
+    for e in g.ladder:
+        sub = Entourage(e.rel[np.ix_(idx, idx)])
+        sk = build_skeleton(space_for(sub), sub)
+        grp = h1(sk)
+        assert (grp.rank, grp.torsion) == homology_oracle(len(idx), sk.edges, sk.triangles)
+    sk = build_skeleton(g.space, g.ladder.finest())
+    grp = h1(sk)
+    assert (grp.rank, grp.torsion) == homology_oracle(g.space.n, sk.edges, sk.triangles) == (3, ())
