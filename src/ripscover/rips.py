@@ -178,13 +178,37 @@ class AbelianGroup:
         return " + ".join(parts)
 
 
+class _Relators:
+    """Relator rows as {generator: sign} dicts, from an (R x 3) array of
+    generator ids for the edges ij, jk, ik (-1 where the edge has no live
+    generator).
+
+    The dicts are made a block at a time while they are read, so the rows
+    are never all held as Python objects at once; every dict's keys are
+    the same int objects.  The length is known without reading the rows.
+    """
+
+    def __init__(self, ids: np.ndarray, ngen: int):
+        self.ids = ids
+        self.gens = list(range(ngen))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        gens = self.gens
+        for s in range(0, len(self.ids), 4096):
+            for r in self.ids[s:s + 4096].tolist():
+                yield {gens[g]: sign for g, sign in zip(r, (1, 1, -1)) if g >= 0}
+
+
 class _H1Data:
     """Coordinates for H1 of a skeleton: class vectors and representatives.
 
     Each triangle i < j < k gives the relator row +g(ij) + g(jk) - g(ik) over
     the non-forest edges.  A row with one live generator kills it; peeling
     such rows in bulk until none is left is exactly the first phase of
-    `eliminate_unit_pivots`, whose heap takes every one-entry row before any
+    `eliminate_unit_pivots`, whose queue takes every one-entry row before any
     longer one, and whose one-entry pivots only delete entries.  So the rows
     that survive, in their original order, go through the same greedy with
     the same ties, and give the same substitutions, core and class basis as
@@ -209,12 +233,7 @@ class _H1Data:
                 break
             alive[ids[ones][live[ones]]] = False
             ids = ids[count > 1]
-        rest = count > 1
-        rows = [
-            {g: s for g, s, on in zip(r, (1, 1, -1), mask) if on}
-            for r, mask in zip(ids[rest].tolist(), live[rest].tolist())
-        ]
-        subs, core = eliminate_unit_pivots(rows)
+        subs, core = eliminate_unit_pivots(_Relators(np.where(live, ids, -1)[count > 1], ngen))
         eliminated = {col for col, _, _ in subs}
         touched = sorted({c for r in core for c in r})
         untouched = [g for g in np.flatnonzero(alive).tolist() if g not in eliminated and g not in touched]

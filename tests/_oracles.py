@@ -6,12 +6,15 @@ Smith machinery; the homotopy oracle is a plain single-source BFS over raw
 reduction paths.  `numpy_neighbors` keeps the original numpy enumeration of
 the canonical move graph, as the reference order for the table-driven one.
 `AllRowsH1` keeps the original H1 reduction, unit-pivot elimination over
-every triangle relator row, as the reference for the peeled one.
+every triangle relator row, as the reference for the peeled one, and
+`dict_unit_pivots` keeps the original dict-and-set form of that elimination
+as the reference for the compact one.
 """
 
 from __future__ import annotations
 
 import random
+import heapq
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +77,78 @@ def _rank_rational(mat) -> int:
         if row == len(rows):
             break
     return rank
+
+
+def dict_unit_pivots(rows: list[dict[int, int]]):
+    """`snf.eliminate_unit_pivots` with every live row a dict, every
+    column's rows a set and every queue entry versioned.
+
+    rows is a list of {column: coefficient} dicts (consumed logically, not
+    mutated).  Returns (subs, core) where subs is the ordered list of
+    substitution steps (col, coef, row_snapshot) that eliminated one column
+    each, and core is the list of surviving nonzero rows that had no unit
+    entry left.  Replaying subs on any integer vector reduces it modulo the
+    row space: for each step, x -= x[col] * coef * row_snapshot.
+    """
+    live: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for rid, row in enumerate(rows):
+        row = {c: v for c, v in row.items() if v}
+        if not row:
+            continue
+        live[rid] = row
+        for c in row:
+            col_rows.setdefault(c, set()).add(rid)
+
+    version = dict.fromkeys(live, 0)
+    heap: list[tuple[int, int, int]] = []
+    for rid, row in live.items():
+        heapq.heappush(heap, (len(row), rid, 0))
+
+    subs: list[tuple[int, int, dict[int, int]]] = []
+
+    def touch(rid):
+        version[rid] += 1
+        heapq.heappush(heap, (len(live[rid]), rid, version[rid]))
+
+    while heap:
+        _, rid, ver = heapq.heappop(heap)
+        if rid not in live or version[rid] != ver:
+            continue
+        row = live[rid]
+        units = [c for c, v in row.items() if v == 1 or v == -1]
+        if not units:
+            continue  # revisited if the row changes later
+        col = min(units, key=lambda c: (len(col_rows[c]), c))
+        coef = row[col]
+        snapshot = dict(row)
+        subs.append((col, coef, snapshot))
+        # remove pivot row from the structures
+        del live[rid]
+        for c in row:
+            col_rows[c].discard(rid)
+        # eliminate col from every other row
+        for rid2 in list(col_rows.get(col, ())):
+            row2 = live[rid2]
+            factor = row2[col] * coef
+            for c, v in snapshot.items():
+                nv = row2.get(c, 0) - factor * v
+                if nv:
+                    if c not in row2:
+                        col_rows.setdefault(c, set()).add(rid2)
+                    row2[c] = nv
+                else:
+                    if c in row2:
+                        del row2[c]
+                        col_rows[c].discard(rid2)
+            if row2:
+                touch(rid2)
+            else:
+                del live[rid2]
+        col_rows.pop(col, None)
+
+    core = [live[rid] for rid in sorted(live)]
+    return subs, core
 
 
 class AllRowsH1:

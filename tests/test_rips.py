@@ -281,6 +281,23 @@ def test_peeled_h1_matches_all_rows_elimination_hawaiian():
         _assert_same_as_all_rows(build_skeleton(large.space, e), rng)
 
 
+def test_peeled_h1_matches_all_rows_when_the_peel_stalls():
+    # relabellings on which the peel stops with thousands of rows of two live
+    # generators left, so most of the elimination is the greedy contracting
+    # them: hawaiian(3, 16) leaves 2,050 rows at scale 1, hawaiian(5, 24)
+    # 21,366 at scale 3
+    rng = random.Random(8)
+    for (m, samples), seed, scale in (((3, 16), 11, 1), ((5, 24), 37, 3)):
+        g = hawaiian(m, samples)
+        perm = list(range(g.space.n))
+        random.Random(seed).shuffle(perm)
+        e = list(g.ladder)[scale]
+        sub = Entourage(e.rel[np.ix_(perm, perm)])
+        sk = build_skeleton(space_for(sub), sub)
+        assert len(sk.h1_data().subs) > 150
+        _assert_same_as_all_rows(sk, rng)
+
+
 def test_h1_matches_sympy_oracle_on_hawaiian():
     # the coarse scales take the rational rank and sympy's Smith form minutes,
     # so every scale is checked on the wedge point and every third sample,

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+from _oracles import dict_unit_pivots
 from ripscover.snf import (
     IntLattice,
     eliminate_unit_pivots,
@@ -94,3 +96,41 @@ def test_sparse_elimination_matches_row_space():
             red = reduce_vector({c: v for c, v in enumerate(probe)}, subs)
             diff = [probe[c] - red.get(c, 0) for c in range(ncols)]
             assert lat.contains(diff)
+
+
+def test_unit_pivots_match_dict_greedy():
+    # the same pivots in the same order, the same snapshots and the same core
+    # as the dict-and-set form, on rows with zero and non-unit entries, empty
+    # rows and fill, and on two-entry rows over a random graph, the shape a
+    # stalled peel leaves; rows are read once from an iterator, never mutated
+    rng = random.Random(31)
+    for trial in range(1600):
+        ncols = rng.randint(1, 25)
+        if trial % 4 == 0:
+            rows = [dict(zip(rng.sample(range(ncols + 1), 2), rng.choice([(1, -1), (1, 1), (-1, 1)])))
+                    for _ in range(rng.randint(0, 120))]
+        else:
+            width = rng.randint(1, 5)
+            rows = [{c: rng.choice([-1, 1, 1, -1, 2, -2, 3, 0])
+                     for c in rng.sample(range(ncols), rng.randint(0, min(width, ncols)))}
+                    for _ in range(rng.randint(0, 50))]
+        frozen = [dict(r) for r in rows]
+        assert eliminate_unit_pivots(iter(rows)) == dict_unit_pivots(rows)
+        assert rows == frozen
+
+
+def test_unit_pivots_hold_a_few_words_per_row():
+    # 6,000 two-entry rows over 300 columns: one component, 299 pivots, every
+    # other row cancelled by them.  The dict-and-set form peaks near 640
+    # bytes a row; rows read from a generator must not all be kept as dicts
+    rng = random.Random(5)
+    pairs = [tuple(rng.sample(range(300), 2)) for _ in range(6_000)]
+    tracemalloc.start()
+    try:
+        subs, core = eliminate_unit_pivots({a: 1, b: -1} for a, b in pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(subs) == 299 and core == []
+    assert peak < 300 * len(pairs)
+
