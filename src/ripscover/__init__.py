@@ -13,6 +13,7 @@ from .chains import (
     concat,
     decide_homotopic,
     e_homotopic,
+    e_obstruction,
     is_short,
     reverse,
     validate_chain,

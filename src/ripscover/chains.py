@@ -339,6 +339,12 @@ def _invert_edge(prev: tuple[int, ...], moves) -> list[tuple[int, ...]]:
     return inv
 
 
+def _h1_obstruction(skel, c_seq: tuple[int, ...], d_seq: tuple[int, ...]) -> dict | None:
+    """The class of the loop c * reverse(d) as a `no` obstruction, if nonzero."""
+    vector = h1_class(skel, c_seq + tuple(reversed(d_seq))[1:])
+    return {"kind": "h1_class", "vector": list(vector)} if any(vector) else None
+
+
 def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> Trivalue:
     """Are two same-endpoint chains homotopic relative their endpoints?
 
@@ -357,13 +363,9 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
         return Trivalue("yes", certificate=HomotopyCertificate(c.space, ent, c.seq, (), d.seq))
 
     skel = build_skeleton(c.space, ent)
-    loop = c.seq + tuple(reversed(d.seq))[1:]
-    obstruction = h1_class(skel, loop)
-    if any(obstruction):
-        return Trivalue(
-            "no",
-            obstruction={"kind": "h1_class", "vector": list(obstruction)},
-        )
+    obstruction = _h1_obstruction(skel, c.seq, d.seq)
+    if obstruction is not None:
+        return Trivalue("no", obstruction=obstruction)
 
     cc = canonicalize(c.seq)
     dd = canonicalize(d.seq)
@@ -440,24 +442,46 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
     })
 
 
-def e_homotopic(c: Chain, d: Chain, entourage: Entourage, budget: SearchBudget | None = None) -> Trivalue:
-    """Endpoint-relaxed homotopy at a scale: conjugate by the connecting edges.
-
-    Chains valid at finer scales are re-read at `entourage`; unrelated
-    endpoint pairs are a legitimate No, not an error.
-    """
+def _conjugate(c: Chain, d: Chain, entourage: Entourage) -> tuple[Chain, Chain | dict]:
+    """Both chains re-read at `entourage`, with d conjugated by the edges
+    joining its endpoints to c's; an endpoint obstruction instead of the
+    second chain when those edges are missing."""
     if c.space != d.space:
         raise ChainError("chains live on different spaces")
     cc = validate_chain(c.space, entourage, c.seq)
     dd = validate_chain(d.space, entourage, d.seq)
     if not entourage.related(cc.start, dd.start) or not entourage.related(cc.end, dd.end):
         bad = (cc.start, dd.start) if not entourage.related(cc.start, dd.start) else (cc.end, dd.end)
-        return Trivalue("no", obstruction={"kind": "endpoints", "pair": list(bad)})
+        return cc, {"kind": "endpoints", "pair": list(bad)}
     tseq = dd.seq if cc.start == dd.start else (cc.start,) + dd.seq
     if dd.end != cc.end:
         tseq = tseq + (cc.end,)
-    target = Chain(c.space, entourage, tseq)
+    return cc, Chain(c.space, entourage, tseq)
+
+
+def e_homotopic(c: Chain, d: Chain, entourage: Entourage, budget: SearchBudget | None = None) -> Trivalue:
+    """Endpoint-relaxed homotopy at a scale: conjugate by the connecting edges.
+
+    Chains valid at finer scales are re-read at `entourage`; unrelated
+    endpoint pairs are a legitimate No, not an error.
+    """
+    cc, target = _conjugate(c, d, entourage)
+    if isinstance(target, dict):
+        return Trivalue("no", obstruction=target)
     return decide_homotopic(cc, target, budget)
+
+
+def e_obstruction(c: Chain, d: Chain, entourage: Entourage) -> dict | None:
+    """The obstruction of `e_homotopic`'s No, found without a search.
+
+    `e_homotopic` answers No exactly when this returns a dict, and with
+    that dict: the endpoint check, then the H1 class of the conjugated loop.
+    None means its answer would be Yes or Unknown.
+    """
+    cc, target = _conjugate(c, d, entourage)
+    if isinstance(target, dict):
+        return target
+    return _h1_obstruction(build_skeleton(c.space, entourage), cc.seq, target.seq)
 
 
 def is_short(c: Chain, entourage: Entourage, budget: SearchBudget | None = None) -> Trivalue:

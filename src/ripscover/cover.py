@@ -20,8 +20,9 @@ from .chains import (
     canonicalize,
     decide_homotopic,
     e_homotopic,
+    e_obstruction,
 )
-from .errors import CarrierMismatch, ValidationError
+from .errors import CarrierMismatch, ChainError, ValidationError
 from .rips import build_skeleton
 from .space import (
     Entourage,
@@ -173,6 +174,18 @@ def c3_check(f: SpaceMap, e: Entourage, fine: Entourage) -> tuple[bool, tuple[in
     return True, None
 
 
+# c2_check's fixed limits, which no option reaches: identical-image chains
+# have up to C2_MAX_LINKS links, homotopic-image chains up to C2_SHORT_LINKS;
+# at most C2_PAIR_CAP pairs are examined (fewer if the state budget is
+# smaller), and each downstairs search gets a leash of C2_DOWN_STATES states
+# (likewise) at chain length C2_DOWN_LENGTH
+C2_MAX_LINKS = 3
+C2_SHORT_LINKS = 2
+C2_PAIR_CAP = 2500
+C2_DOWN_STATES = 400
+C2_DOWN_LENGTH = 12
+
+
 def _chains_from(origin: int, e: Entourage, max_links: int):
     """All chains from origin with up to max_links links, in BFS order."""
     out = [(origin,)]
@@ -190,50 +203,61 @@ def _chains_from(origin: int, e: Entourage, max_links: int):
 def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | None = None) -> dict:
     """Search for a pair of fine chains violating approximate lift uniqueness.
 
+    A pair refutes when its chains are not homotopic at e while their images
+    are homotopic at the image of the fine scale.  Phase one pairs chains
+    with identical images; phase two pairs short chains with different
+    images and searches downstairs only for pairs whose upstairs answer is
+    No, since only those can refute.  Upstairs No comes from the endpoint
+    and H1 tests alone, so neither phase searches upstairs.
+
     Returns {"status": "proved" | "refuted" | "unrefuted", ...}.  A genuine
-    positive is only available in the decidable special case (injective map,
-    fine scale inside e); otherwise the best honest answer is "no violation
-    found at this budget".
+    positive is only available in the decidable special case (injective
+    map); otherwise the best honest answer is "no violation found at this
+    budget".  Every other answer counts in `down_unknown` the downstairs
+    searches that ran out of budget: refutations this budget may have missed.
+    The fine scale must lie inside e, as on any ladder.
     """
     budget = budget or DEFAULT_BUDGET
-    if fine.issubset(e) and f.is_injective():
+    if e.n != f.source.n or fine.n != f.source.n:
+        raise CarrierMismatch("entourages must live on the map's source")
+    if not fine.issubset(e):
+        raise ChainError("c2 needs the fine scale inside e")
+    if f.is_injective():
         return {"status": "proved", "note": "injective map with nested scales"}
     ff = image_under(f, fine)
-    # pairs examined are the budgeted unit; every per-pair homotopy decision
-    # gets a short leash so one undecidable pair cannot eat the whole search
-    pair_cap = min(budget.states, 2500)
-    per_pair = SearchBudget(
-        states=min(400, budget.states),
-        max_length=12,
-        class_norm=budget.class_norm,
-    )
+    pair_cap = min(budget.states, C2_PAIR_CAP)
+    per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states), max_length=C2_DOWN_LENGTH)
     examined = 0
-    max_links = 3
+    down_unknown = 0
+
+    def answer(status: str, note: str) -> dict:
+        return {"status": status, "examined": examined, "note": note, "down_unknown": down_unknown}
+
+    def refuted(a, b, obstruction: dict) -> dict:
+        return {
+            "status": "refuted",
+            "witness": {"alpha": list(a), "beta": list(b), "obstruction": obstruction},
+            "examined": examined,
+            "down_unknown": down_unknown,
+        }
+
     for origin in range(f.source.n):
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for seq in _chains_from(origin, fine, max_links):
+        for seq in _chains_from(origin, fine, C2_MAX_LINKS):
             groups.setdefault(tuple(f(v) for v in seq), []).append(seq)
         for img, members in sorted(groups.items()):
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     a, b = members[i], members[j]
+                    if examined >= pair_cap:
+                        return answer("unrefuted", "budget exhausted")
                     examined += 1
-                    if examined > pair_cap:
-                        return {"status": "unrefuted", "examined": examined - 1,
-                                "note": "budget exhausted"}
-                    up = e_homotopic(
-                        Chain(f.source, fine, a), Chain(f.source, fine, b), e, per_pair
-                    )
-                    if up.is_no():
-                        return {
-                            "status": "refuted",
-                            "witness": {"alpha": list(a), "beta": list(b),
-                                        "obstruction": up.obstruction},
-                            "examined": examined,
-                        }
+                    up = e_obstruction(Chain(f.source, fine, a), Chain(f.source, fine, b), e)
+                    if up is not None:
+                        return refuted(a, b, up)
     # second phase: short chains with homotopic (not identical) images
     for origin in range(f.source.n):
-        short = _chains_from(origin, fine, 2)
+        short = _chains_from(origin, fine, C2_SHORT_LINKS)
         for i in range(len(short)):
             for j in range(i + 1, len(short)):
                 a, b = short[i], short[j]
@@ -241,24 +265,19 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
                 img_b = tuple(f(v) for v in b)
                 if img_a == img_b:
                     continue  # phase one covered identical images
+                if examined >= pair_cap:
+                    return answer("unrefuted", "budget exhausted")
                 examined += 1
-                if examined > pair_cap:
-                    return {"status": "unrefuted", "examined": examined - 1,
-                            "note": "budget exhausted"}
+                up = e_obstruction(Chain(f.source, fine, a), Chain(f.source, fine, b), e)
+                if up is None:
+                    continue
                 down = e_homotopic(
                     Chain(f.target, ff, img_a), Chain(f.target, ff, img_b), ff, per_pair
                 )
-                if not down.is_yes():
-                    continue
-                up = e_homotopic(Chain(f.source, fine, a), Chain(f.source, fine, b), e, per_pair)
-                if up.is_no():
-                    return {
-                        "status": "refuted",
-                        "witness": {"alpha": list(a), "beta": list(b),
-                                    "obstruction": up.obstruction},
-                        "examined": examined,
-                    }
-    return {"status": "unrefuted", "examined": examined, "note": "no violation found"}
+                down_unknown += down.is_unknown()
+                if down.is_yes():
+                    return refuted(a, b, up)
+    return answer("unrefuted", "no violation found")
 
 
 @dataclass

@@ -418,14 +418,16 @@ def uniform_joinability_audit(space: FiniteSpace, ladder: ScaleLadder, budget: S
     The witness never reads the fine index, and the ladder is nested, so each
     coarse scale asks once per pair of the next finer scale and every cell
     reads its pairs from those verdicts; full support then only grows with
-    the fine index, so the finest cell decides the scale."""
+    the fine index, so the finest cell decides the scale.
+    `supported_per_scale` has one entry per coarse ladder index, in ladder
+    order, so two scales that share a label stay apart."""
     budget = budget or DEFAULT_BUDGET
     if len(ladder) < 2:
         raise ValidationError("audit needs a ladder of length at least 2")
     finest = ladder.finest()
     k = len(ladder)
     cells = []
-    supported_scale = {}
+    supported = []
     for i in range(k - 1):
         verdicts = {
             (px, py): joinability_witness(space, px, py, ladder[i], finest, budget).verdict
@@ -448,14 +450,14 @@ def uniform_joinability_audit(space: FiniteSpace, ladder: ScaleLadder, budget: S
                 "fully_supported": not failures,
                 "failures": failures,
             })
-        supported_scale[ladder.describe(i)] = cells[-1]["fully_supported"]
+        supported.append({"scale": ladder.describe(i), "supported": cells[-1]["fully_supported"]})
     return {
         "schema": 1,
         "kind": "uniform_joinability_audit",
         "ladder": ladder.to_json(),
         "cells": cells,
-        "supported_per_scale": supported_scale,
-        "uj_supported_at_depth": all(supported_scale.values()),
+        "supported_per_scale": supported,
+        "uj_supported_at_depth": all(s["supported"] for s in supported),
         "depth": k,
     }
 

@@ -8,7 +8,10 @@ the canonical move graph, as the reference order for the table-driven one.
 `AllRowsH1` keeps the original H1 reduction, unit-pivot elimination over
 every triangle relator row, as the reference for the peeled one, and
 `dict_unit_pivots` keeps the original dict-and-set form of that elimination
-as the reference for the compact one.
+as the reference for the compact one.  `search_c2_check` keeps the c2
+check that runs a full homotopy search for every upstairs question and for
+every downstairs one, as the reference for the one that searches only where
+its verdict can change.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
-from ripscover.chains import Delete, Insert
+from ripscover.chains import DEFAULT_BUDGET, Chain, Delete, Insert, SearchBudget, e_homotopic
 from ripscover.rips import AbelianGroup
 from ripscover.snf import eliminate_unit_pivots, reduce_vector, smith_normal_form
-from ripscover.space import Entourage, FiniteSpace
+from ripscover.space import Entourage, FiniteSpace, ball, image_under
 
 
 def homology_oracle(n: int, edges: list[tuple[int, int]], triangles: list[tuple[int, int, int]]):
@@ -335,3 +338,75 @@ def random_map(rng: random.Random, n_source: int):
     from ripscover.space import SpaceMap
 
     return SpaceMap(src, tgt, assign)
+
+
+def _chains_up_to(origin: int, e: Entourage, max_links: int):
+    out = [(origin,)]
+    frontier = [(origin,)]
+    for _ in range(max_links):
+        frontier = [seq + (v,) for seq in frontier for v in ball(e, seq[-1])]
+        out.extend(frontier)
+    return out
+
+
+def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | None = None) -> dict:
+    """The c2 check with a search for every pair: phase one asks e_homotopic
+    upstairs for each identical-image pair, phase two asks it downstairs for
+    each short pair and upstairs after every downstairs yes."""
+    budget = budget or DEFAULT_BUDGET
+    if fine.issubset(e) and f.is_injective():
+        return {"status": "proved", "note": "injective map with nested scales"}
+    ff = image_under(f, fine)
+    pair_cap = min(budget.states, 2500)
+    per_pair = SearchBudget(states=min(400, budget.states), max_length=12,
+                            class_norm=budget.class_norm)
+    examined = 0
+    for origin in range(f.source.n):
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for seq in _chains_up_to(origin, fine, 3):
+            groups.setdefault(tuple(f(v) for v in seq), []).append(seq)
+        for img, members in sorted(groups.items()):
+            for i in range(len(members)):
+                for j in range(i + 1, len(members)):
+                    a, b = members[i], members[j]
+                    examined += 1
+                    if examined > pair_cap:
+                        return {"status": "unrefuted", "examined": examined - 1,
+                                "note": "budget exhausted"}
+                    up = e_homotopic(
+                        Chain(f.source, fine, a), Chain(f.source, fine, b), e, per_pair
+                    )
+                    if up.is_no():
+                        return {
+                            "status": "refuted",
+                            "witness": {"alpha": list(a), "beta": list(b),
+                                        "obstruction": up.obstruction},
+                            "examined": examined,
+                        }
+    for origin in range(f.source.n):
+        short = _chains_up_to(origin, fine, 2)
+        for i in range(len(short)):
+            for j in range(i + 1, len(short)):
+                a, b = short[i], short[j]
+                img_a = tuple(f(v) for v in a)
+                img_b = tuple(f(v) for v in b)
+                if img_a == img_b:
+                    continue
+                examined += 1
+                if examined > pair_cap:
+                    return {"status": "unrefuted", "examined": examined - 1,
+                            "note": "budget exhausted"}
+                down = e_homotopic(
+                    Chain(f.target, ff, img_a), Chain(f.target, ff, img_b), ff, per_pair
+                )
+                if not down.is_yes():
+                    continue
+                up = e_homotopic(Chain(f.source, fine, a), Chain(f.source, fine, b), e, per_pair)
+                if up.is_no():
+                    return {
+                        "status": "refuted",
+                        "witness": {"alpha": list(a), "beta": list(b),
+                                    "obstruction": up.obstruction},
+                        "examined": examined,
+                    }
+    return {"status": "unrefuted", "examined": examined, "note": "no violation found"}

@@ -15,6 +15,7 @@ from ripscover.chains import (
     concat,
     decide_homotopic,
     e_homotopic,
+    e_obstruction,
     is_short,
     reverse,
     validate_chain,
@@ -22,7 +23,7 @@ from ripscover.chains import (
 from ripscover.errors import CertificateError, ChainError, MoveError
 from ripscover.gallery import hexagon_ex72, hexagon_ex73
 from ripscover.rips import build_skeleton
-from ripscover.space import FiniteSpace, entourage_at
+from ripscover.space import FiniteSpace, ball, entourage_at
 
 from _oracles import numpy_neighbors, random_chain, random_entourage, space_for
 
@@ -142,6 +143,26 @@ def test_e_homotopic_cases():
     # at the complete scale everything is one class
     r3 = e_homotopic(validate_chain(SP, E3, ARC), validate_chain(SP, E3, [5, 4]), E3)
     assert r3.is_yes()
+
+
+def test_e_obstruction_is_e_homotopic_no():
+    # the search-free test returns e_homotopic's No obstruction, and None
+    # exactly where e_homotopic answers Yes or Unknown
+    rng = random.Random(62)
+    cases = [(SP, E1, ARC, [0, 1]), (SP, E3, ARC, [5, 4]), (SP, E1, [0, 1], [2, 3]), (SP, E1, ARC, ARC)]
+    for _ in range(300):
+        e = random_entourage(rng, rng.randint(3, 7), rng.uniform(0.3, 0.7))
+        c = random_chain(rng, e, rng.randint(0, 4))
+        d = random_chain(rng, e, rng.randint(0, 4), start=rng.choice(ball(e, c[0])))
+        cases.append((space_for(e), e, c, d))
+    kinds = set()
+    for space, e, c, d in cases:
+        cc, dd = validate_chain(space, e, c), validate_chain(space, e, d)
+        got = e_obstruction(cc, dd, e)
+        full = e_homotopic(cc, dd, e, SearchBudget(states=200))
+        assert got == (full.obstruction if full.is_no() else None)
+        kinds.add(None if got is None else got["kind"])
+    assert kinds == {None, "endpoints", "h1_class"}
 
 
 def test_is_short_cases():

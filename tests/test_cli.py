@@ -5,10 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ripscover.chains import decide_homotopic, validate_chain
+from ripscover.chains import Delete, HomotopyCertificate, Insert, decide_homotopic, validate_chain
 from ripscover.cli import main
 from ripscover.gallery import hexagon_ex72, hexagon_ex73
-from ripscover.space import Entourage, entourage_at, load_space
+from ripscover.space import Entourage, entourage_at, load_space, space_from_json
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -350,4 +350,63 @@ def test_space_loader_never_raises(tmp_path, capsys, field, value):
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
     assert _exit_code(["analyze", "--space", str(bad), "--ladder", "1.5,1", "--output", os.devnull]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _points_space() -> dict:
+    return {"labels": ["p", "q", "r"], "coords": [list(row) for row in _POINTS]}
+
+
+_CHAIN_FIELDS = [
+    ("space",), ("space", "labels"), ("space", "coords"), ("space", "coords", 2),
+    ("space", "coords", 2, 1), ("seq",), ("seq", 0), ("seq", 1), ("seq", 2), ("eps",),
+]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(_CHAIN_FIELDS), value=_BAD_VALUES)
+def test_chain_file_never_raises(tmp_path, capsys, path, value):
+    # one field of a chain file replaced by a value of the wrong shape or
+    # type: short answers (0 or 1) or rejects the file (2), no traceback
+    doc = {"space": _points_space(), "seq": [0, 2, 1], "eps": 1.5}
+    _set(doc, path, value)
+    bad = tmp_path / "chain.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["short", "--chain", str(bad), "--scale", "1.5",
+            "--certificate-out", str(tmp_path / "cert.json"), "--output", os.devnull]
+    assert _exit_code(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_CERTIFICATE_FIELDS = [
+    ("kind",), ("space",), ("space", "coords", 0), ("space", "labels", 1), ("entourage",),
+    ("entourage", "n"), ("entourage", "pairs"), ("entourage", "pairs", 0),
+    ("entourage", "pairs", 0, 1), ("entourage", "eps"), ("entourage", "strict"), ("start",),
+    ("start", 0), ("start", 1), ("moves",), ("moves", 0), ("moves", 0, 0), ("moves", 0, 1),
+    ("moves", 0, 2), ("moves", 1), ("moves", 1, 1), ("end",), ("end", 1),
+]
+
+
+def _certificate_doc() -> dict:
+    space = space_from_json(_points_space())
+    cert = HomotopyCertificate(space, entourage_at(space, 1.5), (0, 1), (Insert(1, 2), Delete(1)), (0, 1))
+    cert.replay()
+    return cert.to_json()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(_CERTIFICATE_FIELDS), value=_BAD_VALUES)
+def test_certificate_file_never_raises(tmp_path, capsys, path, value):
+    # one field of a replayable certificate replaced by a value of the wrong
+    # shape or type: replay accepts (0), rejects the input (2) or the
+    # certificate (3), no traceback
+    doc = _certificate_doc()
+    _set(doc, path, value)
+    bad = tmp_path / "cert.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _exit_code(["replay", str(bad), "--output", os.devnull]) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err

@@ -1,6 +1,11 @@
+import json
+import math
+import os
 import random
 
+import pytest
 
+from ripscover import chains, cover
 from ripscover.chains import SearchBudget
 from ripscover.cover import (
     build_cover_ball,
@@ -14,6 +19,7 @@ from ripscover.cover import (
     uniform_cover_verdict,
     uniqueness_of_lifts,
 )
+from ripscover.errors import ChainError
 from ripscover.gallery import hexagon_ex72, polygon
 from ripscover.space import (
     Entourage,
@@ -23,9 +29,10 @@ from ripscover.space import (
     compose,
     entourage_at,
     image_under,
+    space_from_json,
 )
 
-from _oracles import random_entourage, random_map, random_nested_ladder
+from _oracles import random_entourage, random_map, random_nested_ladder, search_c2_check, space_for
 
 import numpy as np
 
@@ -176,6 +183,147 @@ def test_c2_statuses():
     assert sorted(got["witness"]["alpha"] + got["witness"]["beta"]) is not None
     got = c2_check(F12, E1_12, E1_12, SearchBudget(states=800))
     assert got["status"] == "unrefuted"
+
+
+def _fixture_map(name):
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", f"{name}_map.json")) as fh:
+        doc = json.load(fh)
+    f = SpaceMap(space_from_json(doc["source"]), space_from_json(doc["target"]), doc["assign"])
+    return f, ScaleLadder.from_json(f.source, doc["ladder"])
+
+
+def _ngon(n: int, chord: float) -> FiniteSpace:
+    r = chord / (2 * math.sin(math.pi / n))
+    return FiniteSpace([f"v{i}" for i in range(n)], coords=[
+        (r * math.cos(2 * math.pi * i / n), r * math.sin(2 * math.pi * i / n)) for i in range(n)
+    ])
+
+
+def _cyclic_cover(k: int, m: int):
+    """The benchmark's k-fold cover of an m-gon by a km-gon, chords 0.9."""
+    f = SpaceMap(_ngon(k * m, 0.9), _ngon(m, 0.9), [i % m for i in range(k * m)])
+    return f, ScaleLadder.from_thresholds(f.source, [1.9, 1.2, 0.0])
+
+
+def _same_as_search(got: dict, want: dict) -> bool:
+    if got["status"] == "proved":
+        return got == want
+    got = dict(got)
+    assert got.pop("down_unknown") >= 0
+    return got == want
+
+
+def test_c2_matches_search_oracle_on_maps():
+    # the three fixture maps and the benchmark's 3-fold cover of the 8-gon,
+    # every ladder pair at the default budget, as `cover` runs them
+    maps = [_fixture_map(n) for n in ("double_cover", "fold", "identity")] + [_cyclic_cover(3, 8)]
+    statuses = set()
+    for f, ladder in maps:
+        for i in range(len(ladder)):
+            for j in range(i, len(ladder)):
+                got = c2_check(f, ladder[i], ladder[j])
+                assert _same_as_search(got, search_c2_check(f, ladder[i], ladder[j])), (i, j)
+                statuses.add(got["status"])
+    assert statuses == {"proved", "refuted", "unrefuted"}
+
+
+def _cycle(rng: random.Random, n: int, chords: int) -> Entourage:
+    rel = np.eye(n, dtype=bool)
+    for i in range(n):
+        rel[i, (i + 1) % n] = rel[(i + 1) % n, i] = True
+    for _ in range(chords):
+        a, b = rng.sample(range(n), 2)
+        rel[a, b] = rel[b, a] = True
+    return Entourage(rel)
+
+
+def test_c2_matches_search_oracle_random():
+    # cycles with a few chords over cycles or random targets, a random fine
+    # scale inside e, and state budgets that cut some pair lists short
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        e = _cycle(rng, n, rng.randint(0, 2)) if rng.random() < 0.5 else random_entourage(rng, n, 0.5)
+        keep = np.triu([[rng.random() < 0.8 for _ in range(n)] for _ in range(n)], 1)
+        fine = Entourage(e.rel & (keep | keep.T | np.eye(n, dtype=bool)))
+        m = rng.randint(2, n)
+        assign = [i % m for i in range(n)] if rng.random() < 0.5 else [rng.randrange(m) for _ in range(n)]
+        down = _cycle(rng, m, 0) if m >= 3 else Entourage.complete(m)
+        f = SpaceMap(space_for(e), space_for(down), assign)
+        budget = SearchBudget(states=rng.choice([30, 300, 2500]))
+        got = c2_check(f, e, fine, budget)
+        assert _same_as_search(got, search_c2_check(f, e, fine, budget))
+        seen.add((got["status"], got.get("note"), got.get("down_unknown", 0) > 0))
+    assert {("refuted", None, True), ("unrefuted", "budget exhausted", False),
+            ("unrefuted", "no violation found", False)} <= seen
+
+
+def _logged_c2(monkeypatch, f, e, fine):
+    """c2_check's upstairs tests, downstairs questions and searches, in order."""
+    log = []
+    real_up, real_down, real_search = chains.e_obstruction, chains.e_homotopic, chains.decide_homotopic
+
+    def up(c, d, entourage):
+        got = real_up(c, d, entourage)
+        log.append(("up", c.seq, d.seq, got))
+        return got
+
+    def down(c, d, entourage, budget=None):
+        log.append(("down", c.seq, d.seq, entourage))
+        return real_down(c, d, entourage, budget)
+
+    def search(c, d, budget=None):
+        log.append(("search",))
+        return real_search(c, d, budget)
+
+    monkeypatch.setattr(cover, "e_obstruction", up)
+    monkeypatch.setattr(cover, "e_homotopic", down)
+    monkeypatch.setattr(chains, "decide_homotopic", search)
+    return c2_check(f, e, fine), log
+
+
+def test_c2_phase_one_runs_no_search(monkeypatch):
+    # phase one pairs chains with identical images; no search may run
+    # before its last pair has been tested
+    f, ladder = _fixture_map("fold")
+    got, log = _logged_c2(monkeypatch, f, ladder[0], ladder[0])
+    same_image = [entry[0] == "up" and [f(v) for v in entry[1]] == [f(v) for v in entry[2]]
+                  for entry in log]
+    assert got["status"] == "refuted" and any(same_image)
+    last_phase_one = max(k for k, same in enumerate(same_image) if same)
+    assert [entry for entry in log[:last_phase_one] if entry[0] != "up"] == []
+    assert ("search",) in log[last_phase_one:]
+
+
+def test_c2_searches_only_downstairs_on_refuting_candidates(monkeypatch):
+    # every search is the downstairs question of a pair whose upstairs
+    # answer is No, asked right after that answer
+    searched = 0
+    for f, ladder in (_fixture_map("double_cover"), _fixture_map("fold"), _cyclic_cover(3, 8)):
+        for i in range(len(ladder)):
+            for j in range(i, len(ladder)):
+                got, log = _logged_c2(monkeypatch, f, ladder[i], ladder[j])
+                ff = image_under(f, ladder[j])
+                for k, entry in enumerate(log):
+                    if entry[0] == "search":
+                        assert log[k - 1][0] == "down"
+                    elif entry[0] == "down":
+                        up = log[k - 1]
+                        assert up[0] == "up" and up[3] is not None
+                        assert entry[1:] == (tuple(f(v) for v in up[1]), tuple(f(v) for v in up[2]), ff)
+                searched += sum(entry[0] == "search" for entry in log)
+                assert got.get("down_unknown", 0) <= searched
+    assert searched > 0
+
+
+def test_c2_needs_nested_scales():
+    # a ladder nests its scales; a direct call with the fine scale outside e
+    # is rejected before any pair is read
+    with pytest.raises(ChainError):
+        c2_check(FOLD, Entourage.identity(6), E1_6)
+    with pytest.raises(ChainError):
+        c2_check(F12, E1_12, E2_12)
 
 
 def test_uniform_cover_verdicts():

@@ -247,7 +247,7 @@ def test_audit_matches_naive_loop():
     for g, budget in ((hexagon_ex73(), SearchBudget(states=2000)), (polygon(12, 1), None)):
         lad = g.ladder
         rep = uniform_joinability_audit(g.space, lad, budget)
-        cells, supported = [], {}
+        cells, supported = [], []
         for i in range(len(lad) - 1):
             any_full = False
             for j in range(i + 1, len(lad)):
@@ -268,10 +268,24 @@ def test_audit_matches_naive_loop():
                     "failures": failures,
                 })
                 any_full = any_full or not failures
-            supported[lad.describe(i)] = any_full
+            supported.append({"scale": lad.describe(i), "supported": any_full})
         assert rep["cells"] == cells
         assert rep["supported_per_scale"] == supported
-        assert rep["uj_supported_at_depth"] == all(supported.values())
+        assert rep["uj_supported_at_depth"] == all(s["supported"] for s in supported)
+
+
+def test_audit_keeps_scales_that_share_a_label_apart():
+    # two coarse scales labelled "s" used to collapse into one "s" key
+    g = hexagon_ex73()
+    doc = [{"pairs": [list(p) for p in g.ladder[i].pairs()], "label": "s"} for i in (1, 2)]
+    lad = ScaleLadder.from_json(g.space, doc + [{"pairs": [], "label": "t"}])
+    rep = uniform_joinability_audit(g.space, lad)
+    finest_cells = [c for c in rep["cells"] if c["fine"] == "t"]
+    assert rep["supported_per_scale"] == [
+        {"scale": "s", "supported": c["fully_supported"]} for c in finest_cells
+    ]
+    assert len(rep["supported_per_scale"]) == 2
+    assert rep["uj_supported_at_depth"] == all(c["fully_supported"] for c in finest_cells)
 
 
 def test_g_entourage_tries_short_walks_first():
