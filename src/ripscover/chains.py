@@ -36,7 +36,14 @@ Move = Insert | Delete
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Explicit bounds for homotopy searches; the move graph is infinite."""
+    """Explicit bounds for homotopy searches; the move graph is infinite.
+
+    `states` bounds the states one search stores, both directions together,
+    so an Unknown names the budget before memory runs out.  Both ends are
+    first tightened by greedy deletes, and the search runs between the
+    tightened ends; the chains passed on the way count as stored.
+    `max_length` bounds the length of every chain the search stores.
+    """
 
     states: int = 50_000
     max_length: int | None = None  # default 4 * n, resolved per space
@@ -345,13 +352,31 @@ def _h1_obstruction(skel, c_seq: tuple[int, ...], d_seq: tuple[int, ...]) -> dic
     return {"kind": "h1_class", "vector": list(vector)} if any(vector) else None
 
 
+def _tighten(seq: tuple[int, ...], adj, common, seen: dict) -> tuple[int, ...]:
+    """Greedy deletes until none applies; each state reached is recorded in
+    `seen` with its parent edge, as the search records the states it stores.
+
+    At `max_len` equal to the current length `_neighbors` yields deletes
+    only, so taking its first neighbor each time shortens the chain.
+    """
+    while True:
+        neigh, _ = _neighbors(seq, adj, common, len(seq))
+        if not neigh:
+            return seq
+        moves, new = neigh[0]
+        seen[new] = (seq, moves)
+        seq = new
+
+
 def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> Trivalue:
     """Are two same-endpoint chains homotopic relative their endpoints?
 
-    The homology obstruction is checked first (cheap and sound); search over
-    the canonical move graph runs only when it vanishes.  Yes always carries
-    a certificate that replays; a nonzero obstruction yields No; otherwise
-    the spent budget is reported as Unknown.
+    The homology obstruction is checked first (cheap and sound).  When it
+    vanishes, both canonical ends are tightened by greedy deletes, and the
+    bidirectional search over the canonical move graph runs between the
+    tightened ends, storing at most `budget.states` states.  Yes always
+    carries a certificate that replays; a nonzero obstruction yields No;
+    otherwise the spent budget is reported as Unknown.
     """
     budget = budget or DEFAULT_BUDGET
     if c.space != d.space or c.entourage != d.entourage:
@@ -386,8 +411,8 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
     adj, common = skel.move_tables()
     fwd: dict[tuple[int, ...], tuple | None] = {cc: None}
     bwd: dict[tuple[int, ...], tuple | None] = {dd: None}
-    fq = deque([cc])
-    bq = deque([dd])
+    fq = deque([_tighten(cc, adj, common, fwd)])
+    bq = deque([_tighten(dd, adj, common, bwd)])
     expanded = 0
     truncated_any = False
 
@@ -408,12 +433,18 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
             state = prev
         return _move_objects(fpath)
 
+    def unknown(reason: str) -> Trivalue:
+        return Trivalue("unknown", stats={
+            "states_expanded": expanded, "states_stored": len(fwd) + len(bwd),
+            "max_length": max_len, "reason": reason,
+        })
+
+    meet = next((state for state in bwd if state in fwd), None)
+    if meet is not None:
+        return finish(build_path(meet))
+    if len(fwd) + len(bwd) >= budget.states:
+        return unknown("state budget exhausted")
     while fq or bq:
-        if expanded >= budget.states:
-            return Trivalue("unknown", stats={
-                "states_expanded": expanded, "max_length": max_len,
-                "reason": "state budget exhausted",
-            })
         # expand the smaller live frontier; an exhausted side keeps serving
         # as a target set for the other one
         if fq and (not bq or len(fq) <= len(bq)):
@@ -431,32 +462,30 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
                 seen[new] = (state, moves)
                 if new in other:
                     return finish(build_path(new))
+                if len(fwd) + len(bwd) >= budget.states:
+                    return unknown("state budget exhausted")
                 queue.append(new)
-            if expanded >= budget.states:
-                break
-    return Trivalue("unknown", stats={
-        "states_expanded": expanded,
-        "max_length": max_len,
-        "reason": "frontier exhausted below length bound" if not truncated_any
-        else "frontier exhausted; growth truncated by length bound",
-    })
+    return unknown("frontier exhausted below length bound" if not truncated_any
+                   else "frontier exhausted; growth truncated by length bound")
 
 
-def _conjugate(c: Chain, d: Chain, entourage: Entourage) -> tuple[Chain, Chain | dict]:
-    """Both chains re-read at `entourage`, with d conjugated by the edges
-    joining its endpoints to c's; an endpoint obstruction instead of the
-    second chain when those edges are missing."""
+def _at_scale(c: Chain, d: Chain, entourage: Entourage) -> tuple[Chain, Chain]:
+    """Both chains re-read at `entourage`."""
     if c.space != d.space:
         raise ChainError("chains live on different spaces")
-    cc = validate_chain(c.space, entourage, c.seq)
-    dd = validate_chain(d.space, entourage, d.seq)
-    if not entourage.related(cc.start, dd.start) or not entourage.related(cc.end, dd.end):
-        bad = (cc.start, dd.start) if not entourage.related(cc.start, dd.start) else (cc.end, dd.end)
-        return cc, {"kind": "endpoints", "pair": list(bad)}
-    tseq = dd.seq if cc.start == dd.start else (cc.start,) + dd.seq
-    if dd.end != cc.end:
-        tseq = tseq + (cc.end,)
-    return cc, Chain(c.space, entourage, tseq)
+    return validate_chain(c.space, entourage, c.seq), validate_chain(d.space, entourage, d.seq)
+
+
+def _conjugate(entourage: Entourage, c_seq: tuple[int, ...], d_seq: tuple[int, ...]) -> tuple[int, ...] | dict:
+    """d's walk conjugated by the edges joining its endpoints to c's, or an
+    endpoint obstruction when those edges are missing."""
+    if not entourage.related(c_seq[0], d_seq[0]) or not entourage.related(c_seq[-1], d_seq[-1]):
+        bad = (c_seq[0], d_seq[0]) if not entourage.related(c_seq[0], d_seq[0]) else (c_seq[-1], d_seq[-1])
+        return {"kind": "endpoints", "pair": list(bad)}
+    tseq = d_seq if c_seq[0] == d_seq[0] else (c_seq[0],) + d_seq
+    if d_seq[-1] != c_seq[-1]:
+        tseq = tseq + (c_seq[-1],)
+    return tseq
 
 
 def e_homotopic(c: Chain, d: Chain, entourage: Entourage, budget: SearchBudget | None = None) -> Trivalue:
@@ -465,10 +494,11 @@ def e_homotopic(c: Chain, d: Chain, entourage: Entourage, budget: SearchBudget |
     Chains valid at finer scales are re-read at `entourage`; unrelated
     endpoint pairs are a legitimate No, not an error.
     """
-    cc, target = _conjugate(c, d, entourage)
+    cc, dd = _at_scale(c, d, entourage)
+    target = _conjugate(entourage, cc.seq, dd.seq)
     if isinstance(target, dict):
         return Trivalue("no", obstruction=target)
-    return decide_homotopic(cc, target, budget)
+    return decide_homotopic(cc, Chain(c.space, entourage, target), budget)
 
 
 def e_obstruction(c: Chain, d: Chain, entourage: Entourage) -> dict | None:
@@ -478,10 +508,20 @@ def e_obstruction(c: Chain, d: Chain, entourage: Entourage) -> dict | None:
     that dict: the endpoint check, then the H1 class of the conjugated loop.
     None means its answer would be Yes or Unknown.
     """
-    cc, target = _conjugate(c, d, entourage)
+    cc, dd = _at_scale(c, d, entourage)
+    return e_obstruction_at(build_skeleton(c.space, entourage), cc.seq, dd.seq)
+
+
+def e_obstruction_at(skel, c_seq: tuple[int, ...], d_seq: tuple[int, ...]) -> dict | None:
+    """`e_obstruction` at the skeleton's scale, for walks already valid there.
+
+    Nothing is validated and no skeleton is looked up, so a caller that
+    asks about many pairs at one scale checks their validity once itself.
+    """
+    target = _conjugate(skel.entourage, c_seq, d_seq)
     if isinstance(target, dict):
         return target
-    return _h1_obstruction(build_skeleton(c.space, entourage), cc.seq, target.seq)
+    return _h1_obstruction(skel, c_seq, target)
 
 
 def is_short(c: Chain, entourage: Entourage, budget: SearchBudget | None = None) -> Trivalue:

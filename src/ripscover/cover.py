@@ -20,7 +20,7 @@ from .chains import (
     canonicalize,
     decide_homotopic,
     e_homotopic,
-    e_obstruction,
+    e_obstruction_at,
 )
 from .errors import CarrierMismatch, ChainError, ValidationError
 from .rips import build_skeleton
@@ -225,6 +225,8 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
     if f.is_injective():
         return {"status": "proved", "note": "injective map with nested scales"}
     ff = image_under(f, fine)
+    # fine chains are valid at e, as fine lies inside e
+    skel = build_skeleton(f.source, e)
     pair_cap = min(budget.states, C2_PAIR_CAP)
     per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states), max_length=C2_DOWN_LENGTH)
     examined = 0
@@ -252,7 +254,7 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
                     if examined >= pair_cap:
                         return answer("unrefuted", "budget exhausted")
                     examined += 1
-                    up = e_obstruction(Chain(f.source, fine, a), Chain(f.source, fine, b), e)
+                    up = e_obstruction_at(skel, a, b)
                     if up is not None:
                         return refuted(a, b, up)
     # second phase: short chains with homotopic (not identical) images
@@ -268,7 +270,7 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
                 if examined >= pair_cap:
                     return answer("unrefuted", "budget exhausted")
                 examined += 1
-                up = e_obstruction(Chain(f.source, fine, a), Chain(f.source, fine, b), e)
+                up = e_obstruction_at(skel, a, b)
                 if up is None:
                     continue
                 down = e_homotopic(

@@ -11,13 +11,16 @@ every triangle relator row, as the reference for the peeled one, and
 as the reference for the compact one.  `search_c2_check` keeps the c2
 check that runs a full homotopy search for every upstairs question and for
 every downstairs one, as the reference for the one that searches only where
-its verdict can change.
+its verdict can change.  `untightened_decide` keeps the homotopy search that
+starts from the canonical ends without first tightening them, as the
+reference for the one that does.
 """
 
 from __future__ import annotations
 
 import random
 import heapq
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +28,26 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
-from ripscover.chains import DEFAULT_BUDGET, Chain, Delete, Insert, SearchBudget, e_homotopic
-from ripscover.rips import AbelianGroup
+from ripscover.chains import (
+    DEFAULT_BUDGET,
+    Chain,
+    Delete,
+    HomotopyCertificate,
+    Insert,
+    Move,
+    SearchBudget,
+    Trivalue,
+    _collapse_moves,
+    _expand_moves,
+    _h1_obstruction,
+    _invert_edge,
+    _move_objects,
+    _neighbors,
+    canonicalize,
+    e_homotopic,
+)
+from ripscover.errors import ChainError
+from ripscover.rips import AbelianGroup, build_skeleton
 from ripscover.snf import eliminate_unit_pivots, reduce_vector, smith_normal_form
 from ripscover.space import Entourage, FiniteSpace, ball, image_under
 
@@ -231,6 +252,99 @@ def raw_move_bfs(ent: Entourage, start, goal, max_len: int, state_cap: int = 200
                             nxt.append(new)
         queue = nxt
     return False
+
+
+def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -> Trivalue:
+    """`decide_homotopic` without tightening: the bidirectional search runs
+    between the two canonical ends as given.
+
+    The only other change from that search as it stood before tightening is
+    the stop: like `decide_homotopic`, it gives up once the two sides store
+    `budget.states` states, so both are compared at an equal stored-state
+    budget.
+    """
+    budget = budget or DEFAULT_BUDGET
+    if c.space != d.space or c.entourage != d.entourage:
+        raise ChainError("chains must share a space and scale")
+    if c.start != d.start or c.end != d.end:
+        raise ChainError("endpoint mismatch: rel-endpoint homotopy needs equal endpoints")
+    ent = c.entourage
+    if c.seq == d.seq:
+        return Trivalue("yes", certificate=HomotopyCertificate(c.space, ent, c.seq, (), d.seq))
+
+    skel = build_skeleton(c.space, ent)
+    obstruction = _h1_obstruction(skel, c.seq, d.seq)
+    if obstruction is not None:
+        return Trivalue("no", obstruction=obstruction)
+
+    cc = canonicalize(c.seq)
+    dd = canonicalize(d.seq)
+    max_len = max(budget.resolved_length(c.space.n), len(cc), len(dd))
+
+    pre_moves, _ = _collapse_moves(c.seq)
+    post_moves = _expand_moves(dd, d.seq)
+
+    def finish(path_moves: list[Move]) -> Trivalue:
+        cert = HomotopyCertificate(c.space, ent, c.seq, tuple(pre_moves + path_moves + post_moves), d.seq)
+        if __debug__:
+            cert.replay()
+        return Trivalue("yes", certificate=cert)
+
+    if cc == dd:
+        return finish([])
+
+    adj, common = skel.move_tables()
+    fwd: dict[tuple[int, ...], tuple | None] = {cc: None}
+    bwd: dict[tuple[int, ...], tuple | None] = {dd: None}
+    fq = deque([cc])
+    bq = deque([dd])
+    expanded = 0
+    truncated_any = False
+
+    def build_path(meet: tuple[int, ...]) -> list[Move]:
+        fpath: list[tuple[int, ...]] = []
+        state = meet
+        back = []
+        while fwd[state] is not None:
+            prev, moves = fwd[state]
+            back.append(moves)
+            state = prev
+        for moves in reversed(back):
+            fpath.extend(moves)
+        state = meet
+        while bwd[state] is not None:
+            prev, moves = bwd[state]
+            fpath.extend(_invert_edge(prev, moves))
+            state = prev
+        return _move_objects(fpath)
+
+    while fq or bq:
+        # expand the smaller live frontier; an exhausted side keeps serving
+        # as a target set for the other one
+        if fq and (not bq or len(fq) <= len(bq)):
+            queue, seen, other = fq, fwd, bwd
+        else:
+            queue, seen, other = bq, bwd, fwd
+        for _ in range(len(queue)):
+            state = queue.popleft()
+            expanded += 1
+            neigh, trunc = _neighbors(state, adj, common, max_len)
+            truncated_any = truncated_any or trunc
+            for moves, new in neigh:
+                if new in seen:
+                    continue
+                seen[new] = (state, moves)
+                if new in other:
+                    return finish(build_path(new))
+                if len(fwd) + len(bwd) >= budget.states:
+                    return Trivalue("unknown", stats={"reason": "state budget exhausted"})
+                queue.append(new)
+    return Trivalue("unknown", stats={
+        "states_expanded": expanded,
+        "max_length": max_len,
+        "reason": "frontier exhausted below length bound" if not truncated_any
+        else "frontier exhausted; growth truncated by length bound",
+    })
 
 
 def numpy_neighbors(seq: tuple[int, ...], ent: Entourage, max_len: int):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,7 +26,7 @@ from ripscover.gallery import hexagon_ex72, hexagon_ex73
 from ripscover.rips import build_skeleton
 from ripscover.space import FiniteSpace, ball, entourage_at
 
-from _oracles import numpy_neighbors, random_chain, random_entourage, space_for
+from _oracles import numpy_neighbors, random_chain, random_entourage, space_for, untightened_decide
 
 SP = hexagon_ex72().space
 E1 = entourage_at(SP, 1.0)
@@ -126,11 +127,79 @@ def test_decide_symmetry():
 
 
 def test_budget_exhaustion_reports_unknown():
-    arc3 = validate_chain(SP, E3, ARC)
-    edge3 = validate_chain(SP, E3, [0, 1])
-    r = decide_homotopic(arc3, edge3, SearchBudget(states=1))
+    # the pentagon arc of hexagon_ex73 at eps 1 admits no delete, so its
+    # tightened end still differs from the edge's and the search must run
+    sp = hexagon_ex73().space
+    e1 = entourage_at(sp, 1.0)
+    arc = validate_chain(sp, e1, (0, 5, 4, 3, 2, 1))
+    edge = validate_chain(sp, e1, (0, 6, 1))
+    assert decide_homotopic(arc, edge).is_yes()
+    r = decide_homotopic(arc, edge, SearchBudget(states=1))
     assert r.is_unknown()
-    assert r.stats["states_expanded"] >= 1
+    assert r.stats["reason"] == "state budget exhausted"
+    assert r.stats["states_stored"] >= 1
+
+
+def test_tightened_search_against_untightened():
+    # random small spaces and chains, at stored-state budgets from a handful
+    # to a few hundred: tightening never flips yes and no, every yes replays,
+    # and at each budget it decides more pairs than the untightened search
+    rng = random.Random(71)
+    budgets = (4, 10, 50, 200)
+    won = dict.fromkeys(budgets, 0)
+    lost = dict.fromkeys(budgets, 0)
+    oracle_yes = 0
+    cases = 0
+    while cases < 1000:
+        e = random_entourage(rng, rng.randint(4, 9), rng.uniform(0.3, 0.8))
+        a = random_chain(rng, e, rng.randint(1, 7))
+        b = random_chain(rng, e, rng.randint(1, 7), start=a[0])
+        if not e.related(b[-1], a[-1]):
+            continue
+        b = b if b[-1] == a[-1] else b + (a[-1],)
+        sp = space_for(e)
+        ca, cb = Chain(sp, e, a), Chain(sp, e, b)
+        cases += 1
+        for states in budgets:
+            budget = SearchBudget(states=states)
+            new, old = decide_homotopic(ca, cb, budget), untightened_decide(ca, cb, budget)
+            # No comes from the H1 test alone, before either search
+            assert new.is_no() == old.is_no() and new.obstruction == old.obstruction
+            if new.is_yes():
+                assert new.certificate.replay().seq == b
+            if new.is_unknown():
+                assert new.stats["states_stored"] <= max(states, len(a) + len(b))
+            oracle_yes += old.is_yes()
+            won[states] += new.is_yes() and old.is_unknown()
+            lost[states] += old.is_yes() and new.is_unknown()
+    assert all(won[s] > 10 * lost[s] for s in budgets)
+    assert sum(lost.values()) <= oracle_yes // 100
+
+
+def test_search_stores_at_most_its_budget():
+    # two boundary paths across a filled 5 x 5 grid: the complex is simply
+    # connected, tightening cuts only their corners, and the search runs out
+    # of budget long before it sweeps one path across the grid; what it
+    # holds grows with the budget at a few hundred bytes per stored state
+    # (the budget once counted expanded states, ~3 KB each here)
+    k = 5
+    grid = FiniteSpace([f"p{i}_{j}" for i in range(k) for j in range(k)],
+                       coords=[(i, j) for i in range(k) for j in range(k)])
+    e = entourage_at(grid, 1.5)
+    c = validate_chain(grid, e, [i * k for i in range(k)] + [(k - 1) * k + j for j in range(1, k)])
+    d = validate_chain(grid, e, list(range(k)) + [i * k + k - 1 for i in range(1, k)])
+    build_skeleton(grid, e).move_tables()
+    for states in (1000, 4000):
+        tracemalloc.start()
+        try:
+            r = decide_homotopic(c, d, SearchBudget(states=states))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.is_unknown() and r.stats["reason"] == "state budget exhausted"
+        assert r.stats["states_stored"] == states
+        assert 0 < r.stats["states_expanded"] < states
+        assert peak < 600 * states
 
 
 def test_e_homotopic_cases():
@@ -319,6 +388,8 @@ def test_neighbors_match_numpy_enumeration():
 
 
 def test_pinned_certificate_moves():
+    # d tightens to the edge (0, 1) and c, the pentagon arc, admits no
+    # delete; the search from the tightened ends meets on d's tightening path
     sp = hexagon_ex73().space
     e1 = entourage_at(sp, 1.0)
     c = validate_chain(sp, e1, (0, 0, 5, 4, 3, 3, 2, 1))
@@ -326,10 +397,12 @@ def test_pinned_certificate_moves():
     r = decide_homotopic(c, d)
     assert r.is_yes()
     assert r.certificate.moves == (
-        Delete(1), Delete(4), Insert(4, 6), Delete(5), Delete(3), Delete(2), Delete(1), Insert(2, 6),
+        Delete(1), Delete(4), Insert(1, 6), Delete(2), Delete(2), Delete(2), Delete(2), Insert(2, 6),
     )
+    assert r.certificate.replay().seq == d.seq
     back = decide_homotopic(d, c)
     assert back.certificate.moves == (
-        Delete(2), Insert(1, 5), Insert(2, 4), Insert(3, 3), Insert(5, 2), Delete(4),
+        Delete(2), Insert(2, 2), Insert(2, 3), Insert(2, 4), Insert(2, 5), Delete(1),
         Insert(1, 0), Insert(5, 3),
     )
+    assert back.certificate.replay().seq == c.seq

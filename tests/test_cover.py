@@ -262,11 +262,11 @@ def test_c2_matches_search_oracle_random():
 def _logged_c2(monkeypatch, f, e, fine):
     """c2_check's upstairs tests, downstairs questions and searches, in order."""
     log = []
-    real_up, real_down, real_search = chains.e_obstruction, chains.e_homotopic, chains.decide_homotopic
+    real_up, real_down, real_search = chains.e_obstruction_at, chains.e_homotopic, chains.decide_homotopic
 
-    def up(c, d, entourage):
-        got = real_up(c, d, entourage)
-        log.append(("up", c.seq, d.seq, got))
+    def up(skel, a, b):
+        got = real_up(skel, a, b)
+        log.append(("up", a, b, got))
         return got
 
     def down(c, d, entourage, budget=None):
@@ -277,7 +277,7 @@ def _logged_c2(monkeypatch, f, e, fine):
         log.append(("search",))
         return real_search(c, d, budget)
 
-    monkeypatch.setattr(cover, "e_obstruction", up)
+    monkeypatch.setattr(cover, "e_obstruction_at", up)
     monkeypatch.setattr(cover, "e_homotopic", down)
     monkeypatch.setattr(chains, "decide_homotopic", search)
     return c2_check(f, e, fine), log
