@@ -142,8 +142,10 @@ def test_budget_exhaustion_reports_unknown():
 
 def test_tightened_search_against_untightened():
     # random small spaces and chains, at stored-state budgets from a handful
-    # to a few hundred: tightening never flips yes and no, every yes replays,
-    # and at each budget it decides more pairs than the untightened search
+    # to a few hundred: tightening never flips yes and no, and every yes
+    # replays.  Greedy deletes can push two nearby chains apart, so a few of
+    # the untightened search's yes answers become unknown at the same
+    # budget; at each budget tightening must win many more than it loses
     rng = random.Random(71)
     budgets = (4, 10, 50, 200)
     won = dict.fromkeys(budgets, 0)
@@ -181,7 +183,7 @@ def test_search_stores_at_most_its_budget():
     # connected, tightening cuts only their corners, and the search runs out
     # of budget long before it sweeps one path across the grid; what it
     # holds grows with the budget at a few hundred bytes per stored state
-    # (the budget once counted expanded states, ~3 KB each here)
+    # (a budget on expanded states holds ~3 KB per unit here)
     k = 5
     grid = FiniteSpace([f"p{i}_{j}" for i in range(k) for j in range(k)],
                        coords=[(i, j) for i in range(k) for j in range(k)])
