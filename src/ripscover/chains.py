@@ -47,7 +47,6 @@ class SearchBudget:
 
     states: int = 50_000
     max_length: int | None = None  # default 4 * n, resolved per space
-    class_norm: int = 8
 
     def resolved_length(self, n: int) -> int:
         return self.max_length if self.max_length is not None else 4 * n

@@ -51,11 +51,7 @@ def _dump(doc: dict, path: str | None) -> None:
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(
-        states=args.budget_states,
-        max_length=args.max_chain_length,
-        class_norm=args.class_norm,
-    )
+    return SearchBudget(states=args.budget_states, max_length=args.max_chain_length)
 
 
 def _load_input(args) -> tuple[FiniteSpace, ScaleLadder | None]:
@@ -95,7 +91,6 @@ def _config_block(args) -> dict:
         "budget": {
             "states": args.budget_states,
             "max_chain_length": args.max_chain_length,
-            "class_norm": args.class_norm,
         },
         "strict_thresholds": args.strict_thresholds,
     }
@@ -290,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--budget-states", type=int, default=50_000, help="search state budget")
     parser.add_argument("--max-chain-length", type=int, default=None, help="hard chain length bound (default 4n)")
-    parser.add_argument("--class-norm", type=int, default=8, help="class-vector norm bound for witness searches")
     parser.add_argument("--strict-thresholds", action="store_true", help="use < instead of <= for eps scales")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -165,19 +165,32 @@ def snf_invariants(mat: list[list[int]]) -> list[int]:
     return [d for d in diag if d != 0]
 
 
+def _combine(a: int, u: dict[int, int], b: int, v: dict[int, int]) -> dict[int, int]:
+    """a * u + b * v for sparse {index: coefficient} vectors."""
+    out = {k: a * c for k, c in u.items()}
+    for k, c in v.items():
+        out[k] = out.get(k, 0) + b * c
+    return {k: c for k, c in out.items() if c}
+
+
 class IntLattice:
     """A subgroup of Z^m kept as a Hermite-style row basis.
 
     Rows have strictly increasing pivot columns, positive pivots, and entries
     above each pivot reduced into [0, pivot).  Two equal subgroups always
-    produce identical bases, so equality is comparison of the rows.
+    produce identical bases, so equality is comparison of the rows.  Each row
+    carries its combination of the vectors added so far, as {input index:
+    weight}, so a member's coordinates in those vectors come out of the same
+    reduction that tests membership.
     """
 
-    __slots__ = ("m", "rows", "_pivot_of_col")
+    __slots__ = ("m", "rows", "combos", "inputs", "_pivot_of_col")
 
     def __init__(self, m: int):
         self.m = m
         self.rows: list[list[int]] = []
+        self.combos: list[dict[int, int]] = []
+        self.inputs = 0
         self._pivot_of_col: dict[int, int] = {}
 
     @classmethod
@@ -192,6 +205,8 @@ class IntLattice:
         vec = list(map(int, vec))
         if len(vec) != self.m:
             raise ValueError("vector length mismatch")
+        combo = {self.inputs: 1}
+        self.inputs += 1
         for j in range(self.m):
             if not vec[j]:
                 continue
@@ -201,6 +216,7 @@ class IntLattice:
                 while where < len(self.rows) and self._pivot_col(self.rows[where]) < j:
                     where += 1
                 self.rows.insert(where, vec)
+                self.combos.insert(where, combo)
                 self._reindex()
                 return
             row = self.rows[p]
@@ -209,6 +225,7 @@ class IntLattice:
                 q = bb // aa
                 for jj in range(j, self.m):
                     vec[jj] -= q * row[jj]
+                combo = _combine(1, combo, -q, self.combos[p])
             else:
                 x, y, g = xgcd(aa, bb)
                 ag, bg = aa // g, bb // g
@@ -216,6 +233,8 @@ class IntLattice:
                     rjj, vjj = row[jj], vec[jj]
                     row[jj] = x * rjj + y * vjj
                     vec[jj] = -bg * rjj + ag * vjj
+                rc = self.combos[p]
+                self.combos[p], combo = _combine(x, rc, y, combo), _combine(-bg, rc, ag, combo)
 
     @staticmethod
     def _pivot_col(row) -> int:
@@ -233,6 +252,7 @@ class IntLattice:
             j = self._pivot_col(row)
             if row[j] < 0:
                 self.rows[i] = [-v for v in row]
+                self.combos[i] = {k: -c for k, c in self.combos[i].items()}
         for i in range(len(self.rows) - 1, -1, -1):
             row = self.rows[i]
             j = self._pivot_col(row)
@@ -240,23 +260,31 @@ class IntLattice:
                 q = self.rows[above][j] // row[j]
                 if q:
                     self.rows[above] = [u - q * v for u, v in zip(self.rows[above], row)]
+                    self.combos[above] = _combine(1, self.combos[above], -q, self.combos[i])
         self._reindex()
 
-    def contains(self, vec) -> bool:
+    def coordinates(self, vec) -> list[int] | None:
+        """Weights w, one per added vector, with sum(w[i] * vector i) == vec;
+        None when vec is not in the lattice."""
         vec = list(map(int, vec))
+        weights: dict[int, int] = {}
         for j in range(self.m):
             if not vec[j]:
                 continue
             p = self._pivot_of_col.get(j)
             if p is None:
-                return False
+                return None
             row = self.rows[p]
             if vec[j] % row[j]:
-                return False
+                return None
             q = vec[j] // row[j]
             for jj in range(j, self.m):
                 vec[jj] -= q * row[jj]
-        return True
+            weights = _combine(1, weights, q, self.combos[p])
+        return [weights.get(k, 0) for k in range(self.inputs)]
+
+    def contains(self, vec) -> bool:
+        return self.coordinates(vec) is not None
 
     def issubset(self, other: "IntLattice") -> bool:
         return all(other.contains(r) for r in self.rows)

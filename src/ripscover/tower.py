@@ -25,7 +25,7 @@ from .chains import (
     validate_chain,
 )
 from .errors import ValidationError
-from .rips import H1Map, build_skeleton, h1_class, inclusion_h1_map
+from .rips import H1Map, RipsSkeleton, build_skeleton, h1_class, inclusion_h1_map
 from .snf import IntLattice, snf_invariants
 from .space import Entourage, FiniteSpace, ScaleLadder, bfs_forest, component_labels, path_to_root
 
@@ -212,12 +212,8 @@ class JoinabilityVerdict:
         return doc
 
 
-_CANDIDATES = 5  # class-matched walks tried per pair before answering unknown
-
-
-class _ClassWalker:
-    """Breadth-first walk from one root over (point, class-vector) states of a
-    step graph, tracking each partial walk's cycle class read at a coarser
+class _RootedWalks:
+    """Witness walks from one root in a walk relation, read at a coarser
     target scale.  Everything that depends on the root is built on first use."""
 
     def __init__(self, space, walk_rel: Entourage, target: Entourage, root: int, budget: SearchBudget):
@@ -226,22 +222,7 @@ class _ClassWalker:
         self.target = target
         self.root = root
         self.skel = build_skeleton(space, target)
-        self.data = self.skel.h1_data()
         self.budget = budget
-        self.group = self.data.group
-        self._step_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def step_class(self, u: int, v: int) -> tuple[int, ...]:
-        key = (u, v)
-        got = self._step_cache.get(key)
-        if got is None:
-            gs = self.skel.step_gen(u, v)
-            got = self.data.zero() if gs is None else self.data.class_of({gs[0]: gs[1]})
-            self._step_cache[key] = got
-        return got
-
-    def add(self, z1, z2):
-        return self.group.reduce(a + b for a, b in zip(z1, z2))
 
     @cached_property
     def forest(self) -> tuple[list[int], list[int]]:
@@ -249,78 +230,60 @@ class _ClassWalker:
         return bfs_forest(self.walk_rel, first=self.root)
 
     @cached_property
+    def sub(self) -> RipsSkeleton:
+        """Skeleton of the walk relation on the root's component."""
+        masked, _, _ = _mask_to_component(self.walk_rel, self.root)
+        return build_skeleton(self.space, masked)
+
+    @cached_property
     def lattice(self) -> IntLattice:
         """Image of the root component's cycle classes in the target group."""
-        masked, _, _ = _mask_to_component(self.walk_rel, self.root)
-        sub = build_skeleton(self.space, masked)
-        return inclusion_h1_map(sub, self.skel).image_lattice()
+        return inclusion_h1_map(self.sub, self.skel).image_lattice()
 
-    @cached_property
-    def explored(self):
-        """Reachable (point, class) states with parents; flags truncation by
-        the state budget or the class norm."""
-        zero = self.data.zero()
-        start = (self.root, zero)
-        parents: dict[tuple[int, tuple[int, ...]], tuple | None] = {start: None}
-        queue = [start]
-        expanded = 0
-        truncated = False
-        cap = self.budget.class_norm
-        rank = self.group.rank
-        rel = self.walk_rel.rel
-        while queue:
-            nxt = []
-            for state in queue:
-                p, z = state
-                expanded += 1
-                if expanded > self.budget.states:
-                    return parents, True
-                for q in np.nonzero(rel[p])[0]:
-                    q = int(q)
-                    if q == p:
-                        continue
-                    nz = self.add(z, self.step_class(p, q))
-                    if any(abs(v) > cap for v in nz[:rank]):
-                        truncated = True
-                        continue
-                    ns = (q, nz)
-                    if ns not in parents:
-                        parents[ns] = (state, q)
-                        nxt.append(ns)
-            queue = nxt
-        return parents, truncated
-
-    @cached_property
-    def reach(self) -> dict[int, list[tuple[int, ...]]]:
-        """Classes of the explored walks ending at each point, smallest first
-        (by coordinate sum of absolute values, then in order), so the short
-        walks of class zero come before long windings."""
-        reach: dict[int, list] = {}
-        for (p, z) in self.explored[0]:
-            reach.setdefault(p, []).append(z)
-        for v in reach.values():
-            v.sort(key=lambda z: (sum(map(abs, z)), z))
-        return reach
-
-    def walk_of(self, state) -> tuple[int, ...]:
-        parents = self.explored[0]
-        seq = [state[0]]
-        while parents[state] is not None:
-            state, _ = parents[state]
-            seq.append(state[0])
-        return tuple(reversed(seq))
+    def loop(self, weights: list[int]) -> list[int]:
+        """A closed walk at the root whose class is sum(weights[k] * basis
+        class k) of the root's component: the component's fundamental loops,
+        each as often as the weighted basis representatives hold its
+        generator, conjugated by the forest path from the root to the
+        component's own forest root."""
+        data = self.sub.h1_data()
+        gens: dict[int, int] = {}
+        for k, w in enumerate(weights[:data.group.dim]):
+            if w:
+                for g, c in data.representative(k).items():
+                    gens[g] = gens.get(g, 0) + w * c
+        to_base = path_to_root(self.sub.parent, self.root)
+        seq = list(to_base)
+        for g, c in sorted(gens.items()):
+            walk = self.sub.fundamental_walk(g)
+            seq.extend((walk if c > 0 else walk[::-1])[1:] * abs(c))
+        return seq + to_base[::-1][1:]
 
 
-def _witness_pair(walker: _ClassWalker, x: int, y: int, starts) -> tuple[Trivalue, tuple | None]:
+def _without_backtracks(seq) -> tuple[int, ...]:
+    """The walk with every step u -> v -> u cut to u, repeatedly; the ends
+    and the homotopy class stay."""
+    out: list[int] = []
+    for v in seq:
+        if len(out) >= 2 and out[-2] == v:
+            out.pop()
+        else:
+            out.append(v)
+    return tuple(out)
+
+
+def _witness_pair(walker: _RootedWalks, x: int, y: int) -> tuple[Trivalue, tuple | None]:
     """Is the target edge x-y homotopic to a walk x -> root -> y in the
     walker's relation?
 
     In order: both points lie in the root's component (exact); the class of
     the loop x -> root -> y -> x lies in the image lattice (exact for
-    homology); then, for each start class z at x in `starts`, the walks
-    ending at (x, z) and at (y, z + edge class) are joined and checked with
-    `decide_homotopic`, at most `_CANDIDATES` of them.  On yes the walks
-    root -> x and root -> y come back with the verdict.
+    homology).  Then the walk to y is built as the loop at the root whose
+    lattice coordinates cancel that class, followed by the forest walk from
+    the root to y; the walk to x is the forest walk from the root.  Joined,
+    they have the edge's class, and `decide_homotopic` checks them once.  On
+    yes the walks root -> x and root -> y come back with the verdict;
+    otherwise its unknown does.
     """
     parent, component = walker.forest
     if not component[x] == component[y] == component[walker.root]:
@@ -328,41 +291,23 @@ def _witness_pair(walker: _ClassWalker, x: int, y: int, starts) -> tuple[Trivalu
             "kind": "unreachable_at_fine",
             "note": "no fine-scale chain joins the root to both points of the pair",
         }), None
+    walk_x = tuple(path_to_root(parent, x)[::-1])
+    to_y = tuple(path_to_root(parent, y)[::-1])
     # x -> root -> y -> x along the forest's shortest walks
-    loop = (*path_to_root(parent, x), *path_to_root(parent, y)[::-1][1:], x)
-    base_class = h1_class(walker.skel, loop)
-    if not walker.lattice.contains(list(base_class)):
+    base_class = h1_class(walker.skel, walk_x[::-1] + to_y[1:] + (x,))
+    weights = walker.lattice.coordinates([-c for c in base_class])
+    if weights is None:
         return Trivalue("no", obstruction={
             "kind": "h1_coset",
             "base_class": list(base_class),
             "image_lattice": [list(r) for r in walker.lattice.basis()],
         }), None
-    parents, truncated = walker.explored
-    goal = walker.step_class(x, y)
-    edge = Chain(walker.space, walker.target, edge_seq(x, y))
-    tried = 0
-    for z in starts:
-        want = (y, walker.add(goal, z))
-        if want not in parents:
-            continue
-        walk_x, walk_y = walker.walk_of((x, z)), walker.walk_of(want)
-        chain = validate_chain(walker.space, walker.target, tuple(reversed(walk_x)) + walk_y[1:])
-        res = decide_homotopic(chain, edge, walker.budget)
-        tried += 1
-        if res.is_yes():
-            return res, (walk_x, walk_y)
-        if tried >= _CANDIDATES:
-            break
-    if truncated or tried:
-        return Trivalue("unknown", stats={
-            "reason": "no certified witness pair at this budget",
-            "candidates_tried": tried,
-            "norm_truncated": truncated,
-        }), None
-    return Trivalue("no", obstruction={
-        "kind": "h1_reachability",
-        "note": "state space exhausted: no witness pair attains the edge's class",
-    }), None
+    walk_y = _without_backtracks(walker.loop(weights) + list(to_y[1:]))
+    chain = validate_chain(walker.space, walker.target, walk_x[::-1] + walk_y[1:])
+    # the coordinates cancel the class, so decide_homotopic cannot answer no
+    assert not any(h1_class(walker.skel, chain.seq + (x,))), "built walk misses the edge's class"
+    res = decide_homotopic(chain, Chain(walker.space, walker.target, edge_seq(x, y)), walker.budget)
+    return res, ((walk_x, walk_y) if res.is_yes() else None)
 
 
 def joinability_witness(
@@ -375,7 +320,7 @@ def joinability_witness(
 ) -> JoinabilityVerdict:
     """Can x and y be joined by a fine-scale chain that is short at the target?
 
-    The witness walk is searched in the fine relation with the queried pair
+    The witness walk is built in the fine relation with the queried pair
     itself removed: a genuine multi-scale witness descends from scales where
     the direct link between two distinct points has dissolved, so the pair
     must be joined through the rest of the space.  No verdicts are exact
@@ -397,8 +342,8 @@ def joinability_witness(
         witness = TruncatedGeneralizedPath([tname, fname], (x,), [[], []])
         return verdictify(Trivalue("yes", certificate=cert), witness)
 
-    walker = _ClassWalker(space, fine.without_pair(x, y), target, x, budget)
-    verdict, walks = _witness_pair(walker, x, y, [walker.data.zero()])
+    walker = _RootedWalks(space, fine.without_pair(x, y), target, x, budget)
+    verdict, walks = _witness_pair(walker, x, y)
     if walks is None:
         return verdictify(verdict)
     walk = walks[1]
@@ -408,6 +353,13 @@ def joinability_witness(
     else:
         defects.append(None)
     return verdictify(verdict, TruncatedGeneralizedPath([tname, fname], walk, defects))
+
+
+def _failure(x: int, y: int, v: Trivalue) -> dict:
+    """An audit failure entry: the pair, its verdict, and why (the obstruction
+    kind of a no, the search's reason for an unknown)."""
+    reason = v.obstruction["kind"] if v.is_no() else v.stats["reason"]
+    return {"pair": [x, y], "verdict": v.kind, "reason": reason}
 
 
 def uniform_joinability_audit(space: FiniteSpace, ladder: ScaleLadder, budget: SearchBudget | None = None) -> dict:
@@ -436,9 +388,7 @@ def uniform_joinability_audit(space: FiniteSpace, ladder: ScaleLadder, budget: S
         for j in range(i + 1, k):
             pairs = ladder[j].pairs()
             failures = [
-                {"pair": [px, py], "verdict": verdicts[(px, py)].kind}
-                for (px, py) in pairs
-                if not verdicts[(px, py)].is_yes()
+                _failure(px, py, verdicts[(px, py)]) for (px, py) in pairs if not verdicts[(px, py)].is_yes()
             ]
             yes = len(pairs) - len(failures)
             cells.append({
@@ -482,11 +432,11 @@ def g_entourage(
     delta = ladder.finest()
     if not delta.issubset(target):
         raise ValidationError("the ladder's finest scale must sit inside the target")
-    walker = _ClassWalker(space, delta, target, basepoint, budget)
+    walker = _RootedWalks(space, delta, target, basepoint, budget)
     verdicts: dict[tuple[int, int], Trivalue] = {}
     certified: list[tuple[int, int]] = []
     for (px, py) in target.pairs():
-        v, walks = _witness_pair(walker, px, py, walker.reach.get(px, []))
+        v, walks = _witness_pair(walker, px, py)
         if walks is not None:
             v = Trivalue("yes", certificate=v.certificate, stats={
                 "witness_to_x": list(walks[0]), "witness_to_y": list(walks[1]),
@@ -504,6 +454,5 @@ def g_entourage(
             for (px, py) in target.pairs()
         ],
         "certified": [list(p) for p in certified],
-        "norm_truncated": walker.explored[1],
     }
     return ent, report

@@ -13,7 +13,13 @@ check that runs a full homotopy search for every upstairs question and for
 every downstairs one, as the reference for the one that searches only where
 its verdict can change.  `untightened_decide` keeps the homotopy search that
 starts from the canonical ends without first tightening them, as the
-reference for the one that does.
+reference for the one that does.  `ExploredWalker` and `explored_witness`
+keep the witness search over (point, class vector) states, capped by a
+class norm, with up to five class-matched candidate walks per pair, as the
+reference for the witness walk the tower builds from lattice coordinates.
+`hermite_contains` keeps the lattice membership test that reduced a vector
+over the row basis and kept no quotients, as the reference for
+`IntLattice.coordinates`.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import random
 import heapq
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from sympy import ZZ
@@ -44,12 +51,16 @@ from ripscover.chains import (
     _move_objects,
     _neighbors,
     canonicalize,
+    decide_homotopic,
     e_homotopic,
+    edge_seq,
+    validate_chain,
 )
 from ripscover.errors import ChainError
-from ripscover.rips import AbelianGroup, build_skeleton
+from ripscover.rips import AbelianGroup, build_skeleton, h1_class, inclusion_h1_map
 from ripscover.snf import eliminate_unit_pivots, reduce_vector, smith_normal_form
-from ripscover.space import Entourage, FiniteSpace, ball, image_under
+from ripscover.space import Entourage, FiniteSpace, ball, bfs_forest, image_under, path_to_root
+from ripscover.tower import _mask_to_component
 
 
 def homology_oracle(n: int, edges: list[tuple[int, int]], triangles: list[tuple[int, int, int]]):
@@ -377,6 +388,21 @@ def numpy_neighbors(seq: tuple[int, ...], ent: Entourage, max_len: int):
     return out, False
 
 
+def hermite_contains(lat, vec) -> bool:
+    """Is vec in the lattice?  Reduce it over the Hermite rows, pivot by pivot."""
+    vec = [int(v) for v in vec]
+    pivots = {next(j for j, v in enumerate(r) if v): r for r in lat.rows}
+    for j in range(lat.m):
+        if not vec[j]:
+            continue
+        row = pivots.get(j)
+        if row is None or vec[j] % row[j]:
+            return False
+        q = vec[j] // row[j]
+        vec = [a - q * b for a, b in zip(vec, row)]
+    return True
+
+
 def random_entourage(rng: random.Random, n: int, p: float) -> Entourage:
     rel = np.eye(n, dtype=bool)
     for i in range(n):
@@ -472,8 +498,7 @@ def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | Non
         return {"status": "proved", "note": "injective map with nested scales"}
     ff = image_under(f, fine)
     pair_cap = min(budget.states, 2500)
-    per_pair = SearchBudget(states=min(400, budget.states), max_length=12,
-                            class_norm=budget.class_norm)
+    per_pair = SearchBudget(states=min(400, budget.states), max_length=12)
     examined = 0
     for origin in range(f.source.n):
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -524,3 +549,128 @@ def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | Non
                         "examined": examined,
                     }
     return {"status": "unrefuted", "examined": examined, "note": "no violation found"}
+
+
+EXPLORED_CANDIDATES = 5  # class-matched walks tried per pair before answering unknown
+
+
+class ExploredWalker:
+    """Breadth-first walk from one root over (point, class-vector) states of a
+    step graph, tracking each partial walk's cycle class read at a coarser
+    target scale.  A class coordinate past `class_norm` is not followed."""
+
+    def __init__(self, space, walk_rel: Entourage, target: Entourage, root: int,
+                 budget: SearchBudget, class_norm: int = 8):
+        self.space = space
+        self.walk_rel = walk_rel
+        self.target = target
+        self.root = root
+        self.skel = build_skeleton(space, target)
+        self.data = self.skel.h1_data()
+        self.group = self.data.group
+        self.budget = budget
+        self.class_norm = class_norm
+        self._steps: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def step_class(self, u: int, v: int) -> tuple[int, ...]:
+        got = self._steps.get((u, v))
+        if got is None:
+            gs = self.skel.step_gen(u, v)
+            got = self.data.zero() if gs is None else self.data.class_of({gs[0]: gs[1]})
+            self._steps[(u, v)] = got
+        return got
+
+    def add(self, z1, z2):
+        return self.group.reduce(a + b for a, b in zip(z1, z2))
+
+    @cached_property
+    def forest(self):
+        return bfs_forest(self.walk_rel, first=self.root)
+
+    @cached_property
+    def lattice(self):
+        masked, _, _ = _mask_to_component(self.walk_rel, self.root)
+        return inclusion_h1_map(build_skeleton(self.space, masked), self.skel).image_lattice()
+
+    @cached_property
+    def explored(self):
+        """Reachable (point, class) states with parents, and whether the
+        state budget or the class norm cut the walk short."""
+        start = (self.root, self.data.zero())
+        parents = {start: None}
+        queue = [start]
+        expanded = 0
+        truncated = False
+        rank = self.group.rank
+        rel = self.walk_rel.rel
+        while queue:
+            nxt = []
+            for state in queue:
+                p, z = state
+                expanded += 1
+                if expanded > self.budget.states:
+                    return parents, True
+                for q in np.nonzero(rel[p])[0]:
+                    q = int(q)
+                    if q == p:
+                        continue
+                    nz = self.add(z, self.step_class(p, q))
+                    if any(abs(v) > self.class_norm for v in nz[:rank]):
+                        truncated = True
+                        continue
+                    ns = (q, nz)
+                    if ns not in parents:
+                        parents[ns] = (state, q)
+                        nxt.append(ns)
+            queue = nxt
+        return parents, truncated
+
+    @cached_property
+    def reach(self):
+        """Classes of the explored walks ending at each point, smallest first."""
+        reach = {}
+        for (p, z) in self.explored[0]:
+            reach.setdefault(p, []).append(z)
+        for v in reach.values():
+            v.sort(key=lambda z: (sum(map(abs, z)), z))
+        return reach
+
+    def walk_of(self, state) -> tuple[int, ...]:
+        parents = self.explored[0]
+        seq = [state[0]]
+        while parents[state] is not None:
+            state, _ = parents[state]
+            seq.append(state[0])
+        return tuple(reversed(seq))
+
+
+def explored_witness(walker: ExploredWalker, x: int, y: int, starts):
+    """The witness search the built walk replaced: component test, coset
+    test, then for each start class z at x the explored walks ending at
+    (x, z) and (y, z + edge class), joined and decided, at most
+    `EXPLORED_CANDIDATES` of them.  Returns (verdict, walks or None)."""
+    parent, component = walker.forest
+    if not component[x] == component[y] == component[walker.root]:
+        return Trivalue("no", obstruction={"kind": "unreachable_at_fine"}), None
+    loop = (*path_to_root(parent, x), *path_to_root(parent, y)[::-1][1:], x)
+    if not walker.lattice.contains(list(h1_class(walker.skel, loop))):
+        return Trivalue("no", obstruction={"kind": "h1_coset"}), None
+    parents, truncated = walker.explored
+    goal = walker.step_class(x, y)
+    edge = Chain(walker.space, walker.target, edge_seq(x, y))
+    tried = 0
+    for z in starts:
+        want = (y, walker.add(goal, z))
+        if want not in parents:
+            continue
+        walk_x, walk_y = walker.walk_of((x, z)), walker.walk_of(want)
+        chain = validate_chain(walker.space, walker.target, tuple(reversed(walk_x)) + walk_y[1:])
+        res = decide_homotopic(chain, edge, walker.budget)
+        tried += 1
+        if res.is_yes():
+            return res, (walk_x, walk_y)
+        if tried >= EXPLORED_CANDIDATES:
+            break
+    if truncated or tried:
+        return Trivalue("unknown", stats={"candidates_tried": tried, "norm_truncated": truncated}), None
+    return Trivalue("no", obstruction={"kind": "h1_reachability"}), None

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 
-from _oracles import dict_unit_pivots
+from _oracles import dict_unit_pivots, hermite_contains
 from ripscover.snf import (
     IntLattice,
     eliminate_unit_pivots,
@@ -45,6 +45,40 @@ def test_snf_transforms_are_inverse_and_divisible():
         assert back == [list(map(int, r)) for r in mat]
         assert snf_invariants(mat) == [d for d in diag if d != 0]
         assert lat_before == lat_before  # canonical form is stable
+
+
+def test_lattice_coordinates_sum_back():
+    # random inputs with dependent vectors, zero vectors and torsion
+    # relations d * e_i; members are integer combinations of the inputs and
+    # random vectors, which mostly miss
+    rng = random.Random(8)
+    found = missed = 0
+    for _ in range(400):
+        m = rng.randint(1, 4)
+        vectors = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(rng.randint(0, 4))]
+        for _ in range(rng.randint(0, 2) if vectors else 0):
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            c = rng.randint(-3, 3)
+            vectors.append([u + c * v for u, v in zip(a, b)])
+        for i in rng.sample(range(m), rng.randint(0, m)):
+            vectors.append([rng.randint(2, 6) if c == i else 0 for c in range(m)])
+        rng.shuffle(vectors)
+        lat = IntLattice.from_vectors(m, vectors)
+        queries = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(4)]
+        for _ in range(4):
+            w = [rng.randint(-4, 4) for _ in vectors]
+            queries.append([sum(wi * v[c] for wi, v in zip(w, vectors)) for c in range(m)])
+        for vec in queries:
+            weights = lat.coordinates(vec)
+            assert (weights is None) == (not hermite_contains(lat, vec))
+            assert lat.contains(vec) == (weights is not None)
+            if weights is None:
+                missed += 1
+                continue
+            found += 1
+            assert len(weights) == len(vectors)
+            assert [sum(wi * v[c] for wi, v in zip(weights, vectors)) for c in range(m)] == vec
+    assert found > 1600 and missed > 200
 
 
 def test_lattice_membership_and_inclusion():

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from ripscover.chains import SearchBudget
+from _oracles import ExploredWalker, explored_witness, random_entourage, space_for
+from ripscover import tower
+from ripscover.chains import DEFAULT_BUDGET, HomotopyCertificate, SearchBudget, Trivalue, decide_homotopic
 from ripscover.errors import ValidationError
-from ripscover.gallery import hexagon_ex72, hexagon_ex73, polygon, solenoid
-from ripscover.rips import build_skeleton, h1
+from ripscover.gallery import gallery, hexagon_ex72, hexagon_ex73, polygon, solenoid
+from ripscover.rips import build_skeleton, h1, h1_class
 from ripscover.snf import IntLattice
 from ripscover.space import Entourage, ScaleLadder, entourage_at
 from ripscover.tower import (
@@ -209,12 +213,14 @@ def test_tower_report_json_and_table():
 
 
 def test_joinability_budget_truncation_reports_unknown():
-    g = hexagon_ex72()
-    sp = g.space
-    e1, e3 = entourage_at(sp, 1.0), entourage_at(sp, 3.0)
-    v = joinability_witness(sp, 0, 1, e3, e1, SearchBudget(states=1))
+    # the built walk along hexagon_ex73's arc needs a search that one stored
+    # state cannot hold; the unknown is the search's own
+    g = hexagon_ex73()
+    sp, lad = g.space, g.ladder
+    v = joinability_witness(sp, 0, 1, lad[1], lad[2], SearchBudget(states=1))
     assert v.verdict.is_unknown()
-    assert v.verdict.stats["norm_truncated"] or v.verdict.stats["candidates_tried"] == 0
+    assert v.verdict.stats["reason"] == "state budget exhausted"
+    assert "states_stored" in v.verdict.stats
 
 
 def test_g_entourage_budget_truncation():
@@ -222,13 +228,15 @@ def test_g_entourage_budget_truncation():
     sp = g.space
     e1 = entourage_at(sp, 1.0)
     ent, report = g_entourage(sp, e1, g.ladder, SearchBudget(states=2))
-    assert report["norm_truncated"]
     kinds = {p["verdict"] for p in report["pairs"]}
     assert "unknown" in kinds or "no" in kinds
+    (entry,) = [p for p in report["pairs"] if p["pair"] == [0, 1]]
+    assert entry["verdict"] == "unknown"
+    assert entry["stats"]["reason"] == "state budget exhausted"
 
 
 def test_g_entourage_truncated_budget_never_says_no_to_a_certified_pair():
-    # a truncated class walk may miss a pair's walks; that is unknown, not no
+    # a search cut short by the budget is unknown, not no
     for g, eps in ((hexagon_ex73(), 3.0), (hexagon_ex72(), 3.0), (polygon(12, 1), 2.0)):
         target = entourage_at(g.space, eps)
         _, ref = g_entourage(g.space, target, g.ladder)
@@ -256,7 +264,8 @@ def test_audit_matches_naive_loop():
                 for px, py in pairs:
                     v = joinability_witness(g.space, px, py, lad[i], lad.finest(), budget).verdict
                     if not v.is_yes():
-                        failures.append({"pair": [px, py], "verdict": v.kind})
+                        reason = v.obstruction["kind"] if v.is_no() else v.stats["reason"]
+                        failures.append({"pair": [px, py], "verdict": v.kind, "reason": reason})
                 yes = len(pairs) - len(failures)
                 cells.append({
                     "scale": lad.describe(i),
@@ -289,12 +298,113 @@ def test_audit_keeps_scales_that_share_a_label_apart():
 
 
 def test_g_entourage_tries_short_walks_first():
-    # on a rank-1 target the class-zero walks must come before the windings:
-    # tried in ascending order, the 5 candidates were the most negative
-    # windings and all 24 pairs ended unknown at this budget
+    # on a rank-1 target the built walk winds only as often as the pair's
+    # class needs: the explored candidates, once tried in ascending class
+    # order, were the most negative windings and all 24 pairs ended unknown
+    # at this budget
     g = polygon(12, 1)
     target = g.ladder[0]
     assert h1(build_skeleton(g.space, target)).rank == 1
     _, rep = g_entourage(g.space, target, g.ladder, SearchBudget(states=2000))
     assert len(rep["pairs"]) == 24
     assert [p["pair"] for p in rep["pairs"] if p["verdict"] != "yes"] == []
+
+
+def _same_verdict(old, new, key):
+    """Explored against built: a yes stays yes, a no stays a no of the same
+    kind, nothing becomes a no."""
+    if old.is_yes():
+        assert new.kind == "yes", key
+    assert old.is_no() == (new.kind == "no"), key
+    if old.is_no():
+        assert old.obstruction["kind"] == new.obstruction["kind"], key
+
+
+def test_built_witness_against_explored():
+    # joinability: every i <= j of each ladder, every ordered pair that
+    # reaches the witness routine (x != y and related at the target)
+    budgets = [SearchBudget(states=s) for s in (1, 30, 2000)]
+    for g in (hexagon_ex72(), hexagon_ex73(), polygon(12, 1)):
+        sp, lad = g.space, g.ladder
+        for budget in budgets:
+            for i in range(len(lad)):
+                for j in range(i, len(lad)):
+                    for x, y in lad[i].pairs():
+                        for a, b in ((x, y), (y, x)):
+                            new = joinability_witness(sp, a, b, lad[i], lad[j], budget).verdict
+                            walker = ExploredWalker(sp, lad[j].without_pair(a, b), lad[i], a, budget)
+                            old, _ = explored_witness(walker, a, b, [walker.data.zero()])
+                            _same_verdict(old, new, (sp.n, budget.states, i, j, a, b))
+                            if new.is_yes():
+                                new.certificate.replay()
+    # certified pairs: the explored side tries the start classes reached at x
+    cases = ((hexagon_ex73(), 1.0), (hexagon_ex73(), 3.0), (polygon(12, 1), 2.0))
+    for g, eps in cases:
+        target = entourage_at(g.space, eps)
+        for budget in [DEFAULT_BUDGET, *budgets]:
+            _, rep = g_entourage(g.space, target, g.ladder, budget)
+            walker = ExploredWalker(g.space, g.ladder.finest(), target, rep["basepoint"], budget)
+            for entry in rep["pairs"]:
+                x, y = entry["pair"]
+                old, _ = explored_witness(walker, x, y, walker.reach.get(x, []))
+                new = Trivalue(entry["verdict"], obstruction=entry.get("obstruction"))
+                _same_verdict(old, new, (eps, budget.states, x, y))
+                if new.is_yes():
+                    cert = HomotopyCertificate.from_json(entry["certificate"])
+                    cert.replay()
+                    walk_x, walk_y = entry["stats"]["witness_to_x"], entry["stats"]["witness_to_y"]
+                    assert list(cert.start) == walk_x[::-1] + walk_y[1:]
+
+
+def test_built_chain_has_the_edges_class(monkeypatch):
+    # whenever the coset test passes, the built chain followed by the step
+    # y -> x is nullhomologous at the target, so the one decide call can
+    # never answer no: a no comes only from the exact tests before it
+    calls = []
+
+    def recording(c, d, budget=None):
+        calls.append(c)
+        return decide_homotopic(c, d, budget)
+
+    monkeypatch.setattr(tower, "decide_homotopic", recording)
+    rng = random.Random(23)
+    asked = passed = 0
+    for _ in range(60):
+        n = rng.randint(4, 9)
+        target = random_entourage(rng, n, rng.uniform(0.4, 0.8))
+        fine = Entourage(target.rel & random_entourage(rng, n, rng.uniform(0.5, 0.9)).rel)
+        sp = space_for(target)
+        budget = SearchBudget(states=200)
+        verdicts = [joinability_witness(sp, x, y, target, fine, budget).verdict for x, y in target.pairs()]
+        _, rep = g_entourage(sp, target, ScaleLadder([target, fine]), budget, basepoint=rng.randrange(n))
+        verdicts += [Trivalue(p["verdict"], obstruction=p.get("obstruction")) for p in rep["pairs"]]
+        asked += len(verdicts)
+        for v in verdicts:
+            if v.is_no():
+                assert v.obstruction["kind"] in ("unreachable_at_fine", "h1_coset")
+            else:
+                passed += 1
+    assert passed == len(calls) and asked > passed > 100
+    for c in calls:
+        skel = build_skeleton(c.space, c.entourage)
+        assert not any(h1_class(skel, c.seq + (c.seq[0],)))
+
+
+def test_hawaiian_audit_verdicts():
+    # hawaiian:3,16 at the default budget: 1,121 witness calls, all yes but
+    # the big circle's neighbour pairs c1_2-c1_3 ... c1_12-c1_13 at the two
+    # middle scales, whose classes miss the finest scale's image lattice
+    g = gallery("hawaiian:3,16")
+    sp, lad = g.space, g.ladder
+    found = {}
+    for i in range(len(lad) - 1):
+        for x, y in lad[i + 1].pairs():
+            found[(i, x, y)] = joinability_witness(sp, x, y, lad[i], lad.finest()).verdict
+    assert len(found) == 1121
+    failing = {key: v for key, v in found.items() if not v.is_yes()}
+    for v in failing.values():
+        assert v.is_no() and v.obstruction["kind"] == "h1_coset"
+    big_circle = {(sp.labels[x], sp.labels[y]) for _, x, y in failing}
+    assert big_circle == {(f"c1_{k}", f"c1_{k + 1}") for k in range(2, 13)}
+    assert sorted({lad.describe(i) for i, _, _ in failing}) == ["eps=0.740596", "eps=1.28275"]
+    assert len(failing) == 22
