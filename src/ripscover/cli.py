@@ -108,7 +108,7 @@ def cmd_analyze(args) -> int:
         {
             "scale": ladder.describe(i),
             "edges": len(sk.edges),
-            "triangles": len(sk.triangles),
+            "triangles": len(sk.tri),
         }
         for i, sk in enumerate(tower.skeletons)
     ]
@@ -356,6 +356,9 @@ def main(argv=None) -> int:
         return EXIT_CERTIFICATE
     except OSError as e:
         print(f"input error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        print("input error: out of memory; the input is too large", file=sys.stderr)
         return EXIT_INVALID
     except RipscoverError as e:
         print(f"error: {e}", file=sys.stderr)

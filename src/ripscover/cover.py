@@ -146,8 +146,8 @@ def _product_reachable(f: SpaceMap, step: Entourage):
     while queue:
         nxt = []
         for x, xp in queue:
-            cand = [int(v) for v in np.nonzero(rel[x])[0]]
-            cand_p = [int(v) for v in np.nonzero(rel[xp])[0]]
+            cand = np.flatnonzero(rel[x]).tolist()
+            cand_p = np.flatnonzero(rel[xp]).tolist()
             for y in cand:
                 for yp in cand_p:
                     if assign[y] == assign[yp] and (y, yp) not in seen:
@@ -260,13 +260,13 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
     # second phase: short chains with homotopic (not identical) images
     for origin in range(f.source.n):
         short = _chains_from(origin, fine, C2_SHORT_LINKS)
+        images = [tuple(f(v) for v in seq) for seq in short]
         for i in range(len(short)):
             for j in range(i + 1, len(short)):
-                a, b = short[i], short[j]
-                img_a = tuple(f(v) for v in a)
-                img_b = tuple(f(v) for v in b)
+                img_a, img_b = images[i], images[j]
                 if img_a == img_b:
                     continue  # phase one covered identical images
+                a, b = short[i], short[j]
                 if examined >= pair_cap:
                     return answer("unrefuted", "budget exhausted")
                 examined += 1

@@ -21,12 +21,16 @@ from .space import Entourage, FiniteSpace, bfs_forest, path_to_root
 
 
 class RipsSkeleton:
-    """2-skeleton of the clique complex of an entourage, plus a BFS forest."""
+    """2-skeleton of the clique complex of an entourage, plus a BFS forest.
+
+    `tri` is the (R x 3) read-only array of triangles i < j < k in sorted
+    order; `triangles` is the same as a list of tuples, built when read.
+    """
 
     __slots__ = (
-        "space", "entourage", "edges", "triangles",
+        "space", "entourage", "edges", "tri",
         "parent", "roots", "component",
-        "gen_index", "generators", "_tri", "_h1data", "_moves",
+        "gen_index", "generators", "_triangles", "_h1data", "_moves",
     )
 
     def __init__(self, space: FiniteSpace, entourage: Entourage):
@@ -47,7 +51,7 @@ class RipsSkeleton:
             e, k = np.nonzero(rel[a] & rel[b] & (cols > b[:, None]))
             blocks.append(np.stack([a[e], b[e], k], axis=1))
         tri = np.concatenate(blocks)
-        triangles = list(zip(*tri.T.tolist()))
+        tri.flags.writeable = False
 
         parent, component = bfs_forest(entourage)
         roots = [v for v in range(n) if parent[v] < 0]
@@ -58,8 +62,8 @@ class RipsSkeleton:
         self.space = space
         self.entourage = entourage
         self.edges = edges
-        self.triangles = triangles
-        self._tri = tri
+        self.tri = tri
+        self._triangles = None
         self.parent = parent
         self.roots = roots
         self.component = component
@@ -71,6 +75,14 @@ class RipsSkeleton:
     @property
     def n(self) -> int:
         return self.space.n
+
+    @property
+    def triangles(self) -> list[tuple[int, int, int]]:
+        """The triangles i < j < k as sorted int tuples, built from `tri` on
+        first read and kept; the H1 layer reads only the array."""
+        if self._triangles is None:
+            self._triangles = list(zip(*self.tri.T.tolist()))
+        return self._triangles
 
     def step_gen(self, u: int, v: int) -> tuple[int, int] | None:
         """Generator index and sign of the step u -> v, or None on tree edges."""
@@ -217,23 +229,29 @@ class _H1Data:
     """
 
     def __init__(self, skel: RipsSkeleton):
+        n = skel.n
         ngen = len(skel.generators)
-        gid = np.full((skel.n, skel.n), -1, dtype=np.intp)
+        # generator id of the edge (a, b), a < b, at a * n + b; the ids are
+        # held as three rows (edges ij, jk, ik) so each pass reads contiguously
+        gid = np.full(n * n, -1, dtype=np.int32)
         ends = np.array(skel.generators, dtype=np.intp).reshape(-1, 2)
-        gid[ends[:, 0], ends[:, 1]] = np.arange(ngen)
-        i, j, k = skel._tri.T
-        ids = np.stack([gid[i, j], gid[j, k], gid[i, k]], axis=1)
+        gid[ends[:, 0] * n + ends[:, 1]] = np.arange(ngen, dtype=np.int32)
+        i, j, k = skel.tri.T
+        ids = np.stack([gid[i * n + j], gid[j * n + k], gid[i * n + k]])
         alive = np.ones(ngen + 1, dtype=bool)
         alive[-1] = False  # forest edges (id -1) are never live
-        while True:
+
+        def live_count(ids):
             live = alive[ids]
-            count = live.sum(axis=1)
-            ones = count == 1
-            if not ones.any():
-                break
-            alive[ids[ones][live[ones]]] = False
-            ids = ids[count > 1]
-        subs, core = eliminate_unit_pivots(_Relators(np.where(live, ids, -1)[count > 1], ngen))
+            return live, live[0].view(np.uint8) + live[1].view(np.uint8) + live[2].view(np.uint8)
+
+        live, count = live_count(ids)
+        while (ones := count == 1).any():
+            alive[ids[:, ones][live[:, ones]]] = False
+            ids = ids[:, count > 1]
+            live, count = live_count(ids)
+        keep = count > 1
+        subs, core = eliminate_unit_pivots(_Relators(np.where(live[:, keep], ids[:, keep], -1).T, ngen))
         eliminated = {col for col, _, _ in subs}
         touched = sorted({c for r in core for c in r})
         untouched = [g for g in np.flatnonzero(alive).tolist() if g not in eliminated and g not in touched]

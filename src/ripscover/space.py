@@ -243,7 +243,7 @@ def ball(e: Entourage, x: int) -> list[int]:
     """All points related to x, including x itself."""
     if not (0 <= x < e.n):
         raise ValidationError(f"point index {x} out of range")
-    return [int(i) for i in np.nonzero(e.rel[x])[0]]
+    return np.flatnonzero(e.rel[x]).tolist()
 
 
 def is_chain_connected(space: FiniteSpace, e: Entourage) -> bool:
@@ -269,8 +269,7 @@ def bfs_forest(e: Entourage, first: int = 0) -> tuple[list[int], list[int]]:
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for w in np.nonzero(e.rel[v])[0]:
-                w = int(w)
+            for w in np.flatnonzero(e.rel[v]).tolist():
                 if component[w] < 0:
                     component[w] = comp
                     parent[w] = v

@@ -34,9 +34,11 @@ LADDER_CAVEAT = (
 )
 
 
-def _mask_to_component(e: Entourage, basepoint: int) -> tuple[Entourage, int, int]:
-    """Restrict a relation to the basepoint's component; report component data."""
-    labels = component_labels(e)
+def _mask_to_component(e: Entourage, basepoint: int, labels=None) -> tuple[Entourage, int, int]:
+    """Restrict a relation to the basepoint's component; report component
+    data.  `labels`, when given, are the relation's component ids 0, 1, ...
+    per point, in any numbering."""
+    labels = component_labels(e) if labels is None else np.asarray(labels)
     ncomp = int(labels.max()) + 1
     mine = labels == labels[basepoint]
     size = int(mine.sum())
@@ -231,8 +233,9 @@ class _RootedWalks:
 
     @cached_property
     def sub(self) -> RipsSkeleton:
-        """Skeleton of the walk relation on the root's component."""
-        masked, _, _ = _mask_to_component(self.walk_rel, self.root)
+        """Skeleton of the walk relation on the root's component, read off
+        the forest's components."""
+        masked, _, _ = _mask_to_component(self.walk_rel, self.root, self.forest[1])
         return build_skeleton(self.space, masked)
 
     @cached_property

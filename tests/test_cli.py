@@ -235,6 +235,21 @@ def test_infinite_coordinate_exits_2(tmp_path, capsys):
     assert "coords must be finite" in capsys.readouterr().err
 
 
+def test_memory_error_exits_2(monkeypatch, capsys):
+    # an input too large to build (say polygon:1000000,1) runs out of memory
+    # in numpy; that is an input error, not the CLI's "no"
+    import ripscover.cli as cli
+
+    def too_large(spec):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "make_gallery", too_large)
+    assert run(["analyze", "--gallery", "polygon:1000000,1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_nan_eps_exits_2(capsys):
     # NaN fails every comparison, so it used to yield the identity relation
     assert run(["ball", "--gallery", "hexagon_ex72", "--eps", "nan", "--output", os.devnull]) == 2

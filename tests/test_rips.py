@@ -1,12 +1,15 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ripscover import rips
 from ripscover.errors import ValidationError
 from ripscover.gallery import hawaiian, hexagon_ex72, polygon, solenoid
 from ripscover.rips import (
+    RipsSkeleton,
     build_skeleton,
     edge_path_presentation,
     h1,
@@ -14,6 +17,7 @@ from ripscover.rips import (
     inclusion_h1_map,
 )
 from ripscover.space import Entourage, entourage_at
+from ripscover.tower import build_tower
 
 from _oracles import AllRowsH1, homology_oracle, random_entourage, space_for
 
@@ -312,3 +316,31 @@ def test_h1_matches_sympy_oracle_on_hawaiian():
     sk = build_skeleton(g.space, g.ladder.finest())
     grp = h1(sk)
     assert (grp.rank, grp.torsion) == homology_oracle(g.space.n, sk.edges, sk.triangles) == (3, ())
+
+
+def test_tower_reads_triangles_only_as_an_array():
+    # the H1 layer and analyze's summary read `tri`; the tuple list is built
+    # only for the callers that read `triangles`
+    rips._skeleton.cache_clear()
+    g = hawaiian(5, 24)
+    tower = build_tower(g.space, g.ladder)
+    assert all(sk._triangles is None for sk in tower.skeletons)
+    sk = tower.skeletons[-1]
+    assert not sk.tri.flags.writeable
+    assert sk.triangles == [tuple(t) for t in sk.tri.tolist()] and sk.triangles is sk.triangles
+
+
+def test_skeleton_memory_per_triangle():
+    # coarsest hawaiian(5, 24) scale: the array costs 24 B per triangle; a
+    # list of tuples built with it would add about 70 B, past both bounds
+    g = hawaiian(5, 24)
+    RipsSkeleton(g.space, g.ladder[-1])  # first-use allocations outside the trace
+    tracemalloc.start()
+    try:
+        sk = RipsSkeleton(g.space, g.ladder[0])
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    r = len(sk.tri)
+    assert r == 222398
+    assert kept < 40 * r and peak < 100 * r
