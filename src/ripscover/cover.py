@@ -9,6 +9,7 @@ ladder and the reports say so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .chains import (
     canonicalize,
     decide_homotopic,
     e_homotopic,
-    e_obstruction_at,
 )
 from .errors import CarrierMismatch, ChainError, ValidationError
 from .rips import build_skeleton
@@ -186,18 +186,52 @@ C2_DOWN_STATES = 400
 C2_DOWN_LENGTH = 12
 
 
-def _chains_from(origin: int, e: Entourage, max_links: int):
-    """All chains from origin with up to max_links links, in BFS order."""
-    out = [(origin,)]
-    frontier = [(origin,)]
-    for _ in range(max_links):
-        nxt = []
-        for seq in frontier:
-            for v in ball(e, seq[-1]):
-                nxt.append(seq + (v,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
+class _Fan:
+    """The fine chains from one origin with up to `links` links, in BFS order
+    (neighbours ascending), with their images and their H1 coordinates at e.
+
+    A chain's coordinates (`_H1Data.coords`, before torsion is reduced) are
+    its prefix's plus its last step's, so every pair of chains from the
+    origin is settled by integer arithmetic.
+    """
+
+    __slots__ = ("chains", "images", "vectors", "h1", "e_rows")
+
+    def __init__(self, origin: int, nbrs, links: int, assign, h1, e_rows):
+        chains = [(origin,)]
+        vectors = [h1.zero()]
+        frontier = range(1)
+        for _ in range(links):
+            done = len(chains)
+            for k in frontier:
+                seq, vec = chains[k], vectors[k]
+                u = seq[-1]
+                for v in nbrs[u]:
+                    chains.append(seq + (v,))
+                    vectors.append(tuple(map(add, vec, h1.step_coords(u, v))))
+            frontier = range(done, len(chains))
+        self.chains = chains
+        self.images = [tuple(assign[v] for v in seq) for seq in chains]
+        self.vectors = vectors
+        self.h1 = h1
+        self.e_rows = e_rows
+
+    def obstruction(self, i: int, j: int) -> dict | None:
+        """`chains.e_obstruction_at` on chains i and j at e.
+
+        Both start at the origin, so the loop it reads is chain i, the step
+        joining the ends (none when they are equal), then chain j reversed:
+        its class is reduce(v(i) + step - v(j)).  Ends that are not e-related
+        are its endpoints obstruction.
+        """
+        a, b = self.chains[i][-1], self.chains[j][-1]
+        vi = self.vectors[i]
+        if a != b:
+            if not self.e_rows[a][b]:
+                return {"kind": "endpoints", "pair": [a, b]}
+            vi = map(add, vi, self.h1.step_coords(a, b))
+        vector = self.h1.group.reduce(map(sub, vi, self.vectors[j]))
+        return {"kind": "h1_class", "vector": list(vector)} if any(vector) else None
 
 
 def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | None = None) -> dict:
@@ -208,7 +242,10 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
     with identical images; phase two pairs short chains with different
     images and searches downstairs only for pairs whose upstairs answer is
     No, since only those can refute.  Upstairs No comes from the endpoint
-    and H1 tests alone, so neither phase searches upstairs.
+    and H1 tests alone, read from each chain's H1 coordinates, so neither
+    phase searches upstairs.  When every fine ball maps injectively, chains
+    from one origin with identical images are identical (by induction along
+    the chain), so phase one has no pairs and is skipped.
 
     Returns {"status": "proved" | "refuted" | "unrefuted", ...}.  A genuine
     positive is only available in the decidable special case (injective
@@ -225,8 +262,11 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
     if f.is_injective():
         return {"status": "proved", "note": "injective map with nested scales"}
     ff = image_under(f, fine)
+    ff_rows = ff.rel.tolist()
     # fine chains are valid at e, as fine lies inside e
-    skel = build_skeleton(f.source, e)
+    h1 = build_skeleton(f.source, e).h1_data()
+    e_rows = e.rel.tolist()
+    nbrs = [np.flatnonzero(row).tolist() for row in fine.rel]
     pair_cap = min(budget.states, C2_PAIR_CAP)
     per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states), max_length=C2_DOWN_LENGTH)
     examined = 0
@@ -243,42 +283,44 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
             "down_unknown": down_unknown,
         }
 
-    for origin in range(f.source.n):
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for seq in _chains_from(origin, fine, C2_MAX_LINKS):
-            groups.setdefault(tuple(f(v) for v in seq), []).append(seq)
-        for img, members in sorted(groups.items()):
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    a, b = members[i], members[j]
-                    if examined >= pair_cap:
-                        return answer("unrefuted", "budget exhausted")
-                    examined += 1
-                    up = e_obstruction_at(skel, a, b)
-                    if up is not None:
-                        return refuted(a, b, up)
+    # some fine ball folds exactly when two distinct points with a common
+    # fine neighbour have one image
+    if not transverse(f, compose(fine, fine)):
+        for origin in range(f.source.n):
+            fan = _Fan(origin, nbrs, C2_MAX_LINKS, f.assign, h1, e_rows)
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for k, img in enumerate(fan.images):
+                groups.setdefault(img, []).append(k)
+            for _, members in sorted(groups.items()):
+                for i in range(len(members)):
+                    for j in range(i + 1, len(members)):
+                        if examined >= pair_cap:
+                            return answer("unrefuted", "budget exhausted")
+                        examined += 1
+                        up = fan.obstruction(members[i], members[j])
+                        if up is not None:
+                            return refuted(fan.chains[members[i]], fan.chains[members[j]], up)
     # second phase: short chains with homotopic (not identical) images
     for origin in range(f.source.n):
-        short = _chains_from(origin, fine, C2_SHORT_LINKS)
-        images = [tuple(f(v) for v in seq) for seq in short]
-        for i in range(len(short)):
-            for j in range(i + 1, len(short)):
-                img_a, img_b = images[i], images[j]
+        fan = _Fan(origin, nbrs, C2_SHORT_LINKS, f.assign, h1, e_rows)
+        images = fan.images
+        for i, img_a in enumerate(images):
+            for j in range(i + 1, len(images)):
+                img_b = images[j]
                 if img_a == img_b:
                     continue  # phase one covered identical images
-                a, b = short[i], short[j]
                 if examined >= pair_cap:
                     return answer("unrefuted", "budget exhausted")
                 examined += 1
-                up = e_obstruction_at(skel, a, b)
-                if up is None:
-                    continue
+                up = fan.obstruction(i, j)
+                if up is None or not ff_rows[img_a[-1]][img_b[-1]]:
+                    continue  # image ends not related: e_homotopic would say No
                 down = e_homotopic(
                     Chain(f.target, ff, img_a), Chain(f.target, ff, img_b), ff, per_pair
                 )
                 down_unknown += down.is_unknown()
                 if down.is_yes():
-                    return refuted(a, b, up)
+                    return refuted(fan.chains[i], fan.chains[j], up)
     return answer("unrefuted", "no violation found")
 
 

@@ -47,7 +47,7 @@ def polygon(n: int, r: float) -> GallerySpace:
 
 def _realized_chords(space: FiniteSpace) -> list[float]:
     """Distinct positive distances, clustered at relative 1e-9, largest of each."""
-    vals = np.unique(space.dist[np.triu_indices(space.n, k=1)])
+    vals = np.sort(space.dist[np.triu_indices(space.n, k=1)])
     vals = [float(v) for v in vals if v > 0]
     out: list[float] = []
     for v in vals:

@@ -273,15 +273,33 @@ class _H1Data:
         self.left_inv = left_inv
         self.core_ids = free_core + torsion_core  # Smith rows of the free, then torsion, coordinates
         self.group = AbelianGroup(len(untouched) + len(free_core), tuple(dfull[i] for i in torsion_core))
+        self._step_gen = skel.step_gen
+        self._steps: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def class_of(self, gen_vector: dict[int, int]) -> tuple[int, ...]:
-        """Coordinates (free..., torsion...) of a cycle in generator form."""
+    def coords(self, gen_vector: dict[int, int]) -> list[int]:
+        """Coordinates (free..., torsion...) of a generator vector before the
+        torsion entries are reduced.  Linear in the vector, so the
+        coordinates of a sum of steps are the sum of the steps' coordinates."""
         x = reduce_vector(gen_vector, self.subs)
         out = [x.get(g, 0) for g in self.untouched]
         if self.touched:
             xt = [x.get(t, 0) for t in self.touched]
             out.extend(sum(lv * xv for lv, xv in zip(self.left[i], xt)) for i in self.core_ids)
-        return self.group.reduce(out)
+        return out
+
+    def class_of(self, gen_vector: dict[int, int]) -> tuple[int, ...]:
+        """Coordinates (free..., torsion...) of a cycle in generator form."""
+        return self.group.reduce(self.coords(gen_vector))
+
+    def step_coords(self, u: int, v: int) -> tuple[int, ...]:
+        """`coords` of the one step u -> v (zero on forest edges and stays),
+        computed once per step and kept."""
+        got = self._steps.get((u, v))
+        if got is None:
+            gs = self._step_gen(u, v)
+            got = self.zero() if gs is None else tuple(self.coords({gs[0]: gs[1]}))
+            self._steps[u, v] = got
+        return got
 
     def representative(self, coord: int) -> dict[int, int]:
         """A generator-vector cycle whose class is the coord-th basis element."""

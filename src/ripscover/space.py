@@ -57,8 +57,7 @@ class FiniteSpace:
         if dist is None:
             if coords is None:
                 raise ValidationError("need coords or dist")
-            diff = coords[:, None, :] - coords[None, :, :]
-            dist = np.sqrt((diff * diff).sum(axis=2))
+            dist = _euclidean(coords)
         dist = np.asarray(dist, dtype=float)
         if dist.shape != (n, n):
             raise ValidationError("dist must be an n x n matrix")
@@ -80,8 +79,7 @@ class FiniteSpace:
             i, j = np.unravel_index(dist.argmin(), dist.shape)
             raise ValidationError(f"negative distance at ({i},{j})")
         if coords is not None:
-            diff = coords[:, None, :] - coords[None, :, :]
-            euclid = np.sqrt((diff * diff).sum(axis=2))
+            euclid = _euclidean(coords)
             if float(np.abs(euclid - dist).max()) > COORD_TOL * scale:
                 raise ValidationError("dist disagrees with Euclidean distance of coords")
         if distinguished:
@@ -141,6 +139,17 @@ class FiniteSpace:
         if self.distinguished:
             doc["distinguished"] = {k: v for k, v in self.distinguished}
         return doc
+
+
+def _euclidean(coords: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances of finite coordinates; coordinates so
+    large that a difference or its square overflows are rejected."""
+    try:
+        with np.errstate(over="raise"):
+            diff = coords[:, None, :] - coords[None, :, :]
+            return np.sqrt((diff * diff).sum(axis=2))
+    except FloatingPointError as e:
+        raise ValidationError("coords too large: a squared distance overflows") from e
 
 
 class Entourage:
@@ -336,18 +345,11 @@ def image_under(f: SpaceMap, e: Entourage) -> Entourage:
     """
     if e.n != f.source.n:
         raise CarrierMismatch("entourage does not live on the map's source")
-    m = f.target.n
-    rel = np.zeros((m, m), dtype=bool)
-    assign = np.asarray(f.assign)
-    src = e.rel
-    for a in range(m):
-        pre_a = np.nonzero(assign == a)[0]
-        if pre_a.size == 0:
-            continue
-        hit = src[pre_a].any(axis=0)
-        imgs = np.unique(assign[np.nonzero(hit)[0]])
-        rel[a, imgs] = True
-    rel |= rel.T
+    # a and b are related when some preimage of a is related to some
+    # preimage of b: the product P^T E P with P the one-hot map matrix
+    onehot = np.zeros((f.source.n, f.target.n), dtype=bool)
+    onehot[np.arange(f.source.n), f.assign] = True
+    rel = onehot.T @ e.rel @ onehot
     image = sorted(set(f.assign))
     return Entourage(rel, meta={"image_points": image})
 

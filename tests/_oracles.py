@@ -19,7 +19,11 @@ class norm, with up to five class-matched candidate walks per pair, as the
 reference for the witness walk the tower builds from lattice coordinates.
 `hermite_contains` keeps the lattice membership test that reduced a vector
 over the row basis and kept no quotients, as the reference for
-`IntLattice.coordinates`.
+`IntLattice.coordinates`.  `pairwise_c2_check` keeps the c2 check that
+rebuilds each pair's loop and asks `e_obstruction_at` for its class, as the
+reference for the one that reads per-chain H1 coordinates.
+`loop_image_under` keeps the per-target-point loop that pushed a relation
+forward, as the reference for the one-product `image_under`.
 """
 
 from __future__ import annotations
@@ -53,12 +57,14 @@ from ripscover.chains import (
     canonicalize,
     decide_homotopic,
     e_homotopic,
+    e_obstruction_at,
     edge_seq,
     validate_chain,
 )
 from ripscover.errors import ChainError
 from ripscover.rips import AbelianGroup, build_skeleton, h1_class, inclusion_h1_map
 from ripscover.snf import eliminate_unit_pivots, reduce_vector, smith_normal_form
+from ripscover.cover import C2_DOWN_LENGTH, C2_DOWN_STATES, C2_MAX_LINKS, C2_PAIR_CAP, C2_SHORT_LINKS
 from ripscover.space import Entourage, FiniteSpace, ball, bfs_forest, image_under, path_to_root
 from ripscover.tower import _mask_to_component
 
@@ -549,6 +555,91 @@ def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | Non
                         "examined": examined,
                     }
     return {"status": "unrefuted", "examined": examined, "note": "no violation found"}
+
+
+def c2_phase_one_pairs(f, fine: Entourage, origin: int):
+    """Phase one's pairs of fine chains from one origin: identical images,
+    up to C2_MAX_LINKS links, groups sorted by image, members in BFS order."""
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for seq in _chains_up_to(origin, fine, C2_MAX_LINKS):
+        groups.setdefault(tuple(f(v) for v in seq), []).append(seq)
+    for _, members in sorted(groups.items()):
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                yield members[i], members[j]
+
+
+def pairwise_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | None = None) -> dict:
+    """The c2 check that asks `e_obstruction_at` about every pair, building
+    and reading each pair's loop on its own."""
+    budget = budget or DEFAULT_BUDGET
+    if not fine.issubset(e):
+        raise ChainError("c2 needs the fine scale inside e")
+    if f.is_injective():
+        return {"status": "proved", "note": "injective map with nested scales"}
+    ff = image_under(f, fine)
+    skel = build_skeleton(f.source, e)
+    pair_cap = min(budget.states, C2_PAIR_CAP)
+    per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states), max_length=C2_DOWN_LENGTH)
+    examined = 0
+    down_unknown = 0
+
+    def answer(status: str, note: str) -> dict:
+        return {"status": status, "examined": examined, "note": note, "down_unknown": down_unknown}
+
+    def refuted(a, b, obstruction: dict) -> dict:
+        return {
+            "status": "refuted",
+            "witness": {"alpha": list(a), "beta": list(b), "obstruction": obstruction},
+            "examined": examined,
+            "down_unknown": down_unknown,
+        }
+
+    for origin in range(f.source.n):
+        for a, b in c2_phase_one_pairs(f, fine, origin):
+            if examined >= pair_cap:
+                return answer("unrefuted", "budget exhausted")
+            examined += 1
+            up = e_obstruction_at(skel, a, b)
+            if up is not None:
+                return refuted(a, b, up)
+    for origin in range(f.source.n):
+        short = _chains_up_to(origin, fine, C2_SHORT_LINKS)
+        images = [tuple(f(v) for v in seq) for seq in short]
+        for i in range(len(short)):
+            for j in range(i + 1, len(short)):
+                img_a, img_b = images[i], images[j]
+                if img_a == img_b:
+                    continue
+                a, b = short[i], short[j]
+                if examined >= pair_cap:
+                    return answer("unrefuted", "budget exhausted")
+                examined += 1
+                up = e_obstruction_at(skel, a, b)
+                if up is None:
+                    continue
+                down = e_homotopic(
+                    Chain(f.target, ff, img_a), Chain(f.target, ff, img_b), ff, per_pair
+                )
+                down_unknown += down.is_unknown()
+                if down.is_yes():
+                    return refuted(a, b, up)
+    return answer("unrefuted", "no violation found")
+
+
+def loop_image_under(f, e: Entourage) -> Entourage:
+    """`image_under` by one pass over the target points and their preimages."""
+    m = f.target.n
+    rel = np.zeros((m, m), dtype=bool)
+    assign = np.asarray(f.assign)
+    for a in range(m):
+        pre_a = np.nonzero(assign == a)[0]
+        if pre_a.size == 0:
+            continue
+        hit = e.rel[pre_a].any(axis=0)
+        rel[a, np.unique(assign[np.nonzero(hit)[0]])] = True
+    rel |= rel.T
+    return Entourage(rel, meta={"image_points": sorted(set(f.assign))})
 
 
 EXPLORED_CANDIDATES = 5  # class-matched walks tried per pair before answering unknown

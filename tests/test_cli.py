@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -223,6 +225,25 @@ def _space_file(tmp_path, doc) -> str:
     return str(path)
 
 
+_NO_NUMPY_MA = """
+import sys
+from ripscover.cli import main
+for argv in (["cover", "--map", sys.argv[1], "--output", sys.argv[2]],
+             ["analyze", "--gallery", "polygon:12,1", "--audit", "--output", sys.argv[2]]):
+    assert main(argv) in (0, 1), argv
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_cli_paths_do_not_import_numpy_ma():
+    # numpy.ma costs a fresh process about 15 ms to import, and np.unique
+    # imports it; neither command may need it
+    src = os.path.join(os.path.dirname(FIXTURES), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = [sys.executable, "-c", _NO_NUMPY_MA, os.path.join(FIXTURES, "fold_map.json"), os.devnull]
+    subprocess.run(argv, env=env, check=True, timeout=120)
+
+
 def test_nan_distance_exits_2(tmp_path, capsys):
     path = _space_file(tmp_path, {"labels": ["x", "y"], "dist": [[0.0, float("nan")], [float("nan"), 0.0]]})
     assert run(["analyze", "--space", path, "--ladder", "1"]) == 2
@@ -348,6 +369,7 @@ _SPACE_FIELDS = [  # (which metric the file gives, the field replaced)
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @settings(derandomize=True, max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(field=st.sampled_from(_SPACE_FIELDS), value=_BAD_VALUES)

@@ -21,6 +21,7 @@ from ripscover.cover import (
 )
 from ripscover.errors import ChainError
 from ripscover.gallery import hexagon_ex72, polygon
+from ripscover.rips import build_skeleton
 from ripscover.space import (
     Entourage,
     FiniteSpace,
@@ -32,7 +33,15 @@ from ripscover.space import (
     space_from_json,
 )
 
-from _oracles import random_entourage, random_map, random_nested_ladder, search_c2_check, space_for
+from _oracles import (
+    c2_phase_one_pairs,
+    pairwise_c2_check,
+    random_entourage,
+    random_map,
+    random_nested_ladder,
+    search_c2_check,
+    space_for,
+)
 
 import numpy as np
 
@@ -237,20 +246,26 @@ def _cycle(rng: random.Random, n: int, chords: int) -> Entourage:
     return Entourage(rel)
 
 
+def _random_c2_case(rng: random.Random):
+    """A cycle with a few chords or a random relation as e, a random fine
+    scale inside it, and a map onto a cycle or a complete target."""
+    n = rng.randint(4, 8)
+    e = _cycle(rng, n, rng.randint(0, 2)) if rng.random() < 0.5 else random_entourage(rng, n, 0.5)
+    keep = np.triu([[rng.random() < 0.8 for _ in range(n)] for _ in range(n)], 1)
+    fine = Entourage(e.rel & (keep | keep.T | np.eye(n, dtype=bool)))
+    m = rng.randint(2, n)
+    assign = [i % m for i in range(n)] if rng.random() < 0.5 else [rng.randrange(m) for _ in range(n)]
+    down = _cycle(rng, m, 0) if m >= 3 else Entourage.complete(m)
+    return SpaceMap(space_for(e), space_for(down), assign), e, fine
+
+
 def test_c2_matches_search_oracle_random():
     # cycles with a few chords over cycles or random targets, a random fine
     # scale inside e, and state budgets that cut some pair lists short
     rng = random.Random(61)
     seen = set()
     for _ in range(40):
-        n = rng.randint(4, 8)
-        e = _cycle(rng, n, rng.randint(0, 2)) if rng.random() < 0.5 else random_entourage(rng, n, 0.5)
-        keep = np.triu([[rng.random() < 0.8 for _ in range(n)] for _ in range(n)], 1)
-        fine = Entourage(e.rel & (keep | keep.T | np.eye(n, dtype=bool)))
-        m = rng.randint(2, n)
-        assign = [i % m for i in range(n)] if rng.random() < 0.5 else [rng.randrange(m) for _ in range(n)]
-        down = _cycle(rng, m, 0) if m >= 3 else Entourage.complete(m)
-        f = SpaceMap(space_for(e), space_for(down), assign)
+        f, e, fine = _random_c2_case(rng)
         budget = SearchBudget(states=rng.choice([30, 300, 2500]))
         got = c2_check(f, e, fine, budget)
         assert _same_as_search(got, search_c2_check(f, e, fine, budget))
@@ -259,14 +274,67 @@ def test_c2_matches_search_oracle_random():
             ("unrefuted", "no violation found", False)} <= seen
 
 
-def _logged_c2(monkeypatch, f, e, fine):
-    """c2_check's upstairs tests, downstairs questions and searches, in order."""
-    log = []
-    real_up, real_down, real_search = chains.e_obstruction_at, chains.e_homotopic, chains.decide_homotopic
+def test_c2_matches_pairwise_on_maps():
+    # the per-pair routine that builds and reads each pair's loop is the
+    # reference: same pairs, same answers, byte for byte, on every ladder pair
+    maps = [_fixture_map(n) for n in ("double_cover", "fold", "identity")]
+    maps += [_cyclic_cover(3, 8), _cyclic_cover(4, 10)]
+    notes = set()
+    for f, ladder in maps:
+        for i in range(len(ladder)):
+            for j in range(i, len(ladder)):
+                got = c2_check(f, ladder[i], ladder[j])
+                assert json.dumps(got) == json.dumps(pairwise_c2_check(f, ladder[i], ladder[j])), (i, j)
+                notes.add((got["status"], got.get("note")))
+    assert {s for s, _ in notes} == {"proved", "refuted", "unrefuted"}
+    assert ("unrefuted", "budget exhausted") in notes
 
-    def up(skel, a, b):
-        got = real_up(skel, a, b)
-        log.append(("up", a, b, got))
+
+def test_c2_matches_pairwise_random():
+    # budgets from 1 pair up put the pair cap inside an origin's pairs, in
+    # phase one and in phase two
+    rng = random.Random(62)
+    seen = set()
+    for k in range(320):
+        f, e, fine = _random_c2_case(rng)
+        budget = SearchBudget(states=(1, 7, 30, 300, 2500)[k % 5])
+        got = c2_check(f, e, fine, budget)
+        assert json.dumps(got) == json.dumps(pairwise_c2_check(f, e, fine, budget))
+        folds = any(next(c2_phase_one_pairs(f, fine, x), None) for x in range(f.source.n))
+        seen.add((got["status"], got.get("note"), folds))
+    assert {("proved", "injective map with nested scales", False), ("refuted", None, True),
+            ("refuted", None, False), ("unrefuted", "budget exhausted", True),
+            ("unrefuted", "budget exhausted", False), ("unrefuted", "no violation found", True),
+            ("unrefuted", "no violation found", False)} <= seen
+
+
+def test_c2_phase_one_empty_exactly_when_fine_balls_inject():
+    # chains from one origin with identical images are identical when every
+    # fine ball maps injectively (induction along the chain), so c2_check
+    # skips phase one there; a folding ball gives a pair of 1-link chains
+    rng = random.Random(63)
+    both = set()
+    for _ in range(300):
+        f, _, fine = _random_c2_case(rng)
+        injective_balls = all(
+            len({f(y) for y in np.flatnonzero(fine.rel[x])}) == int(fine.rel[x].sum())
+            for x in range(f.source.n)
+        )
+        pairs = [p for x in range(f.source.n) for p in c2_phase_one_pairs(f, fine, x)]
+        assert (pairs == []) == injective_balls
+        assert injective_balls == transverse(f, compose(fine, fine))
+        both.add(injective_balls)
+    assert both == {True, False}
+
+
+def _logged_c2(monkeypatch, f, e, fine):
+    """c2_check's upstairs answers, downstairs questions and searches, in order."""
+    log = []
+    real_up, real_down, real_search = cover._Fan.obstruction, chains.e_homotopic, chains.decide_homotopic
+
+    def up(fan, i, j):
+        got = real_up(fan, i, j)
+        log.append(("up", fan.chains[i], fan.chains[j], got))
         return got
 
     def down(c, d, entourage, budget=None):
@@ -277,7 +345,7 @@ def _logged_c2(monkeypatch, f, e, fine):
         log.append(("search",))
         return real_search(c, d, budget)
 
-    monkeypatch.setattr(cover, "e_obstruction_at", up)
+    monkeypatch.setattr(cover._Fan, "obstruction", up)
     monkeypatch.setattr(cover, "e_homotopic", down)
     monkeypatch.setattr(chains, "decide_homotopic", search)
     return c2_check(f, e, fine), log
@@ -298,15 +366,19 @@ def test_c2_phase_one_runs_no_search(monkeypatch):
 
 def test_c2_searches_only_downstairs_on_refuting_candidates(monkeypatch):
     # every search is the downstairs question of a pair whose upstairs
-    # answer is No, asked right after that answer
+    # answer is No, asked right after that answer; every upstairs answer is
+    # the one chains.e_obstruction_at gives on the pair's own loop
     searched = 0
     for f, ladder in (_fixture_map("double_cover"), _fixture_map("fold"), _cyclic_cover(3, 8)):
         for i in range(len(ladder)):
             for j in range(i, len(ladder)):
                 got, log = _logged_c2(monkeypatch, f, ladder[i], ladder[j])
                 ff = image_under(f, ladder[j])
+                skel = build_skeleton(f.source, ladder[i])
                 for k, entry in enumerate(log):
-                    if entry[0] == "search":
+                    if entry[0] == "up":
+                        assert entry[3] == chains.e_obstruction_at(skel, entry[1], entry[2])
+                    elif entry[0] == "search":
                         assert log[k - 1][0] == "down"
                     elif entry[0] == "down":
                         up = log[k - 1]

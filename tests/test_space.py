@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ripscover.space import (
     load_space,
 )
 
-from _oracles import random_entourage
+from _oracles import loop_image_under, random_entourage, space_for
 
 
 def test_csv_points_euclidean(tmp_path):
@@ -137,6 +138,32 @@ def test_image_under_double_cover():
     img = image_under(f, e12)
     assert img == Entourage.from_pairs(6, [(i, (i + 1) % 6) for i in range(6)])
     assert img.meta["image_points"] == list(range(6))
+
+
+def test_image_under_matches_loop():
+    # the one-product push-forward against the per-target-point loop, on
+    # random maps whose targets have points outside the image
+    rng = random.Random(24)
+    outside = 0
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        m = rng.randint(1, n + 3)
+        f = SpaceMap(space_for(random_entourage(rng, n, 0.5)), space_for(random_entourage(rng, m, 0.5)),
+                     [rng.randrange(m) for _ in range(n)])
+        e = random_entourage(rng, n, rng.random())
+        got, want = image_under(f, e), loop_image_under(f, e)
+        assert got == want and got.meta == want.meta
+        outside += len(set(f.assign)) < m
+    assert outside > 0
+
+
+def test_overflowing_coordinates_rejected_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="too large"):
+            FiniteSpace(["p", "q"], coords=[[0.0, 1e200], [1.0, -1e200]])
+        with pytest.raises(ValidationError, match="too large"):
+            FiniteSpace(["p", "q"], dist=[[0.0, 1.0], [1.0, 0.0]], coords=[[1e300, 0.0], [-1e300, 0.0]])
 
 
 def test_image_under_composition_inclusion():
