@@ -134,74 +134,83 @@ def transverse(f: SpaceMap, e: Entourage) -> bool:
     return not bool(off.any())
 
 
-def _product_reachable(f: SpaceMap, step: Entourage):
-    """States (x, x') with equal images reachable from the diagonal by
-    synchronized steps with equal images; yields states in BFS order."""
-    n = f.source.n
+def _product_steps(f: SpaceMap, step: Entourage):
+    """Synchronized steps (x, x') -> (y, y') with f(y) = f(y') out of every
+    state reachable from the diagonal, in BFS order.  A state's first step
+    in is its BFS-tree edge.  The queue starts in the diagonal set's
+    iteration order, which fixes the witnesses the reports carry."""
     assign = f.assign
-    seen = {(x, x) for x in range(n)}
+    nbrs = [np.flatnonzero(row).tolist() for row in step.rel]
+    seen = {(x, x) for x in range(f.source.n)}
     queue = list(seen)
-    order = sorted(seen)
-    rel = step.rel
     while queue:
         nxt = []
-        for x, xp in queue:
-            cand = np.flatnonzero(rel[x]).tolist()
-            cand_p = np.flatnonzero(rel[xp]).tolist()
-            for y in cand:
-                for yp in cand_p:
-                    if assign[y] == assign[yp] and (y, yp) not in seen:
-                        seen.add((y, yp))
-                        nxt.append((y, yp))
-                        order.append((y, yp))
+        for src in queue:
+            for y in nbrs[src[0]]:
+                for yp in nbrs[src[1]]:
+                    if assign[y] == assign[yp]:
+                        if (y, yp) not in seen:
+                            seen.add((y, yp))
+                            nxt.append((y, yp))
+                        yield src, (y, yp)
         queue = nxt
-    return order
 
 
 def uniqueness_of_lifts(f: SpaceMap, e: Entourage) -> tuple[bool, tuple[int, int] | None]:
     """Exact check that equal-image equal-origin chains must agree."""
-    for x, xp in _product_reachable(f, e):
-        if x != xp:
-            return False, (x, xp)
+    for _, (y, yp) in _product_steps(f, e):
+        if y != yp:
+            return False, (y, yp)
     return True, None
 
 
 def c3_check(f: SpaceMap, e: Entourage, fine: Entourage) -> tuple[bool, tuple[int, int] | None]:
     """Equal-image fine chains from one origin stay e-close (exact)."""
-    for x, xp in _product_reachable(f, fine):
-        if not e.related(x, xp):
-            return False, (x, xp)
+    for _, (y, yp) in _product_steps(f, fine):
+        if not e.related(y, yp):
+            return False, (y, yp)
     return True, None
 
 
-# c2_check's fixed limits, which no option reaches: identical-image chains
-# have up to C2_MAX_LINKS links, homotopic-image chains up to C2_SHORT_LINKS;
-# at most C2_PAIR_CAP pairs are examined (fewer if the state budget is
-# smaller), and each downstairs search gets a leash of C2_DOWN_STATES states
-# (likewise) at chain length C2_DOWN_LENGTH
-C2_MAX_LINKS = 3
+# c2_check's fixed limits, which no option reaches: phase two pairs chains of
+# up to C2_SHORT_LINKS links; it examines at most C2_PAIR_CAP pairs (fewer if
+# the state budget is smaller), and each downstairs search gets a leash of
+# C2_DOWN_STATES states (likewise) at chain length C2_DOWN_LENGTH
 C2_SHORT_LINKS = 2
 C2_PAIR_CAP = 2500
 C2_DOWN_STATES = 400
 C2_DOWN_LENGTH = 12
 
 
-class _Fan:
-    """The fine chains from one origin with up to `links` links, in BFS order
-    (neighbours ascending), with their images and their H1 coordinates at e.
+def _obstruction(h1, e_rows, a: int, b: int, diff) -> dict | None:
+    """`chains.e_obstruction_at` on two chains from one origin that end at a
+    and b and whose H1 coordinates at e (`_H1Data.coords`) differ by `diff`:
+    endpoints when a and b are not e-related, else the class of the loop
+    (first chain, step a -> b, second chain reversed), reduce(diff + step)."""
+    if a != b:
+        if not e_rows[a][b]:
+            return {"kind": "endpoints", "pair": [a, b]}
+        diff = map(add, diff, h1.step_coords(a, b))
+    vector = h1.group.reduce(diff)
+    return {"kind": "h1_class", "vector": list(vector)} if any(vector) else None
 
-    A chain's coordinates (`_H1Data.coords`, before torsion is reduced) are
-    its prefix's plus its last step's, so every pair of chains from the
-    origin is settled by integer arithmetic.
+
+class _Fan:
+    """The fine chains from one origin with up to C2_SHORT_LINKS links, in
+    BFS order (neighbours ascending), with their images and their H1
+    coordinates at e.
+
+    A chain's coordinates are its prefix's plus its last step's, so every
+    pair of chains from the origin is settled by integer arithmetic.
     """
 
     __slots__ = ("chains", "images", "vectors", "h1", "e_rows")
 
-    def __init__(self, origin: int, nbrs, links: int, assign, h1, e_rows):
+    def __init__(self, origin: int, nbrs, assign, h1, e_rows):
         chains = [(origin,)]
         vectors = [h1.zero()]
         frontier = range(1)
-        for _ in range(links):
+        for _ in range(C2_SHORT_LINKS):
             done = len(chains)
             for k in frontier:
                 seq, vec = chains[k], vectors[k]
@@ -217,42 +226,34 @@ class _Fan:
         self.e_rows = e_rows
 
     def obstruction(self, i: int, j: int) -> dict | None:
-        """`chains.e_obstruction_at` on chains i and j at e.
-
-        Both start at the origin, so the loop it reads is chain i, the step
-        joining the ends (none when they are equal), then chain j reversed:
-        its class is reduce(v(i) + step - v(j)).  Ends that are not e-related
-        are its endpoints obstruction.
-        """
-        a, b = self.chains[i][-1], self.chains[j][-1]
-        vi = self.vectors[i]
-        if a != b:
-            if not self.e_rows[a][b]:
-                return {"kind": "endpoints", "pair": [a, b]}
-            vi = map(add, vi, self.h1.step_coords(a, b))
-        vector = self.h1.group.reduce(map(sub, vi, self.vectors[j]))
-        return {"kind": "h1_class", "vector": list(vector)} if any(vector) else None
+        """`chains.e_obstruction_at` on chains i and j at e."""
+        diff = map(sub, self.vectors[i], self.vectors[j])
+        return _obstruction(self.h1, self.e_rows, self.chains[i][-1], self.chains[j][-1], diff)
 
 
 def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | None = None) -> dict:
     """Search for a pair of fine chains violating approximate lift uniqueness.
 
     A pair refutes when its chains are not homotopic at e while their images
-    are homotopic at the image of the fine scale.  Phase one pairs chains
-    with identical images; phase two pairs short chains with different
-    images and searches downstairs only for pairs whose upstairs answer is
-    No, since only those can refute.  Upstairs No comes from the endpoint
-    and H1 tests alone, read from each chain's H1 coordinates, so neither
-    phase searches upstairs.  When every fine ball maps injectively, chains
-    from one origin with identical images are identical (by induction along
-    the chain), so phase one has no pairs and is skipped.
+    are homotopic at the image of the fine scale.  Upstairs No comes from
+    the endpoint and H1 tests alone, read from H1 coordinates, so nothing is
+    searched upstairs.  Phase one decides chains with identical images at
+    every length by one walk of the product graph: extending two such chains
+    from one origin by a step (x, x') -> (y, y') adds the class of the square
+    x -> y -> y' -> x' -> x to their loop's, so some pair is refuted exactly
+    when a reachable step ends at points that are not e-related or has a
+    square of nonzero class.  Its refutation is the BFS-tree chains to the
+    first such step's source, extended by the step.  Phase two pairs short
+    chains with different images, counted in `examined` against the pair
+    cap, and searches downstairs only for pairs whose upstairs answer is No.
 
     Returns {"status": "proved" | "refuted" | "unrefuted", ...}.  A genuine
     positive is only available in the decidable special case (injective
     map); otherwise the best honest answer is "no violation found at this
-    budget".  Every other answer counts in `down_unknown` the downstairs
-    searches that ran out of budget: refutations this budget may have missed.
-    The fine scale must lie inside e, as on any ladder.
+    budget".  Every other answer says in `phase1` that phase one found no
+    refutation, and counts in `down_unknown` the downstairs searches that
+    ran out of budget: refutations this budget may have missed.  The fine
+    scale must lie inside e, as on any ladder.
     """
     budget = budget or DEFAULT_BUDGET
     if e.n != f.source.n or fine.n != f.source.n:
@@ -265,15 +266,16 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
     ff_rows = ff.rel.tolist()
     # fine chains are valid at e, as fine lies inside e
     h1 = build_skeleton(f.source, e).h1_data()
+    step = h1.step_coords
     e_rows = e.rel.tolist()
-    nbrs = [np.flatnonzero(row).tolist() for row in fine.rel]
     pair_cap = min(budget.states, C2_PAIR_CAP)
     per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states), max_length=C2_DOWN_LENGTH)
     examined = 0
     down_unknown = 0
+    phase1 = {}
 
     def answer(status: str, note: str) -> dict:
-        return {"status": status, "examined": examined, "note": note, "down_unknown": down_unknown}
+        return {"status": status, "examined": examined, "note": note, "down_unknown": down_unknown, **phase1}
 
     def refuted(a, b, obstruction: dict) -> dict:
         return {
@@ -281,28 +283,27 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
             "witness": {"alpha": list(a), "beta": list(b), "obstruction": obstruction},
             "examined": examined,
             "down_unknown": down_unknown,
+            **phase1,
         }
 
-    # some fine ball folds exactly when two distinct points with a common
-    # fine neighbour have one image
-    if not transverse(f, compose(fine, fine)):
-        for origin in range(f.source.n):
-            fan = _Fan(origin, nbrs, C2_MAX_LINKS, f.assign, h1, e_rows)
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for k, img in enumerate(fan.images):
-                groups.setdefault(img, []).append(k)
-            for _, members in sorted(groups.items()):
-                for i in range(len(members)):
-                    for j in range(i + 1, len(members)):
-                        if examined >= pair_cap:
-                            return answer("unrefuted", "budget exhausted")
-                        examined += 1
-                        up = fan.obstruction(members[i], members[j])
-                        if up is not None:
-                            return refuted(fan.chains[members[i]], fan.chains[members[j]], up)
-    # second phase: short chains with homotopic (not identical) images
+    # phase one: each state's BFS-tree parent and the coordinate difference
+    # of its tree chains, whose class the walk has already found to be zero
+    tree = {(x, x): (None, h1.zero()) for x in range(f.source.n)}
+    for src, (y, yp) in _product_steps(f, fine):
+        diff = tuple(map(sub, map(add, tree[src][1], step(src[0], y)), step(src[1], yp)))
+        up = _obstruction(h1, e_rows, y, yp, diff)
+        if up is not None:
+            path = [src]
+            while tree[path[-1]][0] is not None:
+                path.append(tree[path[-1]][0])
+            path.reverse()
+            return refuted([s[0] for s in path] + [y], [s[1] for s in path] + [yp], up)
+        tree.setdefault((y, yp), (src, diff))
+    phase1 = {"phase1": "no identical-image refutation at any length"}
+    # phase two: short chains with homotopic (not identical) images
+    nbrs = [np.flatnonzero(row).tolist() for row in fine.rel]
     for origin in range(f.source.n):
-        fan = _Fan(origin, nbrs, C2_SHORT_LINKS, f.assign, h1, e_rows)
+        fan = _Fan(origin, nbrs, f.assign, h1, e_rows)
         images = fan.images
         for i, img_a in enumerate(images):
             for j in range(i + 1, len(images)):
@@ -364,8 +365,10 @@ def uniform_cover_verdict(
 
     def scale_entry(i: int) -> dict:
         e = ladder[i]
-        ok_ec, cx_ec = evenly_covers(f, e)
         ok_sc, cx_sc = is_simplicial_cover(f, e)
+        # is_simplicial_cover runs evenly_covers first and returns its failure
+        ok_ec = ok_sc or cx_sc["kind"] == "triangle_lift"
+        cx_ec = None if ok_ec else cx_sc
         ok_ul, wit_ul = uniqueness_of_lifts(f, e)
         gen = generates_at(f, e, ladder)
         return {
@@ -435,21 +438,15 @@ def _prop_29b(f: SpaceMap, ladder: ScaleLadder, lifting: dict[tuple[int, int], b
     """Whenever D o D fits in E and chains lift at (D, F), the image of F
     squares into the image of E; recorded as a concrete per-triple check.
     `lifting[j, t]` is the chain-lifting verdict at ladder indices j <= t."""
-    ok = True
+    images = [image_under(f, e) for e in ladder]
     for i, e in enumerate(ladder):
-        fe = image_under(f, e)
-        for j, d in enumerate(ladder):
-            if j < i:
-                continue
-            if not compose(d, d).issubset(e):
+        for j in range(i, len(ladder)):
+            if not compose(ladder[j], ladder[j]).issubset(e):
                 continue
             for t in range(j, len(ladder)):
-                if not lifting[j, t]:
-                    continue
-                ffin = image_under(f, ladder[t])
-                if not compose(ffin, ffin).issubset(fe):
-                    ok = False
-    return ok
+                if lifting[j, t] and not compose(images[t], images[t]).issubset(images[i]):
+                    return False
+    return True
 
 
 def _paths_equal(space, entourage, s1, s2, budget) -> Trivalue:

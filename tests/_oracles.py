@@ -21,7 +21,11 @@ reference for the witness walk the tower builds from lattice coordinates.
 over the row basis and kept no quotients, as the reference for
 `IntLattice.coordinates`.  `pairwise_c2_check` keeps the c2 check that
 rebuilds each pair's loop and asks `e_obstruction_at` for its class, as the
-reference for the one that reads per-chain H1 coordinates.
+reference for the one that reads per-chain H1 coordinates.  Both c2
+references keep the phase one that enumerated identical-image pairs of up
+to three links (`c2_phase_one_pairs`), as the reference for the product
+walk that decides that phase at every length; a keyword skips it, so their
+phase two can be compared with the package's.
 `loop_image_under` keeps the per-target-point loop that pushed a relation
 forward, as the reference for the one-product `image_under`.
 """
@@ -64,7 +68,7 @@ from ripscover.chains import (
 from ripscover.errors import ChainError
 from ripscover.rips import AbelianGroup, build_skeleton, h1_class, inclusion_h1_map
 from ripscover.snf import eliminate_unit_pivots, reduce_vector, smith_normal_form
-from ripscover.cover import C2_DOWN_LENGTH, C2_DOWN_STATES, C2_MAX_LINKS, C2_PAIR_CAP, C2_SHORT_LINKS
+from ripscover.cover import C2_DOWN_LENGTH, C2_DOWN_STATES, C2_PAIR_CAP, C2_SHORT_LINKS
 from ripscover.space import Entourage, FiniteSpace, ball, bfs_forest, image_under, path_to_root
 from ripscover.tower import _mask_to_component
 
@@ -495,9 +499,15 @@ def _chains_up_to(origin: int, e: Entourage, max_links: int):
     return out
 
 
-def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | None = None) -> dict:
+# identical-image chains the reference c2 checks enumerate, up to this many links
+PHASE_ONE_LINKS = 3
+
+
+def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | None = None,
+                    phase_one: bool = True) -> dict:
     """The c2 check with a search for every pair: phase one asks e_homotopic
-    upstairs for each identical-image pair, phase two asks it downstairs for
+    upstairs for each identical-image pair of up to PHASE_ONE_LINKS links
+    (skipped when `phase_one` is false), phase two asks it downstairs for
     each short pair and upstairs after every downstairs yes."""
     budget = budget or DEFAULT_BUDGET
     if fine.issubset(e) and f.is_injective():
@@ -506,9 +516,9 @@ def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | Non
     pair_cap = min(budget.states, 2500)
     per_pair = SearchBudget(states=min(400, budget.states), max_length=12)
     examined = 0
-    for origin in range(f.source.n):
+    for origin in range(f.source.n) if phase_one else ():
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for seq in _chains_up_to(origin, fine, 3):
+        for seq in _chains_up_to(origin, fine, PHASE_ONE_LINKS):
             groups.setdefault(tuple(f(v) for v in seq), []).append(seq)
         for img, members in sorted(groups.items()):
             for i in range(len(members)):
@@ -557,11 +567,12 @@ def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | Non
     return {"status": "unrefuted", "examined": examined, "note": "no violation found"}
 
 
-def c2_phase_one_pairs(f, fine: Entourage, origin: int):
-    """Phase one's pairs of fine chains from one origin: identical images,
-    up to C2_MAX_LINKS links, groups sorted by image, members in BFS order."""
+def c2_phase_one_pairs(f, fine: Entourage, origin: int, links: int = PHASE_ONE_LINKS):
+    """The reference phase one's pairs of fine chains from one origin:
+    identical images, up to `links` links, groups sorted by image, members
+    in BFS order."""
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for seq in _chains_up_to(origin, fine, C2_MAX_LINKS):
+    for seq in _chains_up_to(origin, fine, links):
         groups.setdefault(tuple(f(v) for v in seq), []).append(seq)
     for _, members in sorted(groups.items()):
         for i in range(len(members)):
@@ -569,9 +580,12 @@ def c2_phase_one_pairs(f, fine: Entourage, origin: int):
                 yield members[i], members[j]
 
 
-def pairwise_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | None = None) -> dict:
+def pairwise_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | None = None,
+                      phase_one: bool = True) -> dict:
     """The c2 check that asks `e_obstruction_at` about every pair, building
-    and reading each pair's loop on its own."""
+    and reading each pair's loop on its own; its phase one enumerates
+    identical-image pairs of up to PHASE_ONE_LINKS links and is skipped when
+    `phase_one` is false."""
     budget = budget or DEFAULT_BUDGET
     if not fine.issubset(e):
         raise ChainError("c2 needs the fine scale inside e")
@@ -595,7 +609,7 @@ def pairwise_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | N
             "down_unknown": down_unknown,
         }
 
-    for origin in range(f.source.n):
+    for origin in range(f.source.n) if phase_one else ():
         for a, b in c2_phase_one_pairs(f, fine, origin):
             if examined >= pair_cap:
                 return answer("unrefuted", "budget exhausted")

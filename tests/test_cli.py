@@ -369,7 +369,6 @@ _SPACE_FIELDS = [  # (which metric the file gives, the field replaced)
 ]
 
 
-@pytest.mark.filterwarnings("error")
 @settings(derandomize=True, max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(field=st.sampled_from(_SPACE_FIELDS), value=_BAD_VALUES)

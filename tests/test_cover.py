@@ -4,9 +4,11 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ripscover import chains, cover
-from ripscover.chains import SearchBudget
+from ripscover.chains import DEFAULT_BUDGET, Chain, SearchBudget
 from ripscover.cover import (
     build_cover_ball,
     c2_check,
@@ -189,7 +191,7 @@ def test_c2_statuses():
     assert c2_check(ident, E2_12, E1_12)["status"] == "proved"
     got = c2_check(FOLD, E1_6, E1_6, SearchBudget(states=2000))
     assert got["status"] == "refuted"
-    assert sorted(got["witness"]["alpha"] + got["witness"]["beta"]) is not None
+    _assert_reverifies(FOLD, E1_6, E1_6, got)
     got = c2_check(F12, E1_12, E1_12, SearchBudget(states=800))
     assert got["status"] == "unrefuted"
 
@@ -214,6 +216,27 @@ def _cyclic_cover(k: int, m: int):
     return f, ScaleLadder.from_thresholds(f.source, [1.9, 1.2, 0.0])
 
 
+PHASE1 = "no identical-image refutation at any length"
+
+
+def _assert_reverifies(f, e, fine, got, budget=None):
+    """A `refuted` c2 answer's witness: two fine chains from one origin, the
+    obstruction `e_obstruction_at` gives at e, and identical images or images
+    that c2's downstairs search finds homotopic."""
+    witness = got["witness"]
+    alpha, beta = tuple(witness["alpha"]), tuple(witness["beta"])
+    chains.validate_chain(f.source, fine, alpha)
+    chains.validate_chain(f.source, fine, beta)
+    assert alpha[0] == beta[0]
+    assert witness["obstruction"] == chains.e_obstruction_at(build_skeleton(f.source, e), alpha, beta)
+    img_a, img_b = tuple(f(v) for v in alpha), tuple(f(v) for v in beta)
+    if img_a != img_b:
+        states = (budget or DEFAULT_BUDGET).states
+        per_pair = SearchBudget(states=min(cover.C2_DOWN_STATES, states), max_length=cover.C2_DOWN_LENGTH)
+        ff = image_under(f, fine)
+        assert chains.e_homotopic(Chain(f.target, ff, img_a), Chain(f.target, ff, img_b), ff, per_pair).is_yes()
+
+
 def _same_as_search(got: dict, want: dict) -> bool:
     if got["status"] == "proved":
         return got == want
@@ -222,18 +245,45 @@ def _same_as_search(got: dict, want: dict) -> bool:
     return got == want
 
 
+def _same_bytes(got: dict, want: dict) -> bool:
+    return json.dumps(got) == json.dumps(want)
+
+
+def _check_against(oracle, same, f, e, fine, budget=None) -> dict:
+    """c2_check against a reference c2 check with its 3-link phase one: an
+    oracle `refuted` stays `refuted`, every `refuted` witness re-verifies,
+    and when phase one does not refute, the answer is the oracle's with its
+    phase one skipped, apart from the `phase1` key."""
+    got = c2_check(f, e, fine, budget)
+    if oracle(f, e, fine, budget)["status"] == "refuted":
+        assert got["status"] == "refuted"
+    if got["status"] == "refuted":
+        _assert_reverifies(f, e, fine, got, budget)
+    if got["status"] == "refuted" and "phase1" not in got:  # refuted in phase one
+        assert got["examined"] == got["down_unknown"] == 0
+    else:
+        rest = dict(got)
+        assert rest.pop("phase1", None) == (None if got["status"] == "proved" else PHASE1)
+        assert same(rest, oracle(f, e, fine, budget, phase_one=False))
+    return got
+
+
+def _every_pair(maps):
+    for f, ladder in maps:
+        for i in range(len(ladder)):
+            for j in range(i, len(ladder)):
+                yield f, ladder[i], ladder[j]
+
+
 def test_c2_matches_search_oracle_on_maps():
     # the three fixture maps and the benchmark's 3-fold cover of the 8-gon,
     # every ladder pair at the default budget, as `cover` runs them
     maps = [_fixture_map(n) for n in ("double_cover", "fold", "identity")] + [_cyclic_cover(3, 8)]
     statuses = set()
-    for f, ladder in maps:
-        for i in range(len(ladder)):
-            for j in range(i, len(ladder)):
-                got = c2_check(f, ladder[i], ladder[j])
-                assert _same_as_search(got, search_c2_check(f, ladder[i], ladder[j])), (i, j)
-                statuses.add(got["status"])
-    assert statuses == {"proved", "refuted", "unrefuted"}
+    for f, e, fine in _every_pair(maps):
+        got = _check_against(search_c2_check, _same_as_search, f, e, fine)
+        statuses.add((got["status"], "phase1" in got))
+    assert statuses == {("proved", False), ("refuted", False), ("refuted", True), ("unrefuted", True)}
 
 
 def _cycle(rng: random.Random, n: int, chords: int) -> Entourage:
@@ -267,55 +317,134 @@ def test_c2_matches_search_oracle_random():
     for _ in range(40):
         f, e, fine = _random_c2_case(rng)
         budget = SearchBudget(states=rng.choice([30, 300, 2500]))
-        got = c2_check(f, e, fine, budget)
-        assert _same_as_search(got, search_c2_check(f, e, fine, budget))
-        seen.add((got["status"], got.get("note"), got.get("down_unknown", 0) > 0))
-    assert {("refuted", None, True), ("unrefuted", "budget exhausted", False),
-            ("unrefuted", "no violation found", False)} <= seen
+        got = _check_against(search_c2_check, _same_as_search, f, e, fine, budget)
+        seen.add((got["status"], got.get("note"), "phase1" in got, got.get("down_unknown", 0) > 0))
+    assert {("refuted", None, False, False), ("refuted", None, True, True),
+            ("unrefuted", "budget exhausted", True, False),
+            ("unrefuted", "no violation found", True, False)} <= seen
 
 
 def test_c2_matches_pairwise_on_maps():
     # the per-pair routine that builds and reads each pair's loop is the
-    # reference: same pairs, same answers, byte for byte, on every ladder pair
+    # reference: past phase one, same pairs, same answers, byte for byte, on
+    # every ladder pair
     maps = [_fixture_map(n) for n in ("double_cover", "fold", "identity")]
     maps += [_cyclic_cover(3, 8), _cyclic_cover(4, 10)]
     notes = set()
-    for f, ladder in maps:
-        for i in range(len(ladder)):
-            for j in range(i, len(ladder)):
-                got = c2_check(f, ladder[i], ladder[j])
-                assert json.dumps(got) == json.dumps(pairwise_c2_check(f, ladder[i], ladder[j])), (i, j)
-                notes.add((got["status"], got.get("note")))
+    for f, e, fine in _every_pair(maps):
+        got = _check_against(pairwise_c2_check, _same_bytes, f, e, fine)
+        notes.add((got["status"], got.get("note")))
     assert {s for s, _ in notes} == {"proved", "refuted", "unrefuted"}
     assert ("unrefuted", "budget exhausted") in notes
 
 
 def test_c2_matches_pairwise_random():
-    # budgets from 1 pair up put the pair cap inside an origin's pairs, in
-    # phase one and in phase two
+    # budgets from 1 pair up put the pair cap inside an origin's pairs of
+    # phase two; phase one has no cap
     rng = random.Random(62)
     seen = set()
     for k in range(320):
         f, e, fine = _random_c2_case(rng)
         budget = SearchBudget(states=(1, 7, 30, 300, 2500)[k % 5])
-        got = c2_check(f, e, fine, budget)
-        assert json.dumps(got) == json.dumps(pairwise_c2_check(f, e, fine, budget))
+        got = _check_against(pairwise_c2_check, _same_bytes, f, e, fine, budget)
         folds = any(next(c2_phase_one_pairs(f, fine, x), None) for x in range(f.source.n))
-        seen.add((got["status"], got.get("note"), folds))
-    assert {("proved", "injective map with nested scales", False), ("refuted", None, True),
-            ("refuted", None, False), ("unrefuted", "budget exhausted", True),
-            ("unrefuted", "budget exhausted", False), ("unrefuted", "no violation found", True),
-            ("unrefuted", "no violation found", False)} <= seen
+        seen.add((got["status"], got.get("note"), "phase1" in got, folds))
+    assert {("proved", "injective map with nested scales", False, False), ("refuted", None, False, True),
+            ("refuted", None, True, True), ("refuted", None, True, False),
+            ("unrefuted", "budget exhausted", True, True), ("unrefuted", "budget exhausted", True, False),
+            ("unrefuted", "no violation found", True, True),
+            ("unrefuted", "no violation found", True, False)} <= seen
+
+
+def test_c2_refutations_reverify():
+    # every `refuted` answer, from either phase, carries two fine chains from
+    # one origin, exactly the obstruction e_obstruction_at gives, and images
+    # that are identical or homotopic downstairs
+    maps = [_fixture_map(n) for n in ("double_cover", "fold", "identity")]
+    maps += [_cyclic_cover(3, 8), _cyclic_cover(4, 10)]
+    cases = [(f, e, fine, None) for f, e, fine in _every_pair(maps)]
+    rng = random.Random(62)
+    for k in range(320):
+        cases.append((*_random_c2_case(rng), SearchBudget(states=(1, 7, 30, 300, 2500)[k % 5])))
+    phases = set()
+    for f, e, fine, budget in cases:
+        got = c2_check(f, e, fine, budget)
+        if got["status"] == "refuted":
+            _assert_reverifies(f, e, fine, got, budget)
+            phases.add("phase1" in got)
+    assert phases == {True, False}
+
+
+@st.composite
+def _small_c2_case(draw):
+    """A map of 3-6 points and nested scales: either a random map with fine
+    random and e random above it, or a ring folded onto a path, with e
+    relating the points the fold identifies and a few pairs more, so that
+    mostly H1 at e decides."""
+    n = draw(st.integers(3, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if draw(st.booleans()):
+        fine = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+        assign = [min(i, n - i) for i in range(n)]
+        glued = [(i, n - i) for i in range(1, (n + 1) // 2)]
+        e = fine + glued + [p for p in pairs if draw(st.integers(0, 3)) == 0]
+    else:
+        fine = [p for p in pairs if draw(st.booleans())]
+        e = fine + [p for p in pairs if draw(st.booleans())]
+        m = draw(st.integers(2, n))
+        assign = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    e = Entourage.from_pairs(n, e)
+    target = space_for(Entourage.complete(max(assign) + 1))
+    return SpaceMap(space_for(e), target, assign), e, Entourage.from_pairs(n, fine)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=_small_c2_case())
+def test_c2_phase_one_against_enumeration(case):
+    # the product walk decides what enumerating identical-image pairs finds:
+    # a refuting pair of up to 3 links means phase one refutes, and when
+    # phase one does not refute, no pair of up to 4 links refutes
+    f, e, fine = case
+    got = c2_check(f, e, fine)
+    in_phase_one = got["status"] == "refuted" and "phase1" not in got
+    skel = build_skeleton(f.source, e)
+
+    def enumeration_refutes(links):
+        return any(chains.e_obstruction_at(skel, a, b) is not None
+                   for x in range(f.source.n) for a, b in c2_phase_one_pairs(f, fine, x, links))
+
+    if enumeration_refutes(3):
+        assert in_phase_one
+    if in_phase_one:
+        _assert_reverifies(f, e, fine, got)
+    else:
+        assert not enumeration_refutes(4)
+
+
+def test_c2_phase_one_refutes_by_class():
+    # the fold of the hexagon with chords 1-5 and 2-4 added at e: every
+    # state the walk reaches is e-related, so c3 holds, but the square
+    # 1 -> 2 -> 4 -> 5 -> 1 goes round the hole that e leaves; the walk meets
+    # it on a step into the already reached state (2, 4) or (1, 5)
+    fine = E1_6
+    e = Entourage(fine.rel | Entourage.from_pairs(6, [(1, 5), (2, 4)]).rel)
+    assert c3_check(FOLD, e, fine) == (True, None)
+    got = c2_check(FOLD, e, fine)
+    assert got["status"] == "refuted" and "phase1" not in got
+    assert got["witness"]["obstruction"]["kind"] == "h1_class"
+    assert len(got["witness"]["alpha"]) == 3
+    _assert_reverifies(FOLD, e, fine, got)
 
 
 def test_c2_phase_one_empty_exactly_when_fine_balls_inject():
     # chains from one origin with identical images are identical when every
-    # fine ball maps injectively (induction along the chain), so c2_check
-    # skips phase one there; a folding ball gives a pair of 1-link chains
+    # fine ball maps injectively (induction along the chain): the enumeration
+    # has no pairs, and phase one's walk stays on the diagonal and refutes
+    # nothing; a folding ball gives a pair of 1-link chains
     rng = random.Random(63)
     both = set()
     for _ in range(300):
-        f, _, fine = _random_c2_case(rng)
+        f, e, fine = _random_c2_case(rng)
         injective_balls = all(
             len({f(y) for y in np.flatnonzero(fine.rel[x])}) == int(fine.rel[x].sum())
             for x in range(f.source.n)
@@ -323,6 +452,9 @@ def test_c2_phase_one_empty_exactly_when_fine_balls_inject():
         pairs = [p for x in range(f.source.n) for p in c2_phase_one_pairs(f, fine, x)]
         assert (pairs == []) == injective_balls
         assert injective_balls == transverse(f, compose(fine, fine))
+        if injective_balls:
+            got = c2_check(f, e, fine)
+            assert got["status"] == "proved" or got["phase1"] == PHASE1
         both.add(injective_balls)
     assert both == {True, False}
 
@@ -352,16 +484,23 @@ def _logged_c2(monkeypatch, f, e, fine):
 
 
 def test_c2_phase_one_runs_no_search(monkeypatch):
-    # phase one pairs chains with identical images; no search may run
-    # before its last pair has been tested
+    # phase one decides identical images by the product walk alone: the
+    # fold's (1, 1) refutation asks about no pair and runs no search; at
+    # (0, 0), where phase one refutes nothing, every pair asked about has
+    # different images, and phase two's downstairs search refutes
     f, ladder = _fixture_map("fold")
+
+    def image(seq):
+        return [f(v) for v in seq]
+
+    got, log = _logged_c2(monkeypatch, f, ladder[1], ladder[1])
+    assert got["status"] == "refuted" and "phase1" not in got and got["examined"] == 0
+    assert image(got["witness"]["alpha"]) == image(got["witness"]["beta"])
+    assert log == []
     got, log = _logged_c2(monkeypatch, f, ladder[0], ladder[0])
-    same_image = [entry[0] == "up" and [f(v) for v in entry[1]] == [f(v) for v in entry[2]]
-                  for entry in log]
-    assert got["status"] == "refuted" and any(same_image)
-    last_phase_one = max(k for k, same in enumerate(same_image) if same)
-    assert [entry for entry in log[:last_phase_one] if entry[0] != "up"] == []
-    assert ("search",) in log[last_phase_one:]
+    assert got["status"] == "refuted" and got["phase1"] == PHASE1
+    assert all(image(entry[1]) != image(entry[2]) for entry in log if entry[0] == "up")
+    assert log[0][0] == "up" and ("search",) in log
 
 
 def test_c2_searches_only_downstairs_on_refuting_candidates(monkeypatch):
