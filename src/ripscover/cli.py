@@ -108,7 +108,7 @@ def cmd_analyze(args) -> int:
         {
             "scale": ladder.describe(i),
             "edges": len(sk.edges),
-            "triangles": len(sk.tri),
+            "triangles": sk.triangle_count,
         }
         for i, sk in enumerate(tower.skeletons)
     ]

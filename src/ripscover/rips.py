@@ -3,9 +3,13 @@
 Only vertices, edges and triangles are ever built; everything the package
 asks about loops factors through them.  Homology is computed from the
 triangle relators in the non-forest-edge basis: relators with one live
-generator are peeled in bulk, the few left go through a sparse unit-pivot
-phase feeding a small dense Smith form, so class vectors, representatives
-and torsion are all exact.
+generator are peeled until none is left, the few left go through a sparse
+unit-pivot phase feeding a small dense Smith form, so class vectors,
+representatives and torsion are all exact.  The peel is the least fixed
+point of a rule on edges (a generator dies when a third vertex joins its
+ends by two dead edges), so it runs on the n x n edge matrix, and only the
+triangles that outlive it are listed; a skeleton builds its full triangle
+list only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -20,15 +24,25 @@ from .snf import IntLattice, eliminate_unit_pivots, reduce_vector, smith_normal_
 from .space import Entourage, FiniteSpace, bfs_forest, path_to_root
 
 
+def _blocks(count: int, n: int):
+    """Slices of 0..count in steps of about 4M / n, so a (step x n) mask
+    stays a few MB."""
+    step = max(1, (1 << 22) // max(n, 1))
+    return (slice(s, s + step) for s in range(0, count, step))
+
+
 class RipsSkeleton:
     """2-skeleton of the clique complex of an entourage, plus a BFS forest.
 
-    `tri` is the (R x 3) read-only array of triangles i < j < k in sorted
-    order; `triangles` is the same as a list of tuples, built when read.
+    Triangles are built only where they are read: `tri` is the (R x 3)
+    read-only array of triangles i < j < k in sorted order, and `triangles`
+    the same as a list of tuples, each built on first read and kept.  H1
+    needs neither (see `_residue`), and `triangle_count` counts them
+    without building them.
     """
 
     __slots__ = (
-        "space", "entourage", "edges", "tri",
+        "space", "entourage", "edges", "_tri",
         "parent", "roots", "component",
         "gen_index", "generators", "_triangles", "_h1data", "_moves",
     )
@@ -36,22 +50,9 @@ class RipsSkeleton:
     def __init__(self, space: FiniteSpace, entourage: Entourage):
         if space.n != entourage.n:
             raise CarrierMismatch("space and entourage sizes differ")
-        rel = entourage.rel
         n = space.n
-        iu, ju = np.nonzero(np.triu(rel, k=1))
+        iu, ju = np.nonzero(np.triu(entourage.rel, k=1))
         edges = list(zip(iu.tolist(), ju.tolist()))
-        # triangles i < j < k from the lexicographically sorted edges (i, j):
-        # np.nonzero walks rows, then k, so they come out sorted; edges go in
-        # blocks so the edge-by-vertex mask stays a few MB
-        cols = np.arange(n)
-        step = max(1, (1 << 22) // max(n, 1))
-        blocks = [np.empty((0, 3), dtype=np.intp)]
-        for s in range(0, len(iu), step):
-            a, b = iu[s:s + step], ju[s:s + step]
-            e, k = np.nonzero(rel[a] & rel[b] & (cols > b[:, None]))
-            blocks.append(np.stack([a[e], b[e], k], axis=1))
-        tri = np.concatenate(blocks)
-        tri.flags.writeable = False
 
         parent, component = bfs_forest(entourage)
         roots = [v for v in range(n) if parent[v] < 0]
@@ -62,7 +63,7 @@ class RipsSkeleton:
         self.space = space
         self.entourage = entourage
         self.edges = edges
-        self.tri = tri
+        self._tri = None
         self._triangles = None
         self.parent = parent
         self.roots = roots
@@ -76,10 +77,43 @@ class RipsSkeleton:
     def n(self) -> int:
         return self.space.n
 
+    def _triangle_masks(self):
+        """Per block of edges a < b (lexicographic order): the arrays a, b and
+        the (block x n) mask of the vertices k > b related to both, so each
+        triangle a < b < k shows once.  Edges go in blocks so the mask stays
+        a few MB."""
+        rel = self.entourage.rel
+        n = self.n
+        iu, ju = np.nonzero(np.triu(rel, k=1))
+        cols = np.arange(n)
+        for s in _blocks(len(iu), n):
+            a, b = iu[s], ju[s]
+            yield a, b, rel[a] & rel[b] & (cols > b[:, None])
+
+    @property
+    def tri(self) -> np.ndarray:
+        """The triangles i < j < k as one read-only (R x 3) array, in sorted
+        order, built on first read and kept."""
+        if self._tri is None:
+            # np.nonzero walks rows, then k, so the triangles come out sorted
+            blocks = [np.empty((0, 3), dtype=np.intp)]
+            for a, b, mask in self._triangle_masks():
+                e, k = np.nonzero(mask)
+                blocks.append(np.stack([a[e], b[e], k], axis=1))
+            tri = np.concatenate(blocks)
+            tri.flags.writeable = False
+            self._tri = tri
+        return self._tri
+
+    @property
+    def triangle_count(self) -> int:
+        """len(tri), counted without building it."""
+        return sum(int(np.count_nonzero(mask)) for _, _, mask in self._triangle_masks())
+
     @property
     def triangles(self) -> list[tuple[int, int, int]]:
         """The triangles i < j < k as sorted int tuples, built from `tri` on
-        first read and kept; the H1 layer reads only the array."""
+        first read and kept."""
         if self._triangles is None:
             self._triangles = list(zip(*self.tri.T.tolist()))
         return self._triangles
@@ -214,6 +248,71 @@ class _Relators:
                 yield {gens[g]: sign for g, sign in zip(r, (1, 1, -1)) if g >= 0}
 
 
+def _any_common(rel: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per pair (a[t], b[t]): is some vertex related to both in `rel`?"""
+    out = np.zeros(len(a), dtype=bool)
+    for s in _blocks(len(a), len(rel)):
+        out[s] = (rel[a[s]] & rel[b[s]]).any(axis=1)
+    return out
+
+
+def _residue(skel: RipsSkeleton) -> tuple[np.ndarray, np.ndarray]:
+    """Which generators survive the peel, and the relator rows it leaves.
+
+    Peeling one-live-generator triangle relators until none is left reaches
+    the least fixed point of one rule: a live generator a-b dies when some
+    vertex c has both a-c and b-c dead, where an edge is dead when it is a
+    forest edge or a killed generator.  Kills only add dead edges, so the
+    order of the kills does not change the fixed point, and the rule is
+    closed here on the n x n dead-edge matrix without listing triangles;
+    after a round only generators with an end on a newly dead edge can
+    newly die.  The rows left are exactly the triangles with at least two
+    live generators, in sorted (i, j, k) order: the ones the peel keeps, in
+    the order it keeps them.  Each comes out of its live edges a-b as a
+    third vertex c related to both with a-c or b-c live, once per live edge.
+
+    Returns the live mask over generators and an (R x 3) int32 array of
+    the rows' generator ids for the edges ij, jk, ik, -1 where the edge is
+    dead.
+    """
+    n = skel.n
+    ngen = len(skel.generators)
+    a, b = np.array(skel.generators, dtype=np.intp).reshape(-1, 2).T
+    parent = np.asarray(skel.parent, dtype=np.intp)
+    child = np.flatnonzero(parent >= 0)
+    dead = np.zeros((n, n), dtype=bool)
+    dead[child, parent[child]] = dead[parent[child], child] = True
+    alive = np.ones(ngen, dtype=bool)
+    test = np.arange(ngen)
+    while len(kill := test[_any_common(dead, a[test], b[test])]):
+        alive[kill] = False
+        dead[a[kill], b[kill]] = dead[b[kill], a[kill]] = True
+        ends = np.zeros(n, dtype=bool)
+        ends[a[kill]] = ends[b[kill]] = True
+        test = np.flatnonzero(alive & (ends[a] | ends[b]))
+
+    ids = np.flatnonzero(alive)
+    la, lb = a[ids], b[ids]
+    gid = np.full((n, n), -1, dtype=np.int32)
+    gid[la, lb] = ids
+    live = gid >= 0
+    live |= live.T
+    off = skel.entourage.rel.copy()
+    np.fill_diagonal(off, False)
+    keys = [np.empty(0, dtype=np.intp)]
+    for s in _blocks(len(ids), n):
+        x, y = la[s], lb[s]
+        e, c = np.nonzero(off[x] & off[y] & (live[x] | live[y]))
+        t = np.sort(np.stack([x[e], y[e], c], axis=1), axis=1)
+        keys.append((t[:, 0] * n + t[:, 1]) * n + t[:, 2])
+    # np.unique would do, but it imports numpy.ma, which the CLI never loads
+    keys = np.sort(np.concatenate(keys))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    i, jk = np.divmod(keys, n * n)
+    j, k = np.divmod(jk, n)
+    return alive, np.stack([gid[i, j], gid[j, k], gid[i, k]], axis=1)
+
+
 class _H1Data:
     """Coordinates for H1 of a skeleton: class vectors and representatives.
 
@@ -225,33 +324,15 @@ class _H1Data:
     that survive, in their original order, go through the same greedy with
     the same ties, and give the same substitutions, core and class basis as
     all rows would.  A killed generator is in no surviving row, so its
-    coordinate never reaches a class vector.
+    coordinate never reaches a class vector.  The peel's result is a fixed
+    point that `_residue` computes from the edges alone, so no triangle is
+    listed.
     """
 
     def __init__(self, skel: RipsSkeleton):
-        n = skel.n
         ngen = len(skel.generators)
-        # generator id of the edge (a, b), a < b, at a * n + b; the ids are
-        # held as three rows (edges ij, jk, ik) so each pass reads contiguously
-        gid = np.full(n * n, -1, dtype=np.int32)
-        ends = np.array(skel.generators, dtype=np.intp).reshape(-1, 2)
-        gid[ends[:, 0] * n + ends[:, 1]] = np.arange(ngen, dtype=np.int32)
-        i, j, k = skel.tri.T
-        ids = np.stack([gid[i * n + j], gid[j * n + k], gid[i * n + k]])
-        alive = np.ones(ngen + 1, dtype=bool)
-        alive[-1] = False  # forest edges (id -1) are never live
-
-        def live_count(ids):
-            live = alive[ids]
-            return live, live[0].view(np.uint8) + live[1].view(np.uint8) + live[2].view(np.uint8)
-
-        live, count = live_count(ids)
-        while (ones := count == 1).any():
-            alive[ids[:, ones][live[:, ones]]] = False
-            ids = ids[:, count > 1]
-            live, count = live_count(ids)
-        keep = count > 1
-        subs, core = eliminate_unit_pivots(_Relators(np.where(live[:, keep], ids[:, keep], -1).T, ngen))
+        alive, rows = _residue(skel)
+        subs, core = eliminate_unit_pivots(_Relators(rows, ngen))
         eliminated = {col for col, _, _ in subs}
         touched = sorted({c for r in core for c in r})
         untouched = [g for g in np.flatnonzero(alive).tolist() if g not in eliminated and g not in touched]

@@ -27,18 +27,18 @@ from .chains import (
 from .errors import ValidationError
 from .rips import H1Map, RipsSkeleton, build_skeleton, h1_class, inclusion_h1_map
 from .snf import IntLattice, snf_invariants
-from .space import Entourage, FiniteSpace, ScaleLadder, bfs_forest, component_labels, path_to_root
+from .space import Entourage, FiniteSpace, ScaleLadder, bfs_forest, path_to_root
 
 LADDER_CAVEAT = (
     "stabilization within the ladder is necessary but not sufficient for the full scale filter"
 )
 
 
-def _mask_to_component(e: Entourage, basepoint: int, labels=None) -> tuple[Entourage, int, int]:
+def _mask_to_component(e: Entourage, basepoint: int, labels) -> tuple[Entourage, int, int]:
     """Restrict a relation to the basepoint's component; report component
-    data.  `labels`, when given, are the relation's component ids 0, 1, ...
-    per point, in any numbering."""
-    labels = component_labels(e) if labels is None else np.asarray(labels)
+    data.  `labels` are the relation's component ids 0, 1, ... per point, in
+    any numbering."""
+    labels = np.asarray(labels)
     ncomp = int(labels.max()) + 1
     mine = labels == labels[basepoint]
     size = int(mine.sum())
@@ -131,8 +131,9 @@ def build_tower(space: FiniteSpace, ladder: ScaleLadder, basepoint: int = 0) -> 
     skeletons = []
     notes = []
     for e in ladder:
-        masked, ncomp, size = _mask_to_component(e, basepoint)
-        skeletons.append(build_skeleton(space, masked))
+        sk = build_skeleton(space, e)
+        masked, ncomp, size = _mask_to_component(e, basepoint, sk.component)
+        skeletons.append(sk if ncomp == 1 else build_skeleton(space, masked))
         notes.append({"components": ncomp, "component_size": size})
     groups = [sk.h1_data().group for sk in skeletons]
     k = len(ladder)

@@ -6,9 +6,11 @@ Smith machinery; the homotopy oracle is a plain single-source BFS over raw
 reduction paths.  `numpy_neighbors` keeps the original numpy enumeration of
 the canonical move graph, as the reference order for the table-driven one.
 `AllRowsH1` keeps the original H1 reduction, unit-pivot elimination over
-every triangle relator row, as the reference for the peeled one, and
-`dict_unit_pivots` keeps the original dict-and-set form of that elimination
-as the reference for the compact one.  `search_c2_check` keeps the c2
+every triangle relator row, as the reference for the peeled one;
+`triangle_peel_rows` keeps the peel that ran in rounds over the whole
+triangle array, as the reference for the edge closure that lists only the
+rows left; and `dict_unit_pivots` keeps the original dict-and-set form of
+that elimination as the reference for the compact one.  `search_c2_check` keeps the c2
 check that runs a full homotopy search for every upstairs question and for
 every downstairs one, as the reference for the one that searches only where
 its verdict can change.  `untightened_decide` keeps the homotopy search that
@@ -233,6 +235,37 @@ class AllRowsH1:
         xt = [x.get(t, 0) for t in self.touched]
         out.extend(sum(lv * xv for lv, xv in zip(self.left[i], xt)) for i in self.core_ids)
         return self.group.reduce(out)
+
+
+def triangle_peel_rows(skel):
+    """The peel as rounds over the whole triangle array: each round, every
+    row with one live generator kills it, and rows with fewer than two live
+    generators are dropped.  Returns the killed generators as a set and the
+    rows left, in triangle order, as an (R x 3) int32 array of generator ids
+    for the edges ij, jk, ik (-1 where the edge is dead), as in
+    `rips._residue`."""
+    n = skel.n
+    ngen = len(skel.generators)
+    gid = np.full(n * n, -1, dtype=np.int32)
+    ends = np.array(skel.generators, dtype=np.intp).reshape(-1, 2)
+    gid[ends[:, 0] * n + ends[:, 1]] = np.arange(ngen, dtype=np.int32)
+    i, j, k = skel.tri.T
+    ids = np.stack([gid[i * n + j], gid[j * n + k], gid[i * n + k]])
+    alive = np.ones(ngen + 1, dtype=bool)
+    alive[-1] = False  # forest edges (id -1) are never live
+
+    def live_count(ids):
+        live = alive[ids]
+        return live, live[0].view(np.uint8) + live[1].view(np.uint8) + live[2].view(np.uint8)
+
+    live, count = live_count(ids)
+    while (ones := count == 1).any():
+        alive[ids[:, ones][live[:, ones]]] = False
+        ids = ids[:, count > 1]
+        live, count = live_count(ids)
+    keep = count > 1
+    killed = set(np.flatnonzero(~alive[:-1]).tolist())
+    return killed, np.where(live[:, keep], ids[:, keep], -1).T
 
 
 def raw_move_bfs(ent: Entourage, start, goal, max_len: int, state_cap: int = 200_000):
@@ -694,7 +727,7 @@ class ExploredWalker:
 
     @cached_property
     def lattice(self):
-        masked, _, _ = _mask_to_component(self.walk_rel, self.root)
+        masked, _, _ = _mask_to_component(self.walk_rel, self.root, bfs_forest(self.walk_rel)[1])
         return inclusion_h1_map(build_skeleton(self.space, masked), self.skel).image_lattice()
 
     @cached_property

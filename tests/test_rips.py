@@ -19,7 +19,7 @@ from ripscover.rips import (
 from ripscover.space import Entourage, entourage_at
 from ripscover.tower import build_tower
 
-from _oracles import AllRowsH1, homology_oracle, random_entourage, space_for
+from _oracles import AllRowsH1, homology_oracle, random_entourage, space_for, triangle_peel_rows
 
 
 def test_skeleton_counts_hexagon():
@@ -285,21 +285,46 @@ def test_peeled_h1_matches_all_rows_elimination_hawaiian():
         _assert_same_as_all_rows(build_skeleton(large.space, e), rng)
 
 
-def test_peeled_h1_matches_all_rows_when_the_peel_stalls():
+def _stalled_skeletons():
     # relabellings on which the peel stops with thousands of rows of two live
     # generators left, so most of the elimination is the greedy contracting
     # them: hawaiian(3, 16) leaves 2,050 rows at scale 1, hawaiian(5, 24)
     # 21,366 at scale 3
-    rng = random.Random(8)
     for (m, samples), seed, scale in (((3, 16), 11, 1), ((5, 24), 37, 3)):
         g = hawaiian(m, samples)
         perm = list(range(g.space.n))
         random.Random(seed).shuffle(perm)
         e = list(g.ladder)[scale]
         sub = Entourage(e.rel[np.ix_(perm, perm)])
-        sk = build_skeleton(space_for(sub), sub)
+        yield build_skeleton(space_for(sub), sub)
+
+
+def test_peeled_h1_matches_all_rows_when_the_peel_stalls():
+    rng = random.Random(8)
+    for sk in _stalled_skeletons():
         assert len(sk.h1_data().subs) > 150
         _assert_same_as_all_rows(sk, rng)
+
+
+def test_edge_closure_leaves_the_rows_the_triangle_peel_leaves():
+    # the same kills, and the same residue rows in the same order, as the
+    # peel run in rounds over every triangle
+    def same(sk):
+        killed, rows = triangle_peel_rows(sk)
+        alive, got = rips._residue(sk)
+        assert set(np.flatnonzero(~alive).tolist()) == killed
+        assert got.dtype == rows.dtype and np.array_equal(got, rows)
+
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        e = random_entourage(rng, n, rng.choice([0.25, 0.4, 0.55, 0.75]))
+        same(build_skeleton(space_for(e), e))
+    for g in (hawaiian(3, 16), hawaiian(5, 24)):
+        for e in g.ladder:
+            same(build_skeleton(g.space, e))
+    for sk in _stalled_skeletons():
+        same(sk)
 
 
 def test_h1_matches_sympy_oracle_on_hawaiian():
@@ -318,29 +343,40 @@ def test_h1_matches_sympy_oracle_on_hawaiian():
     assert (grp.rank, grp.torsion) == homology_oracle(g.space.n, sk.edges, sk.triangles) == (3, ())
 
 
-def test_tower_reads_triangles_only_as_an_array():
-    # the H1 layer and analyze's summary read `tri`; the tuple list is built
-    # only for the callers that read `triangles`
+def test_tower_builds_no_triangles():
+    # H1 and analyze's summary list no triangles; `tri` and the tuple list
+    # are built only for the callers that read them
     rips._skeleton.cache_clear()
     g = hawaiian(5, 24)
     tower = build_tower(g.space, g.ladder)
-    assert all(sk._triangles is None for sk in tower.skeletons)
+    assert all(sk._tri is None and sk._triangles is None for sk in tower.skeletons)
     sk = tower.skeletons[-1]
-    assert not sk.tri.flags.writeable
+    assert not sk.tri.flags.writeable and sk.tri is sk.tri
     assert sk.triangles == [tuple(t) for t in sk.tri.tolist()] and sk.triangles is sk.triangles
+
+
+def test_triangle_count_without_triangles():
+    rng = random.Random(5)
+    cases = [Entourage.identity(1), Entourage.identity(6), Entourage.complete(2), Entourage.complete(7)]
+    cases += [random_entourage(rng, rng.randint(2, 9), rng.choice([0.2, 0.5, 0.8])) for _ in range(60)]
+    for e in cases:
+        sk = RipsSkeleton(space_for(e), e)
+        count = sk.triangle_count
+        assert sk._tri is None and type(count) is int
+        assert count == len(sk.tri)
 
 
 def test_skeleton_memory_per_triangle():
     # coarsest hawaiian(5, 24) scale: the array costs 24 B per triangle; a
     # list of tuples built with it would add about 70 B, past both bounds
     g = hawaiian(5, 24)
-    RipsSkeleton(g.space, g.ladder[-1])  # first-use allocations outside the trace
+    RipsSkeleton(g.space, g.ladder[-1]).tri  # first-use allocations outside the trace
     tracemalloc.start()
     try:
         sk = RipsSkeleton(g.space, g.ladder[0])
+        r = len(sk.tri)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    r = len(sk.tri)
     assert r == 222398
     assert kept < 40 * r and peak < 100 * r
