@@ -6,11 +6,9 @@ Smith machinery; the homotopy oracle is a plain single-source BFS over raw
 reduction paths.  `numpy_neighbors` keeps the original numpy enumeration of
 the canonical move graph, as the reference order for the table-driven one.
 `AllRowsH1` keeps the original H1 reduction, unit-pivot elimination over
-every triangle relator row, as the reference for the peeled one;
-`triangle_peel_rows` keeps the peel that ran in rounds over the whole
-triangle array, as the reference for the edge closure that lists only the
-rows left; and `dict_unit_pivots` keeps the original dict-and-set form of
-that elimination as the reference for the compact one.  `search_c2_check` keeps the c2
+every triangle relator row, as the reference for the peeled one, and
+`dict_unit_pivots` keeps the original dict-and-set form of that elimination
+as the reference for the compact one.  `search_c2_check` keeps the c2
 check that runs a full homotopy search for every upstairs question and for
 every downstairs one, as the reference for the one that searches only where
 its verdict can change.  `untightened_decide` keeps the homotopy search that
@@ -30,6 +28,9 @@ walk that decides that phase at every length; a keyword skips it, so their
 phase two can be compared with the package's.
 `loop_image_under` keeps the per-target-point loop that pushed a relation
 forward, as the reference for the one-product `image_under`.
+`triangle_peel_rows` keeps the peel that ran in rounds over the whole
+triangle array, as the reference for the edge closure that lists only the
+rows it leaves.
 """
 
 from __future__ import annotations
