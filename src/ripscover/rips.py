@@ -2,14 +2,16 @@
 
 Only vertices, edges and triangles are ever built; everything the package
 asks about loops factors through them.  Homology is computed from the
-triangle relators in the non-forest-edge basis: relators with one live
-generator are peeled until none is left, the few left go through a sparse
+triangle relators in the non-forest-edge basis.  A relator with one live
+generator kills it, and one with two says they are equal up to sign; both
+are closed to a fixed point on the n x n edge matrices (`_closure`), so
+the triangles behind them are never listed.  Each class of generators is
+named by its largest id.  Only the triangles with three live edges are
+listed and read through the classes; the few rows left go through a sparse
 unit-pivot phase feeding a small dense Smith form, so class vectors,
-representatives and torsion are all exact.  The peel is the least fixed
-point of a rule on edges (a generator dies when a third vertex joins its
-ends by two dead edges), so it runs on the n x n edge matrix, and only the
-triangles that outlive it are listed; a skeleton builds its full triangle
-list only when a caller reads it.
+representatives and torsion are all exact.  The group is the one every
+relator gives; the basis is the classes' survivors'.  A skeleton builds
+its full triangle list only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -31,20 +33,36 @@ def _blocks(count: int, n: int):
     return (slice(s, s + step) for s in range(0, count, step))
 
 
+def _triangle_masks(rel: np.ndarray):
+    """Per block of the edges a < b of a symmetric relation matrix (in
+    lexicographic order): the arrays a, b and the (block x n) mask of the
+    vertices k > b related to both, so each triangle a < b < k shows once.
+    Edges go in blocks so the mask stays a few MB."""
+    n = len(rel)
+    iu, ju = np.nonzero(np.triu(rel, k=1))
+    cols = np.arange(n)
+    for s in _blocks(len(iu), n):
+        a, b = iu[s], ju[s]
+        yield a, b, rel[a] & rel[b] & (cols > b[:, None])
+
+
 class RipsSkeleton:
     """2-skeleton of the clique complex of an entourage, plus a BFS forest.
 
-    Triangles are built only where they are read: `tri` is the (R x 3)
-    read-only array of triangles i < j < k in sorted order, and `triangles`
-    the same as a list of tuples, each built on first read and kept.  H1
-    needs neither (see `_residue`), and `triangle_count` counts them
-    without building them.
+    The generators are the non-forest edges a < b in lexicographic order:
+    `generators` lists them as tuples, `gen_ends` holds their ends as two
+    arrays, and `gen_id` is the symmetric n x n int32 matrix of their ids,
+    -1 off the generators.  Triangles are built only where they are read:
+    `tri` is the (R x 3) read-only array of triangles i < j < k in sorted
+    order, and `triangles` the same as a list of tuples, each built on
+    first read and kept.  H1 needs neither (see `_closure`), and
+    `triangle_count` counts them without building them.
     """
 
     __slots__ = (
         "space", "entourage", "edges", "_tri",
         "parent", "roots", "component",
-        "gen_index", "generators", "_triangles", "_h1data", "_moves",
+        "gen_ends", "gen_id", "generators", "_triangles", "_h1data", "_moves",
     )
 
     def __init__(self, space: FiniteSpace, entourage: Entourage):
@@ -57,8 +75,11 @@ class RipsSkeleton:
         parent, component = bfs_forest(entourage)
         roots = [v for v in range(n) if parent[v] < 0]
 
-        generators = [e for e in edges if parent[e[1]] != e[0] and parent[e[0]] != e[1]]
-        gen_index = {e: k for k, e in enumerate(generators)}
+        up = np.asarray(parent, dtype=np.intp)
+        keep = (up[ju] != iu) & (up[iu] != ju)
+        ga, gb = iu[keep], ju[keep]
+        gen_id = np.full((n, n), -1, dtype=np.int32)
+        gen_id[ga, gb] = gen_id[gb, ga] = np.arange(len(ga), dtype=np.int32)
 
         self.space = space
         self.entourage = entourage
@@ -68,27 +89,15 @@ class RipsSkeleton:
         self.parent = parent
         self.roots = roots
         self.component = component
-        self.generators = generators
-        self.gen_index = gen_index
+        self.gen_ends = (ga, gb)
+        self.gen_id = gen_id
+        self.generators = list(zip(ga.tolist(), gb.tolist()))
         self._h1data = None
         self._moves = None
 
     @property
     def n(self) -> int:
         return self.space.n
-
-    def _triangle_masks(self):
-        """Per block of edges a < b (lexicographic order): the arrays a, b and
-        the (block x n) mask of the vertices k > b related to both, so each
-        triangle a < b < k shows once.  Edges go in blocks so the mask stays
-        a few MB."""
-        rel = self.entourage.rel
-        n = self.n
-        iu, ju = np.nonzero(np.triu(rel, k=1))
-        cols = np.arange(n)
-        for s in _blocks(len(iu), n):
-            a, b = iu[s], ju[s]
-            yield a, b, rel[a] & rel[b] & (cols > b[:, None])
 
     @property
     def tri(self) -> np.ndarray:
@@ -97,7 +106,7 @@ class RipsSkeleton:
         if self._tri is None:
             # np.nonzero walks rows, then k, so the triangles come out sorted
             blocks = [np.empty((0, 3), dtype=np.intp)]
-            for a, b, mask in self._triangle_masks():
+            for a, b, mask in _triangle_masks(self.entourage.rel):
                 e, k = np.nonzero(mask)
                 blocks.append(np.stack([a[e], b[e], k], axis=1))
             tri = np.concatenate(blocks)
@@ -108,7 +117,7 @@ class RipsSkeleton:
     @property
     def triangle_count(self) -> int:
         """len(tri), counted without building it."""
-        return sum(int(np.count_nonzero(mask)) for _, _, mask in self._triangle_masks())
+        return sum(int(np.count_nonzero(mask)) for _, _, mask in _triangle_masks(self.entourage.rel))
 
     @property
     def triangles(self) -> list[tuple[int, int, int]]:
@@ -120,9 +129,8 @@ class RipsSkeleton:
 
     def step_gen(self, u: int, v: int) -> tuple[int, int] | None:
         """Generator index and sign of the step u -> v, or None on tree edges."""
-        e = (u, v) if u < v else (v, u)
-        g = self.gen_index.get(e)
-        if g is None:
+        g = self.gen_id.item(u, v)
+        if g < 0:
             return None
         return g, (1 if u < v else -1)
 
@@ -224,30 +232,6 @@ class AbelianGroup:
         return " + ".join(parts)
 
 
-class _Relators:
-    """Relator rows as {generator: sign} dicts, from an (R x 3) array of
-    generator ids for the edges ij, jk, ik (-1 where the edge has no live
-    generator).
-
-    The dicts are made a block at a time while they are read, so the rows
-    are never all held as Python objects at once; every dict's keys are
-    the same int objects.  The length is known without reading the rows.
-    """
-
-    def __init__(self, ids: np.ndarray, ngen: int):
-        self.ids = ids
-        self.gens = list(range(ngen))
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self):
-        gens = self.gens
-        for s in range(0, len(self.ids), 4096):
-            for r in self.ids[s:s + 4096].tolist():
-                yield {gens[g]: sign for g, sign in zip(r, (1, 1, -1)) if g >= 0}
-
-
 def _any_common(rel: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per pair (a[t], b[t]): is some vertex related to both in `rel`?"""
     out = np.zeros(len(a), dtype=bool)
@@ -256,86 +240,189 @@ def _any_common(rel: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residue(skel: RipsSkeleton) -> tuple[np.ndarray, np.ndarray]:
-    """Which generators survive the peel, and the relator rows it leaves.
+def _max_over(rel: np.ndarray, lab: np.ndarray) -> np.ndarray:
+    """out[a, b] = the largest lab[c, b] over the c with rel[a, c], -1 where
+    there is none.  Rows a go in blocks, so the gathered rows stay a few MB."""
+    n = len(lab)
+    out = np.full_like(lab, -1)
+    step = max(1, (1 << 20) // max(n * n, 1))
+    for s in range(0, n, step):
+        a, c = np.nonzero(rel[s:s + step])
+        if len(a):
+            first = np.flatnonzero(np.diff(a, prepend=-1))
+            out[s + a[first]] = np.maximum.reduceat(lab[c], first, axis=0)
+    return out
 
-    Peeling one-live-generator triangle relators until none is left reaches
-    the least fixed point of one rule: a live generator a-b dies when some
-    vertex c has both a-c and b-c dead, where an edge is dead when it is a
-    forest edge or a killed generator.  Kills only add dead edges, so the
-    order of the kills does not change the fixed point, and the rule is
-    closed here on the n x n dead-edge matrix without listing triangles;
-    after a round only generators with an end on a newly dead edge can
-    newly die.  The rows left are exactly the triangles with at least two
-    live generators, in sorted (i, j, k) order: the ones the peel keeps, in
-    the order it keeps them.  Each comes out of its live edges a-b as a
-    third vertex c related to both with a-c or b-c live, once per live edge.
 
-    Returns the live mask over generators and an (R x 3) int32 array of
-    the rows' generator ids for the edges ij, jk, ik, -1 where the edge is
-    dead.
+def _propagate(lab: np.ndarray, live: np.ndarray, dead: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """Label propagation over the double cover until no label moves: every
+    node ends with the largest node id of its component.
+
+    The step a -> b is joined to c -> b, and b -> a to b -> c, when a-b and
+    c-b are live and a-c is dead.  `node` gives the node of each step
+    u -> v; only the vertices with a live edge take part.  Labels start
+    from `lab`, which must already name a node of each node's component.
+    """
+    sub = np.ix_(*[np.flatnonzero(live.any(axis=1))] * 2)
+    live, dead, node = live[sub], dead[sub], node[sub]
+    at = node[live]
+    while True:
+        old = lab.copy()
+        m = np.where(live, lab[node], -1)
+        lab[at] = np.maximum(m, np.maximum(_max_over(dead, m), _max_over(dead, m.T).T))[live]
+        while not np.array_equal(jump := lab[lab], lab):
+            lab = jump
+        if np.array_equal(lab, old):
+            return lab
+
+
+_SIGNS = np.array([1, 1, -1])  # the relator of i < j < k is +g(ij) + g(jk) - g(ik)
+
+
+def _closure(skel: RipsSkeleton) -> tuple[np.ndarray, list[dict[int, int]]]:
+    """Generators killed and identified up to sign by the triangle relators,
+    and the relator rows that neither settles.
+
+    An edge is dead when it is a forest edge or a killed generator.  A
+    triangle's relator, read with its dead edges dropped, says:
+    - with two dead edges, that the third generator is zero (a kill);
+    - with one dead edge a-c, that step(a -> b) = step(c -> b) (an
+      identification of two generators up to sign).
+    Both are closed here on the n x n edge matrices, without listing those
+    triangles.  Kills are the peel: a live generator a-b dies when some
+    vertex c has a-c and b-c dead.  Identifications are the components of
+    the double cover, with a node for +g and one for -g per live generator
+    (`_propagate`).  Only the triangles with three live edges are listed,
+    and read through the classes: one that leaves one unit letter kills
+    its class.  (Three live letters read so leave three letters, one, or
+    2X +- Y, never two unit letters.)  Each kill adds dead edges, so the
+    rules run to a fixed point.  Every rule only adds, so while no class
+    is twisted (below) the fixed point does not depend on the order the
+    rules run in.
+
+    A class is named by its largest generator id, its survivor.  A
+    component holding both +g and -g says 2g = 0: torsion, which a signed
+    class cannot hold.  Such a twisted component is not merged: its
+    generators stay their own letters, and the triangles joining them with
+    one dead edge are listed too.  What is left for the greedy is every
+    listed triangle's row that is not zero read through the classes, in
+    sorted triangle order, as {letter: coefficient}.
+
+    Returns an array with one entry per generator, 0 if killed and
+    otherwise sign * (survivor + 1) where generator = sign * survivor in H1,
+    and the rows left.
     """
     n = skel.n
-    ngen = len(skel.generators)
-    a, b = np.array(skel.generators, dtype=np.intp).reshape(-1, 2).T
+    ga, gb = skel.gen_ends
+    gid = skel.gen_id
+    ngen = len(ga)
+    if not ngen:
+        return np.zeros(0, dtype=np.int64), []
+    # the step u -> v is +g (node 2g) when u < v and -g (node 2g + 1) when u > v
+    node = np.where(gid >= 0, 2 * gid + np.tri(n, k=-1, dtype=np.int32), -1)
     parent = np.asarray(skel.parent, dtype=np.intp)
     child = np.flatnonzero(parent >= 0)
     dead = np.zeros((n, n), dtype=bool)
     dead[child, parent[child]] = dead[parent[child], child] = True
     alive = np.ones(ngen, dtype=bool)
-    test = np.arange(ngen)
-    while len(kill := test[_any_common(dead, a[test], b[test])]):
-        alive[kill] = False
-        dead[a[kill], b[kill]] = dead[b[kill], a[kill]] = True
-        ends = np.zeros(n, dtype=bool)
-        ends[a[kill]] = ends[b[kill]] = True
-        test = np.flatnonzero(alive & (ends[a] | ends[b]))
+    lab = np.arange(2 * ngen, dtype=np.int32)
 
-    ids = np.flatnonzero(alive)
-    la, lb = a[ids], b[ids]
-    gid = np.full((n, n), -1, dtype=np.int32)
-    gid[la, lb] = ids
-    live = gid >= 0
-    live |= live.T
-    off = skel.entourage.rel.copy()
-    np.fill_diagonal(off, False)
-    keys = [np.empty(0, dtype=np.intp)]
-    for s in _blocks(len(ids), n):
-        x, y = la[s], lb[s]
-        e, c = np.nonzero(off[x] & off[y] & (live[x] | live[y]))
-        t = np.sort(np.stack([x[e], y[e], c], axis=1), axis=1)
-        keys.append((t[:, 0] * n + t[:, 1]) * n + t[:, 2])
-    # np.unique would do, but it imports numpy.ma, which the CLI never loads
-    keys = np.sort(np.concatenate(keys))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    i, jk = np.divmod(keys, n * n)
-    j, k = np.divmod(jk, n)
-    return alive, np.stack([gid[i, j], gid[j, k], gid[i, k]], axis=1)
+    def dies(test):
+        return test[_any_common(dead, ga[test], gb[test])]
+
+    def kill(seed):
+        while len(seed):
+            killed = []
+            while len(seed):  # the peel
+                killed.append(seed)
+                alive[seed] = False
+                dead[ga[seed], gb[seed]] = dead[gb[seed], ga[seed]] = True
+                ends = np.zeros(n, dtype=bool)
+                ends[ga[seed]] = ends[gb[seed]] = True
+                seed = dies(np.flatnonzero(alive & (ends[ga] | ends[gb])))
+            # a killed generator takes its component and the mirror one along
+            seed = np.concatenate(killed)
+            hit = np.zeros(2 * ngen, dtype=bool)
+            hit[lab[2 * seed]] = hit[lab[2 * seed + 1]] = True
+            seed = np.flatnonzero(alive & hit[lab[0::2]])
+
+    seed = dies(np.arange(ngen))
+    while True:
+        kill(seed)
+        live = np.zeros((n, n), dtype=bool)
+        live[ga[alive], gb[alive]] = live[gb[alive], ga[alive]] = True
+        lab = _propagate(lab, live, dead, node)
+        plus = lab[0::2]
+        twisted = plus == lab[1::2]
+        letter = np.where(twisted, np.arange(ngen), plus >> 1)
+        sign = np.where(twisted | (plus % 2 == 0), 1, -1)
+
+        keys = [np.empty(0, dtype=np.intp)]
+        for a, b, mask in _triangle_masks(live):
+            e, k = np.nonzero(mask)
+            keys.append((a[e] * n + b[e]) * n + k)
+        if (tw := alive & twisted).any():
+            # triangles a-b-c with a-c dead and a-b, b-c twisted, once each
+            tm = np.zeros((n, n), dtype=bool)
+            tm[ga[tw], gb[tw]] = tm[gb[tw], ga[tw]] = True
+            b, a = np.nonzero(tm)
+            e, c = np.nonzero(dead[a] & tm[b] & (np.arange(n) > a[:, None]))
+            t = np.sort(np.stack([a[e], b[e], c], axis=1), axis=1)
+            keys.append((t[:, 0] * n + t[:, 1]) * n + t[:, 2])
+        keys = np.sort(np.concatenate(keys))
+        i, jk = np.divmod(keys, n * n)
+        j, k = np.divmod(jk, n)
+        ids = np.stack([gid[i, j], gid[j, k], gid[i, k]], axis=1)
+        on = (ids >= 0) & alive[ids]
+        lt = np.where(on, letter[ids], -1)
+        co = np.where(on, sign[ids] * _SIGNS, 0)
+        for p, q in ((0, 1), (0, 2), (1, 2)):  # add up repeated letters
+            same = lt[:, p] == lt[:, q]
+            co[same, p] += co[same, q]
+            co[same, q] = 0
+            lt[same, q] = -1
+        nz = co != 0
+        count = nz.sum(axis=1)
+        one = (count == 1) & (np.abs(co) <= 1).all(axis=1)
+        if len(seed := lt[one][nz[one]]):
+            continue
+        keep = count > 0
+        rows = [
+            {g: c for g, c in zip(lr, cr) if c}
+            for lr, cr in zip(lt[keep].tolist(), co[keep].tolist())
+        ]
+        return np.where(alive, sign * (letter + 1), 0), rows
 
 
 class _H1Data:
     """Coordinates for H1 of a skeleton: class vectors and representatives.
 
-    Each triangle i < j < k gives the relator row +g(ij) + g(jk) - g(ik) over
-    the non-forest edges.  A row with one live generator kills it; peeling
-    such rows in bulk until none is left is exactly the first phase of
-    `eliminate_unit_pivots`, whose queue takes every one-entry row before any
-    longer one, and whose one-entry pivots only delete entries.  So the rows
-    that survive, in their original order, go through the same greedy with
-    the same ties, and give the same substitutions, core and class basis as
-    all rows would.  A killed generator is in no surviving row, so its
-    coordinate never reaches a class vector.  The peel's result is a fixed
-    point that `_residue` computes from the edges alone, so no triangle is
-    listed.
+    Each triangle i < j < k gives the relator row +g(ij) + g(jk) - g(ik)
+    over the non-forest edges.  `_closure` settles most rows on the edge
+    matrices: it kills generators, identifies the rest in classes up to
+    sign, and hands back the rows it cannot settle, written in the classes'
+    survivors.  Those go through `eliminate_unit_pivots` and a small dense
+    Smith form.  A generator vector is read through the classes (`cls`:
+    killed generators drop out, the others become +-their survivor) before
+    it is reduced.  The coordinates are those of the survivors the greedy
+    leaves untouched, then the Smith coordinates of the core.
+
+    The group is exactly the one every relator gives.  The basis is the
+    survivors', which need not be the one the greedy over every row picks;
+    the two differ by an invertible integer change of coordinates.  Each
+    class keeps its largest generator, which the greedy keeps too wherever
+    its tie rule decides (of the unit columns held by the fewest rows, it
+    eliminates the least); there the coordinates are the greedy's.
     """
 
     def __init__(self, skel: RipsSkeleton):
-        ngen = len(skel.generators)
-        alive, rows = _residue(skel)
-        subs, core = eliminate_unit_pivots(_Relators(rows, ngen))
+        cls, rows = _closure(skel)
+        subs, core = eliminate_unit_pivots(rows)
         eliminated = {col for col, _, _ in subs}
         touched = sorted({c for r in core for c in r})
-        untouched = [g for g in np.flatnonzero(alive).tolist() if g not in eliminated and g not in touched]
+        hit = eliminated.union(touched)
+        survivors = np.flatnonzero(cls == np.arange(1, len(cls) + 1)).tolist()
+        untouched = [g for g in survivors if g not in hit]
 
         mat = [[r.get(t, 0) for r in core] for t in touched]
         if touched:
@@ -347,6 +434,7 @@ class _H1Data:
         free_core = [i for i, d in enumerate(dfull) if d == 0]
         torsion_core = [i for i, d in enumerate(dfull) if d >= 2]
 
+        self.cls = cls.tolist()
         self.subs = subs
         self.touched = touched
         self.untouched = untouched
@@ -361,7 +449,15 @@ class _H1Data:
         """Coordinates (free..., torsion...) of a generator vector before the
         torsion entries are reduced.  Linear in the vector, so the
         coordinates of a sum of steps are the sum of the steps' coordinates."""
-        x = reduce_vector(gen_vector, self.subs)
+        cls = self.cls
+        y: dict[int, int] = {}
+        for g, c in gen_vector.items():
+            s = cls[g]
+            if s > 0:
+                y[s - 1] = y.get(s - 1, 0) + c
+            elif s < 0:
+                y[-s - 1] = y.get(-s - 1, 0) - c
+        x = reduce_vector(y, self.subs)
         out = [x.get(g, 0) for g in self.untouched]
         if self.touched:
             xt = [x.get(t, 0) for t in self.touched]

@@ -268,6 +268,9 @@ def bfs_forest(e: Entourage, first: int = 0) -> tuple[list[int], list[int]]:
     order: parent (-1 at roots) and component id per point.  Components are
     numbered in root order, so by least member when `first` is 0."""
     n = e.n
+    rows, cols = np.nonzero(e.rel)
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
     parent = [-1] * n
     component = [-1] * n
     comp = 0
@@ -278,7 +281,7 @@ def bfs_forest(e: Entourage, first: int = 0) -> tuple[list[int], list[int]]:
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for w in np.flatnonzero(e.rel[v]).tolist():
+            for w in cols[bounds[v]:bounds[v + 1]]:
                 if component[w] < 0:
                     component[w] = comp
                     parent[w] = v

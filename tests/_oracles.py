@@ -6,7 +6,7 @@ Smith machinery; the homotopy oracle is a plain single-source BFS over raw
 reduction paths.  `numpy_neighbors` keeps the original numpy enumeration of
 the canonical move graph, as the reference order for the table-driven one.
 `AllRowsH1` keeps the original H1 reduction, unit-pivot elimination over
-every triangle relator row, as the reference for the peeled one, and
+every triangle relator row, as the reference for the closed one, and
 `dict_unit_pivots` keeps the original dict-and-set form of that elimination
 as the reference for the compact one.  `search_c2_check` keeps the c2
 check that runs a full homotopy search for every upstairs question and for
@@ -29,8 +29,13 @@ phase two can be compared with the package's.
 `loop_image_under` keeps the per-target-point loop that pushed a relation
 forward, as the reference for the one-product `image_under`.
 `triangle_peel_rows` keeps the peel that ran in rounds over the whole
-triangle array, as the reference for the edge closure that lists only the
-rows it leaves.
+triangle array, and `listed_closure` the signed union-find that reads the
+rows it leaves again and again, as the reference for the closure on the
+edge matrices that lists only the triangles with three live edges.
+`vertex_bfs_forest` keeps the forest search that read each vertex's
+neighbours with its own `flatnonzero`, as the reference for the one that
+reads them all from one `nonzero`.  `rp2_relation` is a relation whose H1
+has torsion: the face relation of the 6-vertex RP^2's simplices.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import random
 import heapq
 from collections import deque
+from itertools import combinations
 from fractions import Fraction
 from functools import cached_property
 
@@ -217,6 +223,7 @@ class AllRowsH1:
         subs, core = eliminate_unit_pivots(rows)
         eliminated = {col for col, _, _ in subs}
         touched = sorted({c for r in core for c in r})
+        self.ngen = len(skel.generators)
         self.subs = subs
         self.touched = touched
         self.untouched = [g for g in range(len(skel.generators)) if g not in eliminated and g not in touched]
@@ -237,14 +244,38 @@ class AllRowsH1:
         out.extend(sum(lv * xv for lv, xv in zip(self.left[i], xt)) for i in self.core_ids)
         return self.group.reduce(out)
 
+    def generator_classes(self) -> list[tuple[int, ...]]:
+        """`class_of({g: 1})` for every generator g, from one backward pass
+        over the substitutions: a pivot column's class is minus coef times
+        the classes of the rest of its row, whose columns are pivoted later
+        or never."""
+        dim = self.group.dim
+        nu = len(self.untouched)
+        cls = {g: [int(i == k) for i in range(dim)] for k, g in enumerate(self.untouched)}
+        for t, g in enumerate(self.touched):
+            cls[g] = [0] * nu + [self.left[i][t] for i in self.core_ids]
+        for col, coef, row in reversed(self.subs):
+            acc = [0] * dim
+            for c, v in row.items():
+                if c != col and c in cls:
+                    acc = [a - coef * v * b for a, b in zip(acc, cls[c])]
+            cls[col] = acc
+        return [self.group.reduce(cls.get(g, [0] * dim)) for g in range(self.ngen)]
+
+    def representative(self, coord: int) -> dict[int, int]:
+        nu = len(self.untouched)
+        if coord < nu:
+            return {self.untouched[coord]: 1}
+        i = self.core_ids[coord - nu]
+        return {t: col[i] for t, col in zip(self.touched, self.left_inv) if col[i]}
+
 
 def triangle_peel_rows(skel):
     """The peel as rounds over the whole triangle array: each round, every
     row with one live generator kills it, and rows with fewer than two live
     generators are dropped.  Returns the killed generators as a set and the
     rows left, in triangle order, as an (R x 3) int32 array of generator ids
-    for the edges ij, jk, ik (-1 where the edge is dead), as in
-    `rips._residue`."""
+    for the edges ij, jk, ik (-1 where the edge is dead)."""
     n = skel.n
     ngen = len(skel.generators)
     gid = np.full(n * n, -1, dtype=np.int32)
@@ -267,6 +298,102 @@ def triangle_peel_rows(skel):
     keep = count > 1
     killed = set(np.flatnonzero(~alive[:-1]).tolist())
     return killed, np.where(live[:, keep], ids[:, keep], -1).T
+
+
+def listed_closure(skel):
+    """`rips._closure` as a signed union-find over listed rows.
+
+    The rows the peel leaves (`triangle_peel_rows`) are read through the
+    classes again and again until a pass changes nothing: a row that leaves
+    one unit letter kills that letter's class, and a row that leaves two
+    unit letters in different classes joins them under the larger root.
+    Returns (cls, rows) in `_closure`'s form.  A class is never twisted
+    here, since joining two roots cannot put +g and -g together; a row that
+    would twist one reads as 2X and is left.  So the two agree wherever
+    `_closure` twists no class.
+    """
+    killed, peeled = triangle_peel_rows(skel)
+    ngen = len(skel.generators)
+    dead = [g in killed for g in range(ngen)]
+    up = list(range(ngen))
+    rel = [1] * ngen  # g = rel[g] * up[g]
+    members = {g: [g] for g in range(ngen)}
+
+    def find(g):
+        path = []
+        while up[g] != g:
+            path.append(g)
+            g = up[g]
+        sign = 1
+        for h in reversed(path):  # nearest the root first
+            sign *= rel[h]
+            up[h], rel[h] = g, sign
+        return g
+
+    def read(row):
+        acc: dict[int, int] = {}
+        for g, c in row:
+            if not dead[g]:
+                r = find(g)
+                acc[r] = acc.get(r, 0) + rel[g] * c  # a root's rel stays 1
+        return {r: c for r, c in acc.items() if c}
+
+    rows = [[(g, c) for g, c in zip(r, (1, 1, -1)) if g >= 0] for r in peeled.tolist()]
+    changed = True
+    while changed:
+        changed = False
+        for row in rows:
+            got = read(row)
+            if not all(c in (1, -1) for c in got.values()):
+                continue
+            if len(got) == 1:
+                for m in members.pop(next(iter(got))):
+                    dead[m] = True
+                changed = True
+            elif len(got) == 2:
+                (x, cx), (y, cy) = sorted(got.items())
+                up[x], rel[x] = y, -cx * cy  # cx x + cy y = 0
+                members[y] += members.pop(x)
+                changed = True
+    cls = [0 if dead[g] else (find(g) + 1) * rel[g] for g in range(ngen)]
+    return cls, [got for got in map(read, rows) if got]
+
+
+def vertex_bfs_forest(e: Entourage, first: int = 0) -> tuple[list[int], list[int]]:
+    """`space.bfs_forest` with each vertex's neighbours read by its own
+    `flatnonzero`."""
+    n = e.n
+    parent = [-1] * n
+    component = [-1] * n
+    comp = 0
+    for start in (first, *range(n)):
+        if component[start] >= 0:
+            continue
+        component[start] = comp
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in np.flatnonzero(e.rel[v]).tolist():
+                if component[w] < 0:
+                    component[w] = comp
+                    parent[w] = v
+                    queue.append(w)
+        comp += 1
+    return parent, component
+
+
+RP2_FACES = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+             (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5))
+
+
+def rp2_relation() -> Entourage:
+    """The 31 simplices of the 6-vertex RP^2 (6 vertices, 15 edges, the 10
+    faces of `RP2_FACES`), related when one is a face of the other.  Its
+    clique complex is the barycentric subdivision, so H1 = Z/2."""
+    simplices = [(v,) for v in range(6)]
+    simplices += sorted({e for f in RP2_FACES for e in combinations(f, 2)}) + list(RP2_FACES)
+    rel = np.array([[set(s) <= set(t) or set(t) <= set(s) for t in simplices] for s in simplices])
+    return Entourage(rel)
 
 
 def raw_move_bfs(ent: Entourage, start, goal, max_len: int, state_cap: int = 200_000):

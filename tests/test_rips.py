@@ -9,6 +9,8 @@ from ripscover import rips
 from ripscover.errors import ValidationError
 from ripscover.gallery import hawaiian, hexagon_ex72, polygon, solenoid
 from ripscover.rips import (
+    AbelianGroup,
+    H1Map,
     RipsSkeleton,
     build_skeleton,
     edge_path_presentation,
@@ -19,7 +21,16 @@ from ripscover.rips import (
 from ripscover.space import Entourage, entourage_at
 from ripscover.tower import build_tower
 
-from _oracles import AllRowsH1, homology_oracle, random_entourage, space_for, triangle_peel_rows
+from _oracles import (
+    AllRowsH1,
+    homology_oracle,
+    listed_closure,
+    random_entourage,
+    rp2_relation,
+    space_for,
+    triangle_peel_rows,
+    vertex_bfs_forest,
+)
 
 
 def test_skeleton_counts_hexagon():
@@ -248,23 +259,31 @@ def test_h1_data_without_generators_or_triangles():
     assert data.class_of({0: 3}) == (3,)
 
 
-def _assert_same_as_all_rows(sk, rng, vectors=20):
+def _by_columns(cols, dim):
+    return tuple(tuple(col[r] for col in cols) for r in range(dim))
+
+
+def _assert_same_as_all_rows(sk, rng, exact=False, vectors=20):
+    # the same group, and coordinates that differ from the all-rows greedy's
+    # by an invertible integer change of basis M (M's columns are the classes
+    # of the greedy's representatives); with `exact`, by none
     data = sk.h1_data()
     ref = AllRowsH1(sk)
-    assert data.untouched == ref.untouched
-    assert data.touched == ref.touched
     assert data.group == ref.group
-    assert (data.left, data.left_inv, data.core_ids) == (ref.left, ref.left_inv, ref.core_ids)
-    # the peel is the greedy's one-entry phase: the same kills, then the same substitutions
-    head = len(ref.subs) - len(data.subs)
-    assert ref.subs[head:] == data.subs
-    assert all(len(row) == 1 for _, _, row in ref.subs[:head])
+    dim = data.group.dim
+    fwd = H1Map(ref.group, data.group, _by_columns([data.class_of(ref.representative(j)) for j in range(dim)], dim))
+    back = H1Map(data.group, ref.group, _by_columns([ref.class_of(data.representative(j)) for j in range(dim)], dim))
+    eye = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    assert fwd.compose(back).matrix == eye and back.compose(fwd).matrix == eye
+    for g, want in enumerate(ref.generator_classes()):
+        got = data.class_of({g: 1})
+        assert got == fwd.apply(want) and (got == want or not exact)
     ngen = len(sk.generators)
-    killed = set(range(ngen)) - set(data.untouched) - set(data.touched) - {col for col, _, _ in data.subs}
-    assert sorted(col for col, _, _ in ref.subs[:head]) == sorted(killed)
     for _ in range(vectors if ngen else 0):
         vec = {rng.randrange(ngen): rng.randint(-3, 3) for _ in range(rng.randint(1, 8))}
-        assert data.class_of(vec) == ref.class_of(vec)
+        want = ref.class_of(vec)
+        got = data.class_of(vec)
+        assert got == fwd.apply(want) and (got == want or not exact)
 
 
 def test_peeled_h1_matches_all_rows_elimination_random():
@@ -276,55 +295,116 @@ def test_peeled_h1_matches_all_rows_elimination_random():
 
 
 def test_peeled_h1_matches_all_rows_elimination_hawaiian():
+    # the survivor of each class is its largest generator, the column the
+    # greedy keeps, so these scales have the greedy's very coordinates
     rng = random.Random(7)
     small = hawaiian(3, 16)
     for e in small.ladder:
-        _assert_same_as_all_rows(build_skeleton(small.space, e), rng)
+        _assert_same_as_all_rows(build_skeleton(small.space, e), rng, exact=True)
     large = hawaiian(5, 24)
-    for e in list(large.ladder)[2:6]:  # up to 68k triangles; the coarser two cost the oracle seconds
-        _assert_same_as_all_rows(build_skeleton(large.space, e), rng)
+    for e in list(large.ladder)[1:6]:  # the coarsest scale costs the oracle seconds
+        _assert_same_as_all_rows(build_skeleton(large.space, e), rng, exact=True)
+
+
+def _relabelled(m, samples, seed, scale):
+    """hawaiian(m, samples) at one scale, its points shuffled by the seed."""
+    g = hawaiian(m, samples)
+    perm = list(range(g.space.n))
+    random.Random(seed).shuffle(perm)
+    e = list(g.ladder)[scale]
+    sub = Entourage(e.rel[np.ix_(perm, perm)])
+    return RipsSkeleton(space_for(sub), sub)
 
 
 def _stalled_skeletons():
-    # relabellings on which the peel stops with thousands of rows of two live
-    # generators left, so most of the elimination is the greedy contracting
-    # them: hawaiian(3, 16) leaves 2,050 rows at scale 1, hawaiian(5, 24)
-    # 21,366 at scale 3
-    for (m, samples), seed, scale in (((3, 16), 11, 1), ((5, 24), 37, 3)):
-        g = hawaiian(m, samples)
-        perm = list(range(g.space.n))
-        random.Random(seed).shuffle(perm)
-        e = list(g.ladder)[scale]
-        sub = Entourage(e.rel[np.ix_(perm, perm)])
-        yield build_skeleton(space_for(sub), sub)
+    # relabellings on which the peel alone stops with thousands of rows of
+    # two live generators left: hawaiian(3, 16) leaves 2,050 rows at scale 1,
+    # hawaiian(5, 24) 21,366 at scale 3 and 110,418 at scale 1
+    for (m, samples), seed, scale in (((3, 16), 11, 1), ((5, 24), 37, 3), ((5, 24), 160, 1)):
+        yield _relabelled(m, samples, seed, scale)
 
 
 def test_peeled_h1_matches_all_rows_when_the_peel_stalls():
     rng = random.Random(8)
-    for sk in _stalled_skeletons():
-        assert len(sk.h1_data().subs) > 150
-        _assert_same_as_all_rows(sk, rng)
+    for t, sk in enumerate(_stalled_skeletons()):
+        assert len(triangle_peel_rows(sk)[1]) > 2000
+        _assert_same_as_all_rows(sk, rng, exact=t == 0)
 
 
-def test_edge_closure_leaves_the_rows_the_triangle_peel_leaves():
-    # the same kills, and the same residue rows in the same order, as the
-    # peel run in rounds over every triangle
-    def same(sk):
-        killed, rows = triangle_peel_rows(sk)
-        alive, got = rips._residue(sk)
-        assert set(np.flatnonzero(~alive).tolist()) == killed
-        assert got.dtype == rows.dtype and np.array_equal(got, rows)
+def test_stalled_relabelling_sends_no_rows_to_the_greedy(monkeypatch):
+    # every row the peel leaves here has two live generators, and the
+    # identifications settle all of them on the edge matrices
+    rows = []
+    greedy = rips.eliminate_unit_pivots
+    monkeypatch.setattr(rips, "eliminate_unit_pivots", lambda r: rows.append(len(r)) or greedy(r))
+    sk = _relabelled(5, 24, 160, 1)
+    tracemalloc.start()
+    try:
+        data = sk.h1_data()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(data.group) == "Z" and rows == [0]
+    assert peak <= 6 << 20
 
+
+def test_edge_closure_matches_union_find_over_listed_rows():
+    # the same kills, classes, signs and rows left as a signed union-find
+    # run over every row the triangle peel leaves
     rng = random.Random(2024)
+    cases = []
     for _ in range(200):
         n = rng.randint(2, 8)
         e = random_entourage(rng, n, rng.choice([0.25, 0.4, 0.55, 0.75]))
-        same(build_skeleton(space_for(e), e))
+        cases.append(build_skeleton(space_for(e), e))
     for g in (hawaiian(3, 16), hawaiian(5, 24)):
-        for e in g.ladder:
-            same(build_skeleton(g.space, e))
-    for sk in _stalled_skeletons():
-        same(sk)
+        cases += [build_skeleton(g.space, e) for e in g.ladder]
+    for sk in cases + list(_stalled_skeletons()):
+        cls, rows = rips._closure(sk)
+        assert (cls.tolist(), rows) == listed_closure(sk)
+
+
+def test_h1_torsion_on_rp2():
+    # RP^2's classes are twisted (+g and -g in one component): they reach
+    # the greedy unmerged, as rows of two letters that are their own survivors
+    base = rp2_relation()
+    n = base.n
+    sk = RipsSkeleton(space_for(base), base)
+    assert homology_oracle(n, sk.edges, sk.triangles) == (0, (2,))  # the same on every relabelling
+    for seed in range(20):
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        e = Entourage(base.rel[np.ix_(perm, perm)])
+        sk = RipsSkeleton(space_for(e), e)
+        data = sk.h1_data()
+        assert data.group == AllRowsH1(sk).group == AbelianGroup(0, (2,))
+        assert data.class_of(data.representative(0)) == (1,)
+        cls, rows = rips._closure(sk)
+        assert any(len(r) == 2 for r in rows)
+        assert all(cls[g] == g + 1 for r in rows for g in r)
+
+
+def test_skeleton_generators_and_ids():
+    # generators are the non-forest edges in edge order; gen_id holds their
+    # ids both ways round and -1 elsewhere
+    rng = random.Random(12)
+    cases = [random_entourage(rng, rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8])) for _ in range(60)]
+    cases += list(hawaiian(3, 16).ladder)
+    for e in cases:
+        sk = RipsSkeleton(space_for(e), e)
+        parent, component = vertex_bfs_forest(e)
+        assert (sk.parent, sk.component) == (parent, component)
+        want = [(a, b) for a, b in sk.edges if parent[b] != a and parent[a] != b]
+        assert sk.generators == want and _plain_int_tuples(sk.generators, 2)
+        gid = np.full((e.n, e.n), -1, dtype=np.int32)
+        for k, (a, b) in enumerate(want):
+            gid[a, b] = gid[b, a] = k
+        assert sk.gen_id.dtype == np.int32 and np.array_equal(sk.gen_id, gid)
+        assert [list(x) for x in sk.gen_ends] == [[a for a, _ in want], [b for _, b in want]]
+        for k, (a, b) in enumerate(want):
+            assert sk.step_gen(a, b) == (k, 1) and sk.step_gen(b, a) == (k, -1)
+            assert type(sk.step_gen(a, b)[0]) is int
+        assert all(sk.step_gen(v, parent[v]) is None for v in range(e.n) if parent[v] >= 0)
 
 
 def test_h1_matches_sympy_oracle_on_hawaiian():

@@ -23,7 +23,7 @@ from ripscover.space import (
     load_space,
 )
 
-from _oracles import loop_image_under, random_entourage, space_for
+from _oracles import loop_image_under, random_entourage, space_for, vertex_bfs_forest
 
 
 def test_csv_points_euclidean(tmp_path):
@@ -230,6 +230,16 @@ def test_bfs_forest_components_by_least_member():
     assert component == [0, 1, 0, 1, 1]
     assert parent == [-1, -1, 0, 1, 1]
     assert component_labels(e).tolist() == component
+
+
+def test_bfs_forest_matches_per_vertex_neighbour_reads():
+    rng = random.Random(41)
+    for _ in range(80):
+        n = rng.randint(1, 12)
+        e = random_entourage(rng, n, rng.choice([0.1, 0.3, 0.6]))
+        first = rng.randrange(n)
+        assert bfs_forest(e) == vertex_bfs_forest(e)
+        assert bfs_forest(e, first) == vertex_bfs_forest(e, first)
 
 
 def test_ladder_validation():
