@@ -36,23 +36,32 @@ from .space import (
 )
 
 
-def generates_at(f: SpaceMap, e: Entourage, candidates) -> tuple[int, Entourage] | None:
-    """First candidate scale F with f(F) o f(F) inside f(E), if any."""
+def generates_at(
+    f: SpaceMap, e: Entourage, candidates, *, fe: Entourage | None = None, images=None
+) -> tuple[int, Entourage] | None:
+    """First candidate scale F with f(F) o f(F) inside f(E), if any.
+
+    A caller that has pushed the scales forward already passes `fe`, the
+    image of e, and `images`, the candidates' images in order."""
     if e.n != f.source.n:
         raise CarrierMismatch("entourage does not live on the map's source")
-    fe = image_under(f, e)
-    for idx, cand in enumerate(candidates):
-        ff = image_under(f, cand)
+    if fe is None:
+        fe = image_under(f, e)
+    if images is None:
+        images = (image_under(f, cand) for cand in candidates)
+    for idx, (cand, ff) in enumerate(zip(candidates, images)):
         if compose(ff, ff).issubset(fe):
             return idx, cand
     return None
 
 
-def evenly_covers(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
-    """Does every ball upstairs map bijectively onto its image ball?"""
+def evenly_covers(f: SpaceMap, e: Entourage, *, fe: Entourage | None = None) -> tuple[bool, dict | None]:
+    """Does every ball upstairs map bijectively onto its image ball?  `fe`
+    is the image of e when the caller has it already."""
     if e.n != f.source.n:
         raise CarrierMismatch("entourage does not live on the map's source")
-    fe = image_under(f, e)
+    if fe is None:
+        fe = image_under(f, e)
     for x in range(f.source.n):
         bx = ball(e, x)
         images = [f(y) for y in bx]
@@ -67,15 +76,19 @@ def evenly_covers(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
     return True, None
 
 
-def is_simplicial_cover(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
-    """Even covering plus unique lifting of downstairs triangles."""
-    ok, cx = evenly_covers(f, e)
+def is_simplicial_cover(
+    f: SpaceMap, e: Entourage, *, fe: Entourage | None = None
+) -> tuple[bool, dict | None]:
+    """Even covering plus unique lifting of downstairs triangles.  `fe` is
+    the image of e when the caller has it already."""
+    if fe is None:
+        fe = image_under(f, e)
+    ok, cx = evenly_covers(f, e, fe=fe)
     if not ok:
         return False, cx
-    fe = image_under(f, e)
     down = build_skeleton(f.target, fe)
-    tris_at: dict[int, list[tuple[int, int, int]]] = {}
-    for tri in down.triangles:
+    tris_at: dict[int, list[list[int]]] = {}
+    for tri in down.tri.tolist():
         for v in tri:
             tris_at.setdefault(v, []).append(tri)
     for x in range(f.source.n):
@@ -89,23 +102,26 @@ def is_simplicial_cover(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
             y, z = lift[u], lift[v]
             if not e.related(y, z):
                 return False, {
-                    "kind": "triangle_lift", "x": x, "triangle": list(tri), "lifts": [y, z],
+                    "kind": "triangle_lift", "x": x, "triangle": tri, "lifts": [y, z],
                 }
     return True, None
 
 
 def chain_lifting_at(
-    f: SpaceMap, e: Entourage, fine: Entourage, basepoint: int | None = None
+    f: SpaceMap, e: Entourage, fine: Entourage, basepoint: int | None = None,
+    *, ff: Entourage | None = None,
 ) -> tuple[bool, dict | None]:
     """Can every image-scale link be lifted to an e-link from any fiber point?
 
     The default quantifies over all starting points (the stronger reading the
     ladder-level verdicts use).  Passing a basepoint restricts the check to
     chains lifted from that point's fiber positions reachable at scale e.
+    `ff` is the image of the fine scale when the caller has it already.
     """
     if e.n != f.source.n or fine.n != f.source.n:
         raise CarrierMismatch("entourages must live on the map's source")
-    ff = image_under(f, fine)
+    if ff is None:
+        ff = image_under(f, fine)
     fibers: dict[int, list[int]] = {}
     for x, y in enumerate(f.assign):
         fibers.setdefault(y, []).append(x)
@@ -172,12 +188,11 @@ def c3_check(f: SpaceMap, e: Entourage, fine: Entourage) -> tuple[bool, tuple[in
     return True, None
 
 
-# c2_check's fixed limits, which no option reaches: phase two pairs chains of
-# up to C2_SHORT_LINKS links; it examines at most C2_PAIR_CAP pairs (fewer if
-# the state budget is smaller), and each downstairs search gets a leash of
-# C2_DOWN_STATES states (likewise) at chain length C2_DOWN_LENGTH
+# c2_check's fixed limits: phase two pairs tight chains of up to
+# C2_SHORT_LINKS links, and each downstairs search gets a leash of
+# C2_DOWN_STATES states (fewer if the state budget is smaller) at chain length
+# C2_DOWN_LENGTH; the pairs phase two examines count against the state budget
 C2_SHORT_LINKS = 2
-C2_PAIR_CAP = 2500
 C2_DOWN_STATES = 400
 C2_DOWN_LENGTH = 12
 
@@ -196,9 +211,21 @@ def _obstruction(h1, e_rows, a: int, b: int, diff) -> dict | None:
 
 
 class _Fan:
-    """The fine chains from one origin with up to C2_SHORT_LINKS links, in
-    BFS order (neighbours ascending), with their images and their H1
-    coordinates at e.
+    """The tight fine chains from one origin x with 1 to C2_SHORT_LINKS
+    links, in BFS order (neighbours ascending), with their images and their
+    H1 coordinates at e.  Tight means that no point is fine-related to the
+    point two before it.  At two links that is (x, y) for each fine
+    neighbour y, the constant chain (x, x) among them, and (x, y, z) for
+    each z not fine-related to x.
+
+    Every chain the rule drops is fine-homotopic to a kept one: (x) to
+    (x, x), and (x, y, z) with z related to x to (x, z) by one delete, which
+    is (x, x) when z is x.  Homotopic chains share their endpoint and their
+    class at e, and their images are homotopic downstairs, so a dropped
+    pair refutes exactly when its reduced pair does, and a reduced pair with
+    identical images is phase one's.  The constant chain keeps its
+    two-point form because the move calculus isolates one-point chains, so
+    a downstairs search from (f(x),) could only run out of budget.
 
     A chain's coordinates are its prefix's plus its last step's, so every
     pair of chains from the origin is settled by integer arithmetic.
@@ -206,18 +233,19 @@ class _Fan:
 
     __slots__ = ("chains", "images", "vectors", "h1", "e_rows")
 
-    def __init__(self, origin: int, nbrs, assign, h1, e_rows):
-        chains = [(origin,)]
-        vectors = [h1.zero()]
-        frontier = range(1)
-        for _ in range(C2_SHORT_LINKS):
+    def __init__(self, origin: int, nbrs, fine_rows, assign, h1, e_rows):
+        chains = [(origin, y) for y in nbrs[origin]]
+        vectors = [h1.step_coords(origin, y) for y in nbrs[origin]]
+        frontier = range(len(chains))
+        for _ in range(C2_SHORT_LINKS - 1):
             done = len(chains)
             for k in frontier:
                 seq, vec = chains[k], vectors[k]
-                u = seq[-1]
+                u, back = seq[-1], fine_rows[seq[-2]]
                 for v in nbrs[u]:
-                    chains.append(seq + (v,))
-                    vectors.append(tuple(map(add, vec, h1.step_coords(u, v))))
+                    if not back[v]:
+                        chains.append(seq + (v,))
+                        vectors.append(tuple(map(add, vec, h1.step_coords(u, v))))
             frontier = range(done, len(chains))
         self.chains = chains
         self.images = [tuple(assign[v] for v in seq) for seq in chains]
@@ -231,7 +259,10 @@ class _Fan:
         return _obstruction(self.h1, self.e_rows, self.chains[i][-1], self.chains[j][-1], diff)
 
 
-def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | None = None) -> dict:
+def c2_check(
+    f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | None = None,
+    *, ff: Entourage | None = None,
+) -> dict:
     """Search for a pair of fine chains violating approximate lift uniqueness.
 
     A pair refutes when its chains are not homotopic at e while their images
@@ -243,17 +274,20 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
     x -> y -> y' -> x' -> x to their loop's, so some pair is refuted exactly
     when a reachable step ends at points that are not e-related or has a
     square of nonzero class.  Its refutation is the BFS-tree chains to the
-    first such step's source, extended by the step.  Phase two pairs short
-    chains with different images, counted in `examined` against the pair
-    cap, and searches downstairs only for pairs whose upstairs answer is No.
+    first such step's source, extended by the step.  Phase two pairs the
+    tight chains of `_Fan` whose images differ, from every origin, counted
+    in `examined` against `budget.states`, and searches downstairs only for
+    pairs whose image ends are related and whose upstairs answer is No,
+    once per pair of images.
 
     Returns {"status": "proved" | "refuted" | "unrefuted", ...}.  A genuine
     positive is only available in the decidable special case (injective
     map); otherwise the best honest answer is "no violation found at this
     budget".  Every other answer says in `phase1` that phase one found no
-    refutation, and counts in `down_unknown` the downstairs searches that
-    ran out of budget: refutations this budget may have missed.  The fine
-    scale must lie inside e, as on any ladder.
+    refutation, and counts in `down_unknown` the pairs whose downstairs
+    search ran out of budget: refutations this budget may have missed.  The
+    fine scale must lie inside e, as on any ladder.  `ff` is the image of
+    the fine scale when the caller has it already.
     """
     budget = budget or DEFAULT_BUDGET
     if e.n != f.source.n or fine.n != f.source.n:
@@ -262,13 +296,13 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
         raise ChainError("c2 needs the fine scale inside e")
     if f.is_injective():
         return {"status": "proved", "note": "injective map with nested scales"}
-    ff = image_under(f, fine)
+    if ff is None:
+        ff = image_under(f, fine)
     ff_rows = ff.rel.tolist()
     # fine chains are valid at e, as fine lies inside e
     h1 = build_skeleton(f.source, e).h1_data()
     step = h1.step_coords
     e_rows = e.rel.tolist()
-    pair_cap = min(budget.states, C2_PAIR_CAP)
     per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states), max_length=C2_DOWN_LENGTH)
     examined = 0
     down_unknown = 0
@@ -300,25 +334,33 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
             return refuted([s[0] for s in path] + [y], [s[1] for s in path] + [yp], up)
         tree.setdefault((y, yp), (src, diff))
     phase1 = {"phase1": "no identical-image refutation at any length"}
-    # phase two: short chains with homotopic (not identical) images
+    # phase two: tight chains with homotopic (not identical) images; the k
+    # sheets of a cover ask about the same image pairs, so each downstairs
+    # answer is kept
     nbrs = [np.flatnonzero(row).tolist() for row in fine.rel]
+    fine_rows = fine.rel.tolist()
+    down_answers: dict[tuple, Trivalue] = {}
     for origin in range(f.source.n):
-        fan = _Fan(origin, nbrs, f.assign, h1, e_rows)
+        fan = _Fan(origin, nbrs, fine_rows, f.assign, h1, e_rows)
         images = fan.images
         for i, img_a in enumerate(images):
             for j in range(i + 1, len(images)):
                 img_b = images[j]
                 if img_a == img_b:
                     continue  # phase one covered identical images
-                if examined >= pair_cap:
+                if examined >= budget.states:
                     return answer("unrefuted", "budget exhausted")
                 examined += 1
-                up = fan.obstruction(i, j)
-                if up is None or not ff_rows[img_a[-1]][img_b[-1]]:
+                if not ff_rows[img_a[-1]][img_b[-1]]:
                     continue  # image ends not related: e_homotopic would say No
-                down = e_homotopic(
-                    Chain(f.target, ff, img_a), Chain(f.target, ff, img_b), ff, per_pair
-                )
+                up = fan.obstruction(i, j)
+                if up is None:
+                    continue
+                down = down_answers.get((img_a, img_b))
+                if down is None:
+                    down = down_answers[img_a, img_b] = e_homotopic(
+                        Chain(f.target, ff, img_a), Chain(f.target, ff, img_b), ff, per_pair
+                    )
                 down_unknown += down.is_unknown()
                 if down.is_yes():
                     return refuted(fan.chains[i], fan.chains[j], up)
@@ -362,15 +404,16 @@ def uniform_cover_verdict(
     if ladder.n != f.source.n:
         raise CarrierMismatch("ladder does not live on the map's source")
     k = len(ladder)
+    images = [image_under(f, e) for e in ladder]
 
     def scale_entry(i: int) -> dict:
         e = ladder[i]
-        ok_sc, cx_sc = is_simplicial_cover(f, e)
+        ok_sc, cx_sc = is_simplicial_cover(f, e, fe=images[i])
         # is_simplicial_cover runs evenly_covers first and returns its failure
         ok_ec = ok_sc or cx_sc["kind"] == "triangle_lift"
         cx_ec = None if ok_ec else cx_sc
         ok_ul, wit_ul = uniqueness_of_lifts(f, e)
-        gen = generates_at(f, e, ladder)
+        gen = generates_at(f, e, ladder, fe=images[i], images=images)
         return {
             "scale": ladder.describe(i),
             "transverse": transverse(f, e),
@@ -384,7 +427,7 @@ def uniform_cover_verdict(
         }
 
     def pair_entry(i: int, j: int) -> dict:
-        ok_cl, cx_cl = chain_lifting_at(f, ladder[i], ladder[j])
+        ok_cl, cx_cl = chain_lifting_at(f, ladder[i], ladder[j], ff=images[j])
         ok_c3, wit_c3 = c3_check(f, ladder[i], ladder[j])
         return {
             "scale": ladder.describe(i),
@@ -393,7 +436,7 @@ def uniform_cover_verdict(
             "chain_lifting_counterexample": cx_cl,
             "c3": ok_c3,
             "c3_witness": list(wit_c3) if wit_c3 else None,
-            "c2": c2_check(f, ladder[i], ladder[j], budget),
+            "c2": c2_check(f, ladder[i], ladder[j], budget, ff=images[j]),
         }
 
     per_scale = [scale_entry(i) for i in range(k)]
@@ -420,7 +463,7 @@ def uniform_cover_verdict(
         "simplicial_implies_evenly": all(
             (not s["simplicial_cover"]) or s["evenly_covers"] for s in per_scale
         ),
-        "lifting_squares_give_structure": _prop_29b(f, ladder, lifting),
+        "lifting_squares_give_structure": _prop_29b(ladder, images, lifting),
         "uniqueness_iff_transverse_per_scale": all(
             (not s["uniqueness_of_lifts"]) or s["transverse"] for s in per_scale
         ),
@@ -434,11 +477,11 @@ def uniform_cover_verdict(
     return CoverReport(ladder.to_json(), per_scale, per_pair, verdicts, implications)
 
 
-def _prop_29b(f: SpaceMap, ladder: ScaleLadder, lifting: dict[tuple[int, int], bool]) -> bool:
+def _prop_29b(ladder: ScaleLadder, images: list[Entourage], lifting: dict[tuple[int, int], bool]) -> bool:
     """Whenever D o D fits in E and chains lift at (D, F), the image of F
     squares into the image of E; recorded as a concrete per-triple check.
-    `lifting[j, t]` is the chain-lifting verdict at ladder indices j <= t."""
-    images = [image_under(f, e) for e in ladder]
+    `images` are the scales pushed forward, and `lifting[j, t]` is the
+    chain-lifting verdict at ladder indices j <= t."""
     for i, e in enumerate(ladder):
         for j in range(i, len(ladder)):
             if not compose(ladder[j], ladder[j]).issubset(e):

@@ -25,7 +25,10 @@ reference for the one that reads per-chain H1 coordinates.  Both c2
 references keep the phase one that enumerated identical-image pairs of up
 to three links (`c2_phase_one_pairs`), as the reference for the product
 walk that decides that phase at every length; a keyword skips it, so their
-phase two can be compared with the package's.
+phase two can be compared with the package's.  Their phase two pairs the
+tight chains `_chains_up_to` keeps (`tight=True`), as the package's does,
+and `full=True` pairs every chain of up to two links instead, as the
+reference for the rule that drops the chains a delete shortens.
 `loop_image_under` keeps the per-target-point loop that pushed a relation
 forward, as the reference for the one-product `image_under`.
 `triangle_peel_rows` keeps the peel that ran in rounds over the whole
@@ -77,7 +80,7 @@ from ripscover.chains import (
 from ripscover.errors import ChainError
 from ripscover.rips import AbelianGroup, build_skeleton, h1_class, inclusion_h1_map
 from ripscover.snf import eliminate_unit_pivots, reduce_vector, smith_normal_form
-from ripscover.cover import C2_DOWN_LENGTH, C2_DOWN_STATES, C2_PAIR_CAP, C2_SHORT_LINKS
+from ripscover.cover import C2_DOWN_LENGTH, C2_DOWN_STATES, C2_SHORT_LINKS
 from ripscover.space import Entourage, FiniteSpace, ball, bfs_forest, image_under, path_to_root
 from ripscover.tower import _mask_to_component
 
@@ -651,11 +654,15 @@ def random_map(rng: random.Random, n_source: int):
     return SpaceMap(src, tgt, assign)
 
 
-def _chains_up_to(origin: int, e: Entourage, max_links: int):
-    out = [(origin,)]
+def _chains_up_to(origin: int, e: Entourage, max_links: int, tight: bool = False):
+    """Chains from the origin with up to `max_links` links, in BFS order;
+    with `tight`, only those of at least one link in which no point is
+    related to the one two before it."""
+    out = [] if tight else [(origin,)]
     frontier = [(origin,)]
     for _ in range(max_links):
-        frontier = [seq + (v,) for seq in frontier for v in ball(e, seq[-1])]
+        frontier = [seq + (v,) for seq in frontier for v in ball(e, seq[-1])
+                    if not (tight and len(seq) > 1 and e.related(seq[-2], v))]
         out.extend(frontier)
     return out
 
@@ -665,16 +672,18 @@ PHASE_ONE_LINKS = 3
 
 
 def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | None = None,
-                    phase_one: bool = True) -> dict:
+                    phase_one: bool = True, full: bool = False) -> dict:
     """The c2 check with a search for every pair: phase one asks e_homotopic
     upstairs for each identical-image pair of up to PHASE_ONE_LINKS links
     (skipped when `phase_one` is false), phase two asks it downstairs for
-    each short pair and upstairs after every downstairs yes."""
+    each pair of tight chains of up to 2 links (every chain when `full`) and
+    upstairs after every downstairs yes.  Both phases together examine at
+    most `budget.states` pairs."""
     budget = budget or DEFAULT_BUDGET
     if fine.issubset(e) and f.is_injective():
         return {"status": "proved", "note": "injective map with nested scales"}
     ff = image_under(f, fine)
-    pair_cap = min(budget.states, 2500)
+    pair_cap = budget.states
     per_pair = SearchBudget(states=min(400, budget.states), max_length=12)
     examined = 0
     for origin in range(f.source.n) if phase_one else ():
@@ -700,7 +709,7 @@ def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | Non
                             "examined": examined,
                         }
     for origin in range(f.source.n):
-        short = _chains_up_to(origin, fine, 2)
+        short = _chains_up_to(origin, fine, 2, tight=not full)
         for i in range(len(short)):
             for j in range(i + 1, len(short)):
                 a, b = short[i], short[j]
@@ -742,11 +751,14 @@ def c2_phase_one_pairs(f, fine: Entourage, origin: int, links: int = PHASE_ONE_L
 
 
 def pairwise_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | None = None,
-                      phase_one: bool = True) -> dict:
+                      phase_one: bool = True, full: bool = False) -> dict:
     """The c2 check that asks `e_obstruction_at` about every pair, building
     and reading each pair's loop on its own; its phase one enumerates
     identical-image pairs of up to PHASE_ONE_LINKS links and is skipped when
-    `phase_one` is false."""
+    `phase_one` is false, and its phase two pairs the tight chains of up to
+    C2_SHORT_LINKS links, or every chain when `full`.  Both phases together
+    examine at most `budget.states` pairs, and each downstairs answer is
+    searched for afresh."""
     budget = budget or DEFAULT_BUDGET
     if not fine.issubset(e):
         raise ChainError("c2 needs the fine scale inside e")
@@ -754,7 +766,7 @@ def pairwise_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | N
         return {"status": "proved", "note": "injective map with nested scales"}
     ff = image_under(f, fine)
     skel = build_skeleton(f.source, e)
-    pair_cap = min(budget.states, C2_PAIR_CAP)
+    pair_cap = budget.states
     per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states), max_length=C2_DOWN_LENGTH)
     examined = 0
     down_unknown = 0
@@ -779,7 +791,7 @@ def pairwise_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | N
             if up is not None:
                 return refuted(a, b, up)
     for origin in range(f.source.n):
-        short = _chains_up_to(origin, fine, C2_SHORT_LINKS)
+        short = _chains_up_to(origin, fine, C2_SHORT_LINKS, tight=not full)
         images = [tuple(f(v) for v in seq) for seq in short]
         for i in range(len(short)):
             for j in range(i + 1, len(short)):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ripscover import chains, cover
+from ripscover import chains, cover, rips
 from ripscover.chains import DEFAULT_BUDGET, Chain, SearchBudget
 from ripscover.cover import (
     build_cover_ball,
@@ -216,6 +216,12 @@ def _cyclic_cover(k: int, m: int):
     return f, ScaleLadder.from_thresholds(f.source, [1.9, 1.2, 0.0])
 
 
+def _cover_batch_maps():
+    """The benchmark's five cover maps with their ladders, 14 scales in all."""
+    maps = [_fixture_map(n) for n in ("double_cover", "fold", "identity")]
+    return maps + [_cyclic_cover(3, 8), _cyclic_cover(4, 10)]
+
+
 PHASE1 = "no identical-image refutation at any length"
 
 
@@ -311,15 +317,16 @@ def _random_c2_case(rng: random.Random):
 
 def test_c2_matches_search_oracle_random():
     # cycles with a few chords over cycles or random targets, a random fine
-    # scale inside e, and state budgets that cut some pair lists short
+    # scale inside e, and state budgets that cut some pair lists short (these
+    # cases have at most a few dozen tight pairs, so 7 pairs is the one that does)
     rng = random.Random(61)
     seen = set()
     for _ in range(40):
         f, e, fine = _random_c2_case(rng)
-        budget = SearchBudget(states=rng.choice([30, 300, 2500]))
+        budget = SearchBudget(states=rng.choice([7, 30, 300, 2500]))
         got = _check_against(search_c2_check, _same_as_search, f, e, fine, budget)
         seen.add((got["status"], got.get("note"), "phase1" in got, got.get("down_unknown", 0) > 0))
-    assert {("refuted", None, False, False), ("refuted", None, True, True),
+    assert {("refuted", None, False, False), ("refuted", None, True, False),
             ("unrefuted", "budget exhausted", True, False),
             ("unrefuted", "no violation found", True, False)} <= seen
 
@@ -327,20 +334,24 @@ def test_c2_matches_search_oracle_random():
 def test_c2_matches_pairwise_on_maps():
     # the per-pair routine that builds and reads each pair's loop is the
     # reference: past phase one, same pairs, same answers, byte for byte, on
-    # every ladder pair
-    maps = [_fixture_map(n) for n in ("double_cover", "fold", "identity")]
-    maps += [_cyclic_cover(3, 8), _cyclic_cover(4, 10)]
+    # every ladder pair; at the default budget phase two examines every
+    # pair, and a small state budget still ends it
+    maps = _cover_batch_maps()
     notes = set()
     for f, e, fine in _every_pair(maps):
         got = _check_against(pairwise_c2_check, _same_bytes, f, e, fine)
         notes.add((got["status"], got.get("note")))
     assert {s for s, _ in notes} == {"proved", "refuted", "unrefuted"}
-    assert ("unrefuted", "budget exhausted") in notes
+    assert ("unrefuted", "budget exhausted") not in notes
+    f, ladder = _cyclic_cover(4, 10)
+    small = SearchBudget(states=500)
+    got = _check_against(pairwise_c2_check, _same_bytes, f, ladder[0], ladder[0], small)
+    assert (got["status"], got["note"], got["examined"]) == ("unrefuted", "budget exhausted", 500)
 
 
 def test_c2_matches_pairwise_random():
-    # budgets from 1 pair up put the pair cap inside an origin's pairs of
-    # phase two; phase one has no cap
+    # budgets from 1 pair up end phase two inside an origin's pairs; phase
+    # one has no cap
     rng = random.Random(62)
     seen = set()
     for k in range(320):
@@ -360,8 +371,7 @@ def test_c2_refutations_reverify():
     # every `refuted` answer, from either phase, carries two fine chains from
     # one origin, exactly the obstruction e_obstruction_at gives, and images
     # that are identical or homotopic downstairs
-    maps = [_fixture_map(n) for n in ("double_cover", "fold", "identity")]
-    maps += [_cyclic_cover(3, 8), _cyclic_cover(4, 10)]
+    maps = _cover_batch_maps()
     cases = [(f, e, fine, None) for f, e, fine in _every_pair(maps)]
     rng = random.Random(62)
     for k in range(320):
@@ -373,6 +383,30 @@ def test_c2_refutations_reverify():
             _assert_reverifies(f, e, fine, got, budget)
             phases.add("phase1" in got)
     assert phases == {True, False}
+
+
+def test_c2_tight_fan_loses_no_refutation():
+    # phase two pairs tight chains only, with no pair cap: every chain it
+    # drops is fine-homotopic to a kept one, so on every ladder pair of the
+    # benchmark's five maps and on random cases, the default budget decides
+    # every answer, its status is the one the uncapped full fan gives, and
+    # every refutation re-verifies; the constant chain is (x, x), so no
+    # downstairs search starts from an isolated one-point chain and none
+    # runs out
+    maps = _cover_batch_maps()
+    cases = list(_every_pair(maps))
+    rng = random.Random(64)
+    cases += [_random_c2_case(rng) for _ in range(600)]
+    uncapped = SearchBudget(states=10**9)
+    phase_two_refutations = 0
+    for f, e, fine in cases:
+        got = c2_check(f, e, fine)
+        assert got.get("note") != "budget exhausted" and got.get("down_unknown", 0) == 0
+        assert got["status"] == pairwise_c2_check(f, e, fine, uncapped, full=True)["status"]
+        if got["status"] == "refuted":
+            _assert_reverifies(f, e, fine, got)
+            phase_two_refutations += "phase1" in got
+    assert phase_two_refutations > 0
 
 
 @st.composite
@@ -556,6 +590,43 @@ def test_uniform_cover_verdicts():
     assert rep.verdicts["uniform_covering_map_at_ladder"]
 
 
+def test_uniform_cover_pushes_each_scale_forward_once(monkeypatch):
+    # every predicate reads the scales uniform_cover_verdict pushed forward:
+    # one image_under call per (map, scale)
+    calls = []
+    real = cover.image_under
+
+    def counting(f, e):
+        calls.append(e)
+        return real(f, e)
+
+    monkeypatch.setattr(cover, "image_under", counting)
+    maps = _cover_batch_maps()
+    for f, ladder in maps:
+        uniform_cover_verdict(f, ladder)
+    assert len(calls) == sum(len(ladder) for _, ladder in maps) == 14
+
+
+def test_cover_run_leaves_triangle_lists_unbuilt(monkeypatch):
+    # is_simplicial_cover reads the target skeleton's triangle array, so no
+    # target skeleton of a cover run builds its list of tuples
+    rips._skeleton.cache_clear()
+    built = []
+    real = cover.build_skeleton
+
+    def recording(space, e):
+        built.append(real(space, e))
+        return built[-1]
+
+    monkeypatch.setattr(cover, "build_skeleton", recording)
+    targets = []
+    for f, ladder in _cover_batch_maps():
+        uniform_cover_verdict(f, ladder)
+        targets += [skel for skel in built if skel.space is f.target]
+    assert any(skel._tri is not None and len(skel._tri) for skel in targets)
+    assert all(skel._triangles is None for skel in targets)
+
+
 def test_cover_ball_simply_connected():
     sp = hexagon_ex72().space
     b = build_cover_ball(sp, entourage_at(sp, 3.0), 0, 4)
@@ -641,8 +712,8 @@ def test_strict_scale_is_its_own_scale(monkeypatch):
     twins = ScaleLadder.from_json(f.source, [{"pairs": pairs, "label": "s"}, {"pairs": pairs, "label": "s"}])
     real = cover.chain_lifting_at
 
-    def lifting_from_first_scale(f, e, fine, basepoint=None):
-        return real(f, e, fine, basepoint) if e is twins[0] else (False, {"kind": "planted"})
+    def lifting_from_first_scale(f, e, fine, basepoint=None, **pushed):
+        return real(f, e, fine, basepoint, **pushed) if e is twins[0] else (False, {"kind": "planted"})
 
     monkeypatch.setattr(cover, "chain_lifting_at", lifting_from_first_scale)
     report = uniform_cover_verdict(f, twins)
