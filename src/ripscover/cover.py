@@ -36,32 +36,31 @@ from .space import (
 )
 
 
-def generates_at(
-    f: SpaceMap, e: Entourage, candidates, *, fe: Entourage | None = None, images=None
-) -> tuple[int, Entourage] | None:
-    """First candidate scale F with f(F) o f(F) inside f(E), if any.
-
-    A caller that has pushed the scales forward already passes `fe`, the
-    image of e, and `images`, the candidates' images in order."""
+def generates_at(f: SpaceMap, e: Entourage, candidates) -> tuple[int, Entourage] | None:
+    """First candidate scale F with f(F) o f(F) inside f(E), if any."""
     if e.n != f.source.n:
         raise CarrierMismatch("entourage does not live on the map's source")
-    if fe is None:
-        fe = image_under(f, e)
-    if images is None:
-        images = (image_under(f, cand) for cand in candidates)
+    return _generates_at(image_under(f, e), candidates, (image_under(f, c) for c in candidates))
+
+
+def _generates_at(fe: Entourage, candidates, images) -> tuple[int, Entourage] | None:
+    """`generates_at` with e pushed forward as `fe` and the candidates'
+    images, in order, as `images`."""
     for idx, (cand, ff) in enumerate(zip(candidates, images)):
         if compose(ff, ff).issubset(fe):
             return idx, cand
     return None
 
 
-def evenly_covers(f: SpaceMap, e: Entourage, *, fe: Entourage | None = None) -> tuple[bool, dict | None]:
-    """Does every ball upstairs map bijectively onto its image ball?  `fe`
-    is the image of e when the caller has it already."""
+def evenly_covers(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
+    """Does every ball upstairs map bijectively onto its image ball?"""
     if e.n != f.source.n:
         raise CarrierMismatch("entourage does not live on the map's source")
-    if fe is None:
-        fe = image_under(f, e)
+    return _evenly_covers(f, e, image_under(f, e))
+
+
+def _evenly_covers(f: SpaceMap, e: Entourage, fe: Entourage) -> tuple[bool, dict | None]:
+    """`evenly_covers` with e pushed forward as `fe`."""
     for x in range(f.source.n):
         bx = ball(e, x)
         images = [f(y) for y in bx]
@@ -76,14 +75,14 @@ def evenly_covers(f: SpaceMap, e: Entourage, *, fe: Entourage | None = None) -> 
     return True, None
 
 
-def is_simplicial_cover(
-    f: SpaceMap, e: Entourage, *, fe: Entourage | None = None
-) -> tuple[bool, dict | None]:
-    """Even covering plus unique lifting of downstairs triangles.  `fe` is
-    the image of e when the caller has it already."""
-    if fe is None:
-        fe = image_under(f, e)
-    ok, cx = evenly_covers(f, e, fe=fe)
+def is_simplicial_cover(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
+    """Even covering plus unique lifting of downstairs triangles."""
+    return _simplicial_cover(f, e, image_under(f, e))
+
+
+def _simplicial_cover(f: SpaceMap, e: Entourage, fe: Entourage) -> tuple[bool, dict | None]:
+    """`is_simplicial_cover` with e pushed forward as `fe`."""
+    ok, cx = _evenly_covers(f, e, fe)
     if not ok:
         return False, cx
     down = build_skeleton(f.target, fe)
@@ -108,20 +107,23 @@ def is_simplicial_cover(
 
 
 def chain_lifting_at(
-    f: SpaceMap, e: Entourage, fine: Entourage, basepoint: int | None = None,
-    *, ff: Entourage | None = None,
+    f: SpaceMap, e: Entourage, fine: Entourage, basepoint: int | None = None
 ) -> tuple[bool, dict | None]:
     """Can every image-scale link be lifted to an e-link from any fiber point?
 
     The default quantifies over all starting points (the stronger reading the
     ladder-level verdicts use).  Passing a basepoint restricts the check to
     chains lifted from that point's fiber positions reachable at scale e.
-    `ff` is the image of the fine scale when the caller has it already.
     """
     if e.n != f.source.n or fine.n != f.source.n:
         raise CarrierMismatch("entourages must live on the map's source")
-    if ff is None:
-        ff = image_under(f, fine)
+    return _chain_lifting(f, e, image_under(f, fine), basepoint)
+
+
+def _chain_lifting(
+    f: SpaceMap, e: Entourage, ff: Entourage, basepoint: int | None = None
+) -> tuple[bool, dict | None]:
+    """`chain_lifting_at` with the fine scale pushed forward as `ff`."""
     fibers: dict[int, list[int]] = {}
     for x, y in enumerate(f.assign):
         fibers.setdefault(y, []).append(x)
@@ -259,10 +261,7 @@ class _Fan:
         return _obstruction(self.h1, self.e_rows, self.chains[i][-1], self.chains[j][-1], diff)
 
 
-def c2_check(
-    f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | None = None,
-    *, ff: Entourage | None = None,
-) -> dict:
+def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | None = None) -> dict:
     """Search for a pair of fine chains violating approximate lift uniqueness.
 
     A pair refutes when its chains are not homotopic at e while their images
@@ -286,18 +285,20 @@ def c2_check(
     budget".  Every other answer says in `phase1` that phase one found no
     refutation, and counts in `down_unknown` the pairs whose downstairs
     search ran out of budget: refutations this budget may have missed.  The
-    fine scale must lie inside e, as on any ladder.  `ff` is the image of
-    the fine scale when the caller has it already.
+    fine scale must lie inside e, as on any ladder.
     """
-    budget = budget or DEFAULT_BUDGET
     if e.n != f.source.n or fine.n != f.source.n:
         raise CarrierMismatch("entourages must live on the map's source")
+    return _c2_check(f, e, fine, image_under(f, fine), budget)
+
+
+def _c2_check(f: SpaceMap, e: Entourage, fine: Entourage, ff: Entourage, budget: SearchBudget | None) -> dict:
+    """`c2_check` with the fine scale pushed forward as `ff`."""
+    budget = budget or DEFAULT_BUDGET
     if not fine.issubset(e):
         raise ChainError("c2 needs the fine scale inside e")
     if f.is_injective():
         return {"status": "proved", "note": "injective map with nested scales"}
-    if ff is None:
-        ff = image_under(f, fine)
     ff_rows = ff.rel.tolist()
     # fine chains are valid at e, as fine lies inside e
     h1 = build_skeleton(f.source, e).h1_data()
@@ -335,8 +336,10 @@ def c2_check(
         tree.setdefault((y, yp), (src, diff))
     phase1 = {"phase1": "no identical-image refutation at any length"}
     # phase two: tight chains with homotopic (not identical) images; the k
-    # sheets of a cover ask about the same image pairs, so each downstairs
-    # answer is kept
+    # sheets of a cover ask about the same image pairs (172 of the 307
+    # downstairs questions over the benchmark's five cover maps repeat one),
+    # so each downstairs answer is kept, and a kept Unknown counts once for
+    # every pair that asks it, as a fresh search would
     nbrs = [np.flatnonzero(row).tolist() for row in fine.rel]
     fine_rows = fine.rel.tolist()
     down_answers: dict[tuple, Trivalue] = {}
@@ -408,12 +411,12 @@ def uniform_cover_verdict(
 
     def scale_entry(i: int) -> dict:
         e = ladder[i]
-        ok_sc, cx_sc = is_simplicial_cover(f, e, fe=images[i])
-        # is_simplicial_cover runs evenly_covers first and returns its failure
+        ok_sc, cx_sc = _simplicial_cover(f, e, images[i])
+        # _simplicial_cover runs _evenly_covers first and returns its failure
         ok_ec = ok_sc or cx_sc["kind"] == "triangle_lift"
         cx_ec = None if ok_ec else cx_sc
         ok_ul, wit_ul = uniqueness_of_lifts(f, e)
-        gen = generates_at(f, e, ladder, fe=images[i], images=images)
+        gen = _generates_at(images[i], ladder, images)
         return {
             "scale": ladder.describe(i),
             "transverse": transverse(f, e),
@@ -427,7 +430,7 @@ def uniform_cover_verdict(
         }
 
     def pair_entry(i: int, j: int) -> dict:
-        ok_cl, cx_cl = chain_lifting_at(f, ladder[i], ladder[j], ff=images[j])
+        ok_cl, cx_cl = _chain_lifting(f, ladder[i], images[j])
         ok_c3, wit_c3 = c3_check(f, ladder[i], ladder[j])
         return {
             "scale": ladder.describe(i),
@@ -436,7 +439,7 @@ def uniform_cover_verdict(
             "chain_lifting_counterexample": cx_cl,
             "c3": ok_c3,
             "c3_witness": list(wit_c3) if wit_c3 else None,
-            "c2": c2_check(f, ladder[i], ladder[j], budget, ff=images[j]),
+            "c2": _c2_check(f, ladder[i], ladder[j], images[j], budget),
         }
 
     per_scale = [scale_entry(i) for i in range(k)]

@@ -45,6 +45,7 @@ from _oracles import (
     space_for,
 )
 
+import _oracles
 import numpy as np
 
 
@@ -409,6 +410,42 @@ def test_c2_tight_fan_loses_no_refutation():
     assert phase_two_refutations > 0
 
 
+def test_c2_counts_kept_unknown_answers_per_pair(monkeypatch):
+    # c2_check keeps each downstairs answer per pair of images, and the
+    # pairwise reference searches afresh for every pair; with the answers of
+    # the image pairs that have no obstruction made Unknown in both, as a
+    # search that runs out would leave them (every such pair in every other
+    # case, a third of them in the rest), the reports agree byte for byte,
+    # so a kept Unknown counts once for every pair that asks it
+    real = chains.e_homotopic
+    planted = set()
+    plant_all = False
+
+    def unknown_for_some(c, d, entourage, budget=None):
+        got = real(c, d, entourage, budget)
+        if got.is_no() or not (plant_all or (sum(c.seq) + 2 * sum(d.seq)) % 3 == 0):
+            return got
+        planted.add((c.seq, d.seq))
+        return chains.Trivalue("unknown", stats={"reason": "planted"})
+
+    monkeypatch.setattr(cover, "e_homotopic", unknown_for_some)
+    monkeypatch.setattr(_oracles, "e_homotopic", unknown_for_some)
+    cases = list(_every_pair(_cover_batch_maps()))
+    rng = random.Random(65)
+    cases += [_random_c2_case(rng) for _ in range(200)]
+    seen = set()
+    repeats = 0
+    for k, (f, e, fine) in enumerate(cases):
+        plant_all = k % 2 == 1
+        planted.clear()
+        got = c2_check(f, e, fine)
+        repeats += got.get("down_unknown", 0) > len(planted)
+        assert _check_against(pairwise_c2_check, _same_bytes, f, e, fine) == got
+        seen.add((got["status"], got.get("down_unknown", 0) > 0))
+    assert {("refuted", True), ("unrefuted", True)} <= seen
+    assert repeats > 0
+
+
 @st.composite
 def _small_c2_case(draw):
     """A map of 3-6 points and nested scales: either a random map with fine
@@ -539,8 +576,10 @@ def test_c2_phase_one_runs_no_search(monkeypatch):
 
 def test_c2_searches_only_downstairs_on_refuting_candidates(monkeypatch):
     # every search is the downstairs question of a pair whose upstairs
-    # answer is No, asked right after that answer; every upstairs answer is
-    # the one chains.e_obstruction_at gives on the pair's own loop
+    # answer is No, asked right after that answer and at most once per pair
+    # of images; every upstairs answer is the one chains.e_obstruction_at
+    # gives on the pair's own loop, and only pairs with an upstairs No can
+    # count a downstairs Unknown
     searched = 0
     for f, ladder in (_fixture_map("double_cover"), _fixture_map("fold"), _cyclic_cover(3, 8)):
         for i in range(len(ladder)):
@@ -558,7 +597,10 @@ def test_c2_searches_only_downstairs_on_refuting_candidates(monkeypatch):
                         assert up[0] == "up" and up[3] is not None
                         assert entry[1:] == (tuple(f(v) for v in up[1]), tuple(f(v) for v in up[2]), ff)
                 searched += sum(entry[0] == "search" for entry in log)
-                assert got.get("down_unknown", 0) <= searched
+                asked = [entry[1:3] for entry in log if entry[0] == "down"]
+                assert len(asked) == len(set(asked))
+                candidates = sum(entry[0] == "up" and entry[3] is not None for entry in log)
+                assert got.get("down_unknown", 0) <= candidates
     assert searched > 0
 
 
@@ -710,12 +752,12 @@ def test_strict_scale_is_its_own_scale(monkeypatch):
     # second has no lifting pair of its own, whatever its name
     pairs = [list(p) for p in ladder[1].pairs()]
     twins = ScaleLadder.from_json(f.source, [{"pairs": pairs, "label": "s"}, {"pairs": pairs, "label": "s"}])
-    real = cover.chain_lifting_at
+    real = cover._chain_lifting
 
-    def lifting_from_first_scale(f, e, fine, basepoint=None, **pushed):
-        return real(f, e, fine, basepoint, **pushed) if e is twins[0] else (False, {"kind": "planted"})
+    def lifting_from_first_scale(f, e, ff, basepoint=None):
+        return real(f, e, ff, basepoint) if e is twins[0] else (False, {"kind": "planted"})
 
-    monkeypatch.setattr(cover, "chain_lifting_at", lifting_from_first_scale)
+    monkeypatch.setattr(cover, "_chain_lifting", lifting_from_first_scale)
     report = uniform_cover_verdict(f, twins)
     assert [p["chain_lifting"] for p in report.per_pair] == [True, True, False]
     assert "chain_lifting" in report.verdicts["failing"]
