@@ -126,11 +126,6 @@ def reverse(c: Chain) -> Chain:
     return Chain(c.space, c.entourage, tuple(reversed(c.seq)))
 
 
-def edge_seq(x: int, y: int) -> tuple[int, ...]:
-    """The one-edge walk from x to y; constant walk when x == y."""
-    return (x,) if x == y else (x, y)
-
-
 def canonicalize(seq: tuple[int, ...]) -> tuple[int, ...]:
     """Collapse consecutive duplicates; never below length 2 for long inputs.
 
@@ -524,12 +519,16 @@ def e_obstruction_at(skel, c_seq: tuple[int, ...], d_seq: tuple[int, ...]) -> di
 
 
 def is_short(c: Chain, entourage: Entourage, budget: SearchBudget | None = None) -> Trivalue:
-    """Is the chain's class at this scale just the edge between its endpoints?"""
+    """Is the chain's class at this scale just the edge between its endpoints?
+
+    The edge of a closed chain is the constant chain (x, x), not (x,), which
+    the move calculus isolates; a one-point chain is its own target.
+    """
     cc = validate_chain(c.space, entourage, c.seq)
     x, y = cc.start, cc.end
     if not entourage.related(x, y):
         return Trivalue("no", obstruction={"kind": "endpoints", "pair": [x, y]})
-    target = Chain(c.space, entourage, edge_seq(x, y))
+    target = Chain(c.space, entourage, (x, y) if len(cc.seq) > 1 else cc.seq)
     return decide_homotopic(cc, target, budget)
 
 

@@ -28,7 +28,6 @@ from .space import (
     SpaceMap,
     as_index,
     as_number,
-    dump_space,
     entourage_at,
     load_space,
     space_from_json,
@@ -41,13 +40,22 @@ EXIT_INVALID = 2
 EXIT_CERTIFICATE = 3
 
 
-def _dump(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _dump(doc: dict | str, path: str | None) -> None:
+    """Write a report to the file at `path`, or to stdout: a dict as sorted
+    json, a string as it is."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _basepoint(args, space: FiniteSpace) -> int:
+    """--basepoint, else the space's first distinguished point, else point 0."""
+    if args.basepoint is not None:
+        return space.index_of(args.basepoint)
+    return space.distinguished[0][1] if space.distinguished else 0
 
 
 def _budget(args) -> SearchBudget:
@@ -99,10 +107,7 @@ def _config_block(args) -> dict:
 def cmd_analyze(args) -> int:
     space, recommended = _load_input(args)
     ladder = _resolve_ladder(args, space, recommended)
-    basepoint = space.index_of(args.basepoint) if args.basepoint is not None else (
-        space.distinguished[0][1] if space.distinguished else 0
-    )
-    tower = build_tower(space, ladder, basepoint)
+    tower = build_tower(space, ladder, _basepoint(args, space))
     doc = tower.to_json()
     doc["skeletons"] = [
         {
@@ -120,12 +125,7 @@ def cmd_analyze(args) -> int:
         doc["certified_pairs"] = rep
     doc["config"] = _config_block(args)
     if args.format == "text":
-        out = tower.text_table() + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(out)
-        else:
-            sys.stdout.write(out)
+        _dump(tower.text_table() + "\n", args.output)
     else:
         _dump(doc, args.output)
     return EXIT_OK
@@ -180,9 +180,7 @@ def cmd_cover(args) -> int:
 
 def _write_certificate(cert: HomotopyCertificate, args) -> str:
     path = args.certificate_out or "certificate.json"
-    with open(path, "w") as fh:
-        json.dump(cert.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump(cert.to_json(), path)
     return path
 
 
@@ -249,17 +247,9 @@ def cmd_replay(args) -> int:
 def cmd_ball(args) -> int:
     space, recommended = _load_input(args)
     scale = entourage_at(space, args.eps, strict=args.strict_thresholds)
-    basepoint = space.index_of(args.basepoint) if args.basepoint is not None else (
-        space.distinguished[0][1] if space.distinguished else 0
-    )
-    ball = build_cover_ball(space, scale, basepoint, args.radius, _budget(args))
+    ball = build_cover_ball(space, scale, _basepoint(args, space), args.radius, _budget(args))
     if args.format == "dot":
-        text = ball.to_dot() + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _dump(ball.to_dot() + "\n", args.output)
     else:
         doc = ball.to_json()
         doc["config"] = _config_block(args)
@@ -269,12 +259,9 @@ def cmd_ball(args) -> int:
 
 def cmd_gallery(args) -> int:
     g = make_gallery(args.name)
-    if args.output:
-        dump_space(g.space, args.output, ladder=g.ladder)
-    else:
-        doc = g.space.to_json()
-        doc["recommended_ladder"] = g.ladder.to_json()
-        _dump(doc, None)
+    doc = g.space.to_json()
+    doc["recommended_ladder"] = g.ladder.to_json()
+    _dump(doc, args.output)
     return EXIT_OK
 
 

@@ -40,13 +40,9 @@ def generates_at(f: SpaceMap, e: Entourage, candidates) -> tuple[int, Entourage]
     """First candidate scale F with f(F) o f(F) inside f(E), if any."""
     if e.n != f.source.n:
         raise CarrierMismatch("entourage does not live on the map's source")
-    return _generates_at(image_under(f, e), candidates, (image_under(f, c) for c in candidates))
-
-
-def _generates_at(fe: Entourage, candidates, images) -> tuple[int, Entourage] | None:
-    """`generates_at` with e pushed forward as `fe` and the candidates'
-    images, in order, as `images`."""
-    for idx, (cand, ff) in enumerate(zip(candidates, images)):
+    fe = image_under(f, e)
+    for idx, cand in enumerate(candidates):
+        ff = image_under(f, cand)
         if compose(ff, ff).issubset(fe):
             return idx, cand
     return None
@@ -56,11 +52,7 @@ def evenly_covers(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
     """Does every ball upstairs map bijectively onto its image ball?"""
     if e.n != f.source.n:
         raise CarrierMismatch("entourage does not live on the map's source")
-    return _evenly_covers(f, e, image_under(f, e))
-
-
-def _evenly_covers(f: SpaceMap, e: Entourage, fe: Entourage) -> tuple[bool, dict | None]:
-    """`evenly_covers` with e pushed forward as `fe`."""
+    fe = image_under(f, e)
     for x in range(f.source.n):
         bx = ball(e, x)
         images = [f(y) for y in bx]
@@ -77,15 +69,10 @@ def _evenly_covers(f: SpaceMap, e: Entourage, fe: Entourage) -> tuple[bool, dict
 
 def is_simplicial_cover(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
     """Even covering plus unique lifting of downstairs triangles."""
-    return _simplicial_cover(f, e, image_under(f, e))
-
-
-def _simplicial_cover(f: SpaceMap, e: Entourage, fe: Entourage) -> tuple[bool, dict | None]:
-    """`is_simplicial_cover` with e pushed forward as `fe`."""
-    ok, cx = _evenly_covers(f, e, fe)
+    ok, cx = evenly_covers(f, e)
     if not ok:
         return False, cx
-    down = build_skeleton(f.target, fe)
+    down = build_skeleton(f.target, image_under(f, e))
     tris_at: dict[int, list[list[int]]] = {}
     for tri in down.tri.tolist():
         for v in tri:
@@ -117,13 +104,6 @@ def chain_lifting_at(
     """
     if e.n != f.source.n or fine.n != f.source.n:
         raise CarrierMismatch("entourages must live on the map's source")
-    return _chain_lifting(f, e, image_under(f, fine), basepoint)
-
-
-def _chain_lifting(
-    f: SpaceMap, e: Entourage, ff: Entourage, basepoint: int | None = None
-) -> tuple[bool, dict | None]:
-    """`chain_lifting_at` with the fine scale pushed forward as `ff`."""
     fibers: dict[int, list[int]] = {}
     for x, y in enumerate(f.assign):
         fibers.setdefault(y, []).append(x)
@@ -131,7 +111,7 @@ def _chain_lifting(
     if basepoint is not None:
         labels = component_labels(e)
         allowed = {x for x in range(f.source.n) if labels[x] == labels[basepoint]}
-    for y, yp in ff.pairs():
+    for y, yp in image_under(f, fine).pairs():
         for a, b in ((y, yp), (yp, y)):
             for x in fibers.get(a, ()):
                 if allowed is not None and x not in allowed:
@@ -261,10 +241,7 @@ class _Fan:
         return _obstruction(self.h1, self.e_rows, self.chains[i][-1], self.chains[j][-1], diff)
 
 
-def c2_check(
-    f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | None = None,
-    *, ff: Entourage | None = None,
-) -> dict:
+def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | None = None) -> dict:
     """Search for a pair of fine chains violating approximate lift uniqueness.
 
     A pair refutes when its chains are not homotopic at e while their images
@@ -280,7 +257,7 @@ def c2_check(
     tight chains of `_Fan` whose images differ, from every origin, counted
     in `examined` against `budget.states`, and searches downstairs only for
     pairs whose image ends are related and whose upstairs answer is No,
-    once per pair of images.
+    once per pair.
 
     Returns {"status": "proved" | "refuted" | "unrefuted", ...}.  A genuine
     positive is only available in the decidable special case (injective
@@ -289,11 +266,6 @@ def c2_check(
     refutation, and counts in `down_unknown` the pairs whose downstairs
     search ran out of budget: refutations this budget may have missed.  The
     fine scale must lie inside e, as on any ladder.
-
-    `ff` must be `image_under(f, fine)`; only `uniform_cover_verdict`, which
-    has pushed every scale forward, passes it.  That caller calls c2_check
-    itself, not a private helper, because `perfbench/tracer.py` wraps public
-    functions only and reads the c2 time and pair count off this name.
     """
     budget = budget or DEFAULT_BUDGET
     if e.n != f.source.n or fine.n != f.source.n:
@@ -302,8 +274,7 @@ def c2_check(
         raise ChainError("c2 needs the fine scale inside e")
     if f.is_injective():
         return {"status": "proved", "note": "injective map with nested scales"}
-    if ff is None:
-        ff = image_under(f, fine)
+    ff = image_under(f, fine)
     ff_rows = ff.rel.tolist()
     # fine chains are valid at e, as fine lies inside e
     h1 = build_skeleton(f.source, e).h1_data()
@@ -340,14 +311,9 @@ def c2_check(
             return refuted([s[0] for s in path] + [y], [s[1] for s in path] + [yp], up)
         tree.setdefault((y, yp), (src, diff))
     phase1 = {"phase1": "no identical-image refutation at any length"}
-    # phase two: tight chains with homotopic (not identical) images; the k
-    # sheets of a cover ask about the same image pairs (172 of the 307
-    # downstairs questions over the benchmark's five cover maps repeat one),
-    # so each downstairs answer is kept, and a kept Unknown counts once for
-    # every pair that asks it, as a fresh search would
+    # phase two: tight chains with homotopic (not identical) images
     nbrs = [np.flatnonzero(row).tolist() for row in fine.rel]
     fine_rows = fine.rel.tolist()
-    down_answers: dict[tuple, Trivalue] = {}
     for origin in range(f.source.n):
         fan = _Fan(origin, nbrs, fine_rows, f.assign, h1, e_rows)
         images = fan.images
@@ -364,11 +330,7 @@ def c2_check(
                 up = fan.obstruction(i, j)
                 if up is None:
                     continue
-                down = down_answers.get((img_a, img_b))
-                if down is None:
-                    down = down_answers[img_a, img_b] = e_homotopic(
-                        Chain(f.target, ff, img_a), Chain(f.target, ff, img_b), ff, per_pair
-                    )
+                down = e_homotopic(Chain(f.target, ff, img_a), Chain(f.target, ff, img_b), ff, per_pair)
                 down_unknown += down.is_unknown()
                 if down.is_yes():
                     return refuted(fan.chains[i], fan.chains[j], up)
@@ -412,16 +374,15 @@ def uniform_cover_verdict(
     if ladder.n != f.source.n:
         raise CarrierMismatch("ladder does not live on the map's source")
     k = len(ladder)
-    images = [image_under(f, e) for e in ladder]
 
     def scale_entry(i: int) -> dict:
         e = ladder[i]
-        ok_sc, cx_sc = _simplicial_cover(f, e, images[i])
-        # _simplicial_cover runs _evenly_covers first and returns its failure
+        ok_sc, cx_sc = is_simplicial_cover(f, e)
+        # is_simplicial_cover runs evenly_covers first and returns its failure
         ok_ec = ok_sc or cx_sc["kind"] == "triangle_lift"
         cx_ec = None if ok_ec else cx_sc
         ok_ul, wit_ul = uniqueness_of_lifts(f, e)
-        gen = _generates_at(images[i], ladder, images)
+        gen = generates_at(f, e, ladder)
         return {
             "scale": ladder.describe(i),
             "transverse": transverse(f, e),
@@ -435,7 +396,7 @@ def uniform_cover_verdict(
         }
 
     def pair_entry(i: int, j: int) -> dict:
-        ok_cl, cx_cl = _chain_lifting(f, ladder[i], images[j])
+        ok_cl, cx_cl = chain_lifting_at(f, ladder[i], ladder[j])
         ok_c3, wit_c3 = c3_check(f, ladder[i], ladder[j])
         return {
             "scale": ladder.describe(i),
@@ -444,7 +405,7 @@ def uniform_cover_verdict(
             "chain_lifting_counterexample": cx_cl,
             "c3": ok_c3,
             "c3_witness": list(wit_c3) if wit_c3 else None,
-            "c2": c2_check(f, ladder[i], ladder[j], budget, ff=images[j]),
+            "c2": c2_check(f, ladder[i], ladder[j], budget),
         }
 
     per_scale = [scale_entry(i) for i in range(k)]
@@ -471,7 +432,7 @@ def uniform_cover_verdict(
         "simplicial_implies_evenly": all(
             (not s["simplicial_cover"]) or s["evenly_covers"] for s in per_scale
         ),
-        "lifting_squares_give_structure": _prop_29b(ladder, images, lifting),
+        "lifting_squares_give_structure": _prop_29b(f, ladder, lifting),
         "uniqueness_iff_transverse_per_scale": all(
             (not s["uniqueness_of_lifts"]) or s["transverse"] for s in per_scale
         ),
@@ -485,11 +446,11 @@ def uniform_cover_verdict(
     return CoverReport(ladder.to_json(), per_scale, per_pair, verdicts, implications)
 
 
-def _prop_29b(ladder: ScaleLadder, images: list[Entourage], lifting: dict[tuple[int, int], bool]) -> bool:
+def _prop_29b(f: SpaceMap, ladder: ScaleLadder, lifting: dict[tuple[int, int], bool]) -> bool:
     """Whenever D o D fits in E and chains lift at (D, F), the image of F
     squares into the image of E; recorded as a concrete per-triple check.
-    `images` are the scales pushed forward, and `lifting[j, t]` is the
-    chain-lifting verdict at ladder indices j <= t."""
+    `lifting[j, t]` is the chain-lifting verdict at ladder indices j <= t."""
+    images = [image_under(f, e) for e in ladder]
     for i, e in enumerate(ladder):
         for j in range(i, len(ladder)):
             if not compose(ladder[j], ladder[j]).issubset(e):

@@ -3,7 +3,9 @@
 A space is a fixed finite point set with a symmetric dissimilarity matrix;
 an entourage is a reflexive symmetric boolean relation on the points that
 encodes "close at this scale".  All objects are immutable after
-construction and safe to share between threads.
+construction, except that a map keeps each relation it has pushed forward
+(`image_under`), so that a relation is pushed forward once per map; all are
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -306,7 +308,7 @@ def component_labels(e: Entourage) -> np.ndarray:
 class SpaceMap:
     """Point assignment between two spaces; continuity is a per-scale question."""
 
-    __slots__ = ("source", "target", "assign")
+    __slots__ = ("source", "target", "assign", "_images")
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, assign):
         assign = tuple(as_index(a) for a in assign)
@@ -318,6 +320,7 @@ class SpaceMap:
         self.source = source
         self.target = target
         self.assign = assign
+        self._images: dict[Entourage, Entourage] = {}
 
     def __call__(self, i: int) -> int:
         return self.assign[i]
@@ -345,16 +348,19 @@ def image_under(f: SpaceMap, e: Entourage) -> Entourage:
 
     Target points outside the image keep only their diagonal pair; the true
     image is recorded in the result's metadata so structure checks can see it.
+    The map keeps the result, keyed by the relation, and returns it again.
     """
     if e.n != f.source.n:
         raise CarrierMismatch("entourage does not live on the map's source")
-    # a and b are related when some preimage of a is related to some
-    # preimage of b: the product P^T E P with P the one-hot map matrix
-    onehot = np.zeros((f.source.n, f.target.n), dtype=bool)
-    onehot[np.arange(f.source.n), f.assign] = True
-    rel = onehot.T @ e.rel @ onehot
-    image = sorted(set(f.assign))
-    return Entourage(rel, meta={"image_points": image})
+    fe = f._images.get(e)
+    if fe is None:
+        # a and b are related when some preimage of a is related to some
+        # preimage of b: the product P^T E P with P the one-hot map matrix
+        onehot = np.zeros((f.source.n, f.target.n), dtype=bool)
+        onehot[np.arange(f.source.n), f.assign] = True
+        rel = onehot.T @ e.rel @ onehot
+        fe = f._images[e] = Entourage(rel, meta={"image_points": sorted(set(f.assign))})
+    return fe
 
 
 def preimage_under(f: SpaceMap, e: Entourage) -> Entourage:

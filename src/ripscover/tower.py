@@ -21,7 +21,6 @@ from .chains import (
     SearchBudget,
     Trivalue,
     decide_homotopic,
-    edge_seq,
     validate_chain,
 )
 from .errors import ValidationError
@@ -310,7 +309,7 @@ def _witness_pair(walker: _RootedWalks, x: int, y: int) -> tuple[Trivalue, tuple
     chain = validate_chain(walker.space, walker.target, walk_x[::-1] + walk_y[1:])
     # the coordinates cancel the class, so decide_homotopic cannot answer no
     assert not any(h1_class(walker.skel, chain.seq + (x,))), "built walk misses the edge's class"
-    res = decide_homotopic(chain, Chain(walker.space, walker.target, edge_seq(x, y)), walker.budget)
+    res = decide_homotopic(chain, Chain(walker.space, walker.target, (x, y)), walker.budget)
     return res, ((walk_x, walk_y) if res.is_yes() else None)
 
 

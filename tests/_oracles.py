@@ -74,7 +74,6 @@ from ripscover.chains import (
     decide_homotopic,
     e_homotopic,
     e_obstruction_at,
-    edge_seq,
     validate_chain,
 )
 from ripscover.errors import ChainError
@@ -935,7 +934,7 @@ def explored_witness(walker: ExploredWalker, x: int, y: int, starts):
         return Trivalue("no", obstruction={"kind": "h1_coset"}), None
     parents, truncated = walker.explored
     goal = walker.step_class(x, y)
-    edge = Chain(walker.space, walker.target, edge_seq(x, y))
+    edge = Chain(walker.space, walker.target, (x, y))
     tried = 0
     for z in starts:
         want = (y, walker.add(goal, z))

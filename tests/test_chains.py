@@ -22,7 +22,7 @@ from ripscover.chains import (
     validate_chain,
 )
 from ripscover.errors import CertificateError, ChainError, MoveError
-from ripscover.gallery import hexagon_ex72, hexagon_ex73
+from ripscover.gallery import gallery, hexagon_ex72, hexagon_ex73
 from ripscover.rips import build_skeleton
 from ripscover.space import FiniteSpace, ball, entourage_at
 
@@ -241,6 +241,21 @@ def test_is_short_cases():
     arc = validate_chain(SP, E1, ARC)
     assert is_short(arc, E1).is_no()
     assert is_short(arc, E3).is_yes()
+
+
+def test_is_short_closed_chains():
+    # a closed chain's edge is the constant chain (x, x), and a one-point
+    # chain is its own edge: loops that bound at eps 3 are short, each with
+    # a certificate that replays, and the 12-gon's loop at its coarsest
+    # ladder scale is not
+    for seq in [(0, 1, 0), (0, 1, 2, 0), (0, 0), (0,)]:
+        got = is_short(validate_chain(SP, E3, seq), E3)
+        assert got.is_yes()
+        assert got.certificate.replay().seq == ((0,) if seq == (0,) else (0, 0))
+    polygon = gallery("polygon:12,1")
+    scale = polygon.ladder[0]
+    got = is_short(validate_chain(polygon.space, scale, (*range(12), 0)), scale)
+    assert got.is_no() and got.obstruction["kind"] == "h1_class"
 
 
 def test_close_chains_explicit():

@@ -90,6 +90,18 @@ def test_short_command(tmp_path):
     assert run(["replay", str(cert), "--output", os.devnull]) == 0
 
 
+def test_short_command_on_a_loop(tmp_path):
+    # a loop that bounds at the scale is short: exit 0 and a certificate
+    # that replays
+    chain = tmp_path / "loop.json"
+    chain.write_text(json.dumps({"space": hexagon_ex72().space.to_json(), "seq": [0, 1, 2, 0], "eps": 3.0}))
+    out, cert = tmp_path / "short.json", tmp_path / "c.json"
+    assert run(["short", "--chain", str(chain), "--scale", "3", "--output", str(out),
+                "--certificate-out", str(cert)]) == 0
+    assert json.loads(out.read_text())["verdict"] == "yes"
+    assert run(["replay", str(cert), "--output", os.devnull]) == 0
+
+
 def test_replay_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"kind\": \"homotopy_certificate\"}")
