@@ -108,6 +108,11 @@ def cmd_analyze(args) -> int:
     space, recommended = _load_input(args)
     ladder = _resolve_ladder(args, space, recommended)
     tower = build_tower(space, ladder, _basepoint(args, space))
+    if args.certified_pairs is not None:
+        target = entourage_at(space, args.certified_pairs, strict=args.strict_thresholds)
+    if args.format == "text":  # the table shows none of the json-only sections below
+        _dump(tower.text_table() + "\n", args.output)
+        return EXIT_OK
     doc = tower.to_json()
     doc["skeletons"] = [
         {
@@ -120,14 +125,10 @@ def cmd_analyze(args) -> int:
     if args.audit:
         doc["joinability_audit"] = uniform_joinability_audit(space, ladder, _budget(args))
     if args.certified_pairs is not None:
-        target = entourage_at(space, args.certified_pairs, strict=args.strict_thresholds)
         _, rep = g_entourage(space, target, ladder, _budget(args))
         doc["certified_pairs"] = rep
     doc["config"] = _config_block(args)
-    if args.format == "text":
-        _dump(tower.text_table() + "\n", args.output)
-    else:
-        _dump(doc, args.output)
+    _dump(doc, args.output)
     return EXIT_OK
 
 

@@ -74,7 +74,7 @@ def is_simplicial_cover(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
         return False, cx
     down = build_skeleton(f.target, image_under(f, e))
     tris_at: dict[int, list[list[int]]] = {}
-    for tri in down.tri.tolist():
+    for tri in down.triangles.tolist():
         for v in tri:
             tris_at.setdefault(v, []).append(tri)
     for x in range(f.source.n):

@@ -10,8 +10,12 @@ named by its largest id.  Only the triangles with three live edges are
 listed and read through the classes; the few rows left go through a sparse
 unit-pivot phase feeding a small dense Smith form, so class vectors,
 representatives and torsion are all exact.  The group is the one every
-relator gives; the basis is the classes' survivors'.  A skeleton builds
-its full triangle list only when a caller reads it.
+relator gives; the basis is the classes' survivors'.
+
+A skeleton keeps its edges, generators and triangles as one read-only
+integer array each, never as one Python object per simplex, and builds
+the triangle array only when a caller reads it.  Output code converts at
+the point of output, so no numpy scalar reaches a report.
 """
 
 from __future__ import annotations
@@ -43,55 +47,56 @@ def _triangle_masks(rel: np.ndarray):
     cols = np.arange(n)
     for s in _blocks(len(iu), n):
         a, b = iu[s], ju[s]
-        yield a, b, rel[a] & rel[b] & (cols > b[:, None])
+        m = rel[a]
+        m &= rel[b]
+        m &= cols > b[:, None]
+        yield a, b, m
 
 
 class RipsSkeleton:
     """2-skeleton of the clique complex of an entourage, plus a BFS forest.
 
-    The generators are the non-forest edges a < b in lexicographic order:
-    `generators` lists them as tuples, `gen_ends` holds their ends as two
-    arrays, and `gen_id` is the symmetric n x n int32 matrix of their ids,
-    -1 off the generators.  Triangles are built only where they are read:
-    `tri` is the (R x 3) read-only array of triangles i < j < k in sorted
-    order, and `triangles` the same as a list of tuples, each built on
-    first read and kept.  H1 needs neither (see `_closure`), and
-    `triangle_count` counts them without building them.
+    Each kind of simplex is one read-only integer array, in lexicographic
+    order: `edges` is the (E x 2) array of the related pairs a < b, and
+    `generators` the (G x 2) array of the non-forest edges among them.
+    `gen_id` is the symmetric n x n int32 matrix of the generators' ids, -1
+    off the generators.  `triangles` is the (R x 3) array of the triangles
+    i < j < k, built on first read and kept; H1 does not need it (see
+    `_closure`), and `triangle_count` counts it without building it.
     """
 
     __slots__ = (
-        "space", "entourage", "edges", "_tri",
+        "space", "entourage", "edges", "_triangles",
         "parent", "roots", "component",
-        "gen_ends", "gen_id", "generators", "_triangles", "_h1data", "_moves",
+        "gen_id", "generators", "_h1data", "_moves",
     )
 
     def __init__(self, space: FiniteSpace, entourage: Entourage):
         if space.n != entourage.n:
             raise CarrierMismatch("space and entourage sizes differ")
         n = space.n
-        iu, ju = np.nonzero(np.triu(entourage.rel, k=1))
-        edges = list(zip(iu.tolist(), ju.tolist()))
+        edges = np.stack(np.nonzero(np.triu(entourage.rel, k=1)), axis=1)
 
         parent, component = bfs_forest(entourage)
         roots = [v for v in range(n) if parent[v] < 0]
 
         up = np.asarray(parent, dtype=np.intp)
-        keep = (up[ju] != iu) & (up[iu] != ju)
-        ga, gb = iu[keep], ju[keep]
+        iu, ju = edges.T
+        generators = edges[(up[ju] != iu) & (up[iu] != ju)]
+        ga, gb = generators.T
         gen_id = np.full((n, n), -1, dtype=np.int32)
         gen_id[ga, gb] = gen_id[gb, ga] = np.arange(len(ga), dtype=np.int32)
+        edges.flags.writeable = generators.flags.writeable = False
 
         self.space = space
         self.entourage = entourage
         self.edges = edges
-        self._tri = None
         self._triangles = None
         self.parent = parent
         self.roots = roots
         self.component = component
-        self.gen_ends = (ga, gb)
         self.gen_id = gen_id
-        self.generators = list(zip(ga.tolist(), gb.tolist()))
+        self.generators = generators
         self._h1data = None
         self._moves = None
 
@@ -100,10 +105,10 @@ class RipsSkeleton:
         return self.space.n
 
     @property
-    def tri(self) -> np.ndarray:
+    def triangles(self) -> np.ndarray:
         """The triangles i < j < k as one read-only (R x 3) array, in sorted
         order, built on first read and kept."""
-        if self._tri is None:
+        if self._triangles is None:
             # np.nonzero walks rows, then k, so the triangles come out sorted
             blocks = [np.empty((0, 3), dtype=np.intp)]
             for a, b, mask in _triangle_masks(self.entourage.rel):
@@ -111,21 +116,13 @@ class RipsSkeleton:
                 blocks.append(np.stack([a[e], b[e], k], axis=1))
             tri = np.concatenate(blocks)
             tri.flags.writeable = False
-            self._tri = tri
-        return self._tri
+            self._triangles = tri
+        return self._triangles
 
     @property
     def triangle_count(self) -> int:
-        """len(tri), counted without building it."""
+        """len(triangles), counted without building it."""
         return sum(int(np.count_nonzero(mask)) for _, _, mask in _triangle_masks(self.entourage.rel))
-
-    @property
-    def triangles(self) -> list[tuple[int, int, int]]:
-        """The triangles i < j < k as sorted int tuples, built from `tri` on
-        first read and kept."""
-        if self._triangles is None:
-            self._triangles = list(zip(*self.tri.T.tolist()))
-        return self._triangles
 
     def step_gen(self, u: int, v: int) -> tuple[int, int] | None:
         """Generator index and sign of the step u -> v, or None on tree edges."""
@@ -137,7 +134,7 @@ class RipsSkeleton:
     def fundamental_walk(self, gen: int) -> list[int]:
         """The basis loop of one generator a-b as a closed vertex walk
         root -> a -> b -> root along the forest."""
-        a, b = self.generators[gen]
+        a, b = self.generators[gen].tolist()
         return path_to_root(self.parent, a)[::-1] + path_to_root(self.parent, b)
 
     def h1_data(self) -> "_H1Data":
@@ -171,8 +168,8 @@ class RipsSkeleton:
         return {
             "schema": 1,
             "n": self.n,
-            "edges": [list(e) for e in self.edges],
-            "triangles": [list(t) for t in self.triangles],
+            "edges": self.edges.tolist(),
+            "triangles": self.triangles.tolist(),
             "forest_parent": list(self.parent),
             "roots": list(self.roots),
         }
@@ -236,7 +233,9 @@ def _any_common(rel: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per pair (a[t], b[t]): is some vertex related to both in `rel`?"""
     out = np.zeros(len(a), dtype=bool)
     for s in _blocks(len(a), len(rel)):
-        out[s] = (rel[a[s]] & rel[b[s]]).any(axis=1)
+        m = rel[a[s]]
+        m &= rel[b[s]]
+        out[s] = m.any(axis=1)
     return out
 
 
@@ -313,7 +312,7 @@ def _closure(skel: RipsSkeleton) -> tuple[np.ndarray, list[dict[int, int]]]:
     and the rows left.
     """
     n = skel.n
-    ga, gb = skel.gen_ends
+    ga, gb = skel.generators.T
     gid = skel.gen_id
     ngen = len(ga)
     if not ngen:
@@ -434,7 +433,7 @@ class _H1Data:
         free_core = [i for i, d in enumerate(dfull) if d == 0]
         torsion_core = [i for i, d in enumerate(dfull) if d >= 2]
 
-        self.cls = cls.tolist()
+        self.cls = cls
         self.subs = subs
         self.touched = touched
         self.untouched = untouched
@@ -452,7 +451,7 @@ class _H1Data:
         cls = self.cls
         y: dict[int, int] = {}
         for g, c in gen_vector.items():
-            s = cls[g]
+            s = cls.item(g)
             if s > 0:
                 y[s - 1] = y.get(s - 1, 0) + c
             elif s < 0:
@@ -561,20 +560,18 @@ def edge_path_presentation(skel: RipsSkeleton, basepoint: int) -> Presentation:
     if not (0 <= basepoint < skel.n):
         raise ValidationError(f"basepoint {basepoint} out of range")
     comp = skel.component[basepoint]
-    gens = [e for e in skel.generators if skel.component[e[0]] == comp]
-    local = {e: i for i, e in enumerate(gens)}
-    relators = []
-    for i, j, k in skel.triangles:
-        if skel.component[i] != comp:
-            continue
-        word = []
-        for u, v in ((i, j), (j, k), (k, i)):
-            gs = skel.step_gen(u, v)
-            if gs is None:
-                continue
-            g, s = gs
-            word.append((local[skel.generators[g]], s))
-        relators.append(tuple(word))
+    component = np.asarray(skel.component)
+    mine = component[skel.generators[:, 0]] == comp
+    local = (np.cumsum(mine) - 1).tolist()  # a generator's index among the component's
+    tri = skel.triangles[component[skel.triangles[:, 0]] == comp]
+    i, j, k = tri.T
+    gid = skel.gen_id
+    signs = _SIGNS.tolist()
+    relators = [
+        tuple((local[g], s) for g, s in zip(row, signs) if g >= 0)
+        for row in np.stack([gid[i, j], gid[j, k], gid[i, k]], axis=1).tolist()
+    ]
+    gens = map(tuple, skel.generators[mine].tolist())
     size = sum(1 for c in skel.component if c == comp)
     return Presentation(basepoint, tuple(gens), tuple(relators), size)
 

@@ -84,9 +84,10 @@ from ripscover.space import Entourage, FiniteSpace, ball, bfs_forest, image_unde
 from ripscover.tower import _mask_to_component
 
 
-def homology_oracle(n: int, edges: list[tuple[int, int]], triangles: list[tuple[int, int, int]]):
-    """(rank, torsion) of H1 from boundary matrices over the integers."""
-    e_index = {e: i for i, e in enumerate(edges)}
+def homology_oracle(n: int, edges: list[list[int]], triangles: list[list[int]]):
+    """(rank, torsion) of H1 from boundary matrices over the integers, for
+    edges a < b and triangles a < b < c given as lists of Python ints."""
+    e_index = {(a, b): i for i, (a, b) in enumerate(edges)}
     d1 = [[0] * len(edges) for _ in range(n)]
     for i, (a, b) in enumerate(edges):
         d1[a][i] = -1
@@ -214,7 +215,7 @@ class AllRowsH1:
 
     def __init__(self, skel):
         rows = []
-        for i, j, k in skel.triangles:
+        for i, j, k in skel.triangles.tolist():
             row = {}
             for u, v in ((i, j), (j, k), (k, i)):
                 gs = skel.step_gen(u, v)
@@ -281,9 +282,9 @@ def triangle_peel_rows(skel):
     n = skel.n
     ngen = len(skel.generators)
     gid = np.full(n * n, -1, dtype=np.int32)
-    ends = np.array(skel.generators, dtype=np.intp).reshape(-1, 2)
+    ends = skel.generators
     gid[ends[:, 0] * n + ends[:, 1]] = np.arange(ngen, dtype=np.int32)
-    i, j, k = skel.tri.T
+    i, j, k = skel.triangles.T
     ids = np.stack([gid[i * n + j], gid[j * n + k], gid[i * n + k]])
     alive = np.ones(ngen + 1, dtype=bool)
     alive[-1] = False  # forest edges (id -1) are never live

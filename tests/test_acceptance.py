@@ -234,7 +234,7 @@ def test_criterion_7_homology_oracle_equivalence():
         n = rng.randint(2, 8)
         e = random_entourage(rng, n, rng.choice([0.25, 0.4, 0.55, 0.75]))
         sk = build_skeleton(space_for(e), e)
-        rank, torsion = homology_oracle(n, sk.edges, sk.triangles)
+        rank, torsion = homology_oracle(n, sk.edges.tolist(), sk.triangles.tolist())
         grp = h1(sk)
         assert (grp.rank, grp.torsion) == (rank, torsion)
         checked += 1

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ripscover import cli
 from ripscover.chains import Delete, HomotopyCertificate, Insert, decide_homotopic, validate_chain
 from ripscover.cli import main
 from ripscover.gallery import hexagon_ex72, hexagon_ex73
+from ripscover.rips import RipsSkeleton
 from ripscover.space import Entourage, entourage_at, load_space, space_from_json
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -170,6 +172,22 @@ def test_analyze_audit_and_certified_pairs(tmp_path):
     assert doc["joinability_audit"]["kind"] == "uniform_joinability_audit"
     certified = {tuple(p) for p in doc["certified_pairs"]["certified"]}
     assert (0, 1) in certified  # the distinguished pair
+
+
+def test_analyze_text_skips_json_only_work(tmp_path, monkeypatch, capsys):
+    # the text table shows no audit, certified pairs or triangle counts, so
+    # none is computed; --certified-pairs is still validated
+    plain, full = tmp_path / "plain.txt", tmp_path / "full.txt"
+    base = ["analyze", "--gallery", "hexagon_ex73", "--format", "text"]
+    assert run(base + ["--output", str(plain)]) == 0
+    called = []
+    monkeypatch.setattr(cli, "uniform_joinability_audit", lambda *a: called.append("audit"))
+    monkeypatch.setattr(cli, "g_entourage", lambda *a: called.append("certified_pairs"))
+    monkeypatch.setattr(RipsSkeleton, "triangle_count", property(lambda sk: called.append("triangles")))
+    assert run(base + ["--audit", "--certified-pairs", "1", "--output", str(full)]) == 0
+    assert called == [] and full.read_bytes() == plain.read_bytes()
+    assert _exit_code(base + ["--certified-pairs", "-1", "--output", str(full)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_ladder_count_range_spec(tmp_path):

@@ -651,8 +651,8 @@ def test_uniform_cover_pushes_each_scale_forward_once(monkeypatch):
 
 
 def test_cover_run_leaves_triangle_lists_unbuilt(monkeypatch):
-    # is_simplicial_cover reads the target skeleton's triangle array, so no
-    # target skeleton of a cover run builds its list of tuples
+    # is_simplicial_cover reads the target skeleton's triangle array, and
+    # what it builds is that one read-only array, not a list of tuples
     rips._skeleton.cache_clear()
     built = []
     real = cover.build_skeleton
@@ -666,8 +666,11 @@ def test_cover_run_leaves_triangle_lists_unbuilt(monkeypatch):
     for f, ladder in _cover_batch_maps():
         uniform_cover_verdict(f, ladder)
         targets += [skel for skel in built if skel.space is f.target]
-    assert any(skel._tri is not None and len(skel._tri) for skel in targets)
-    assert all(skel._triangles is None for skel in targets)
+    assert any(skel._triangles is not None and len(skel._triangles) for skel in targets)
+    assert all(
+        skel._triangles is None or (type(skel._triangles) is np.ndarray and not skel._triangles.flags.writeable)
+        for skel in targets
+    )
 
 
 def test_cover_ball_simply_connected():

@@ -83,7 +83,7 @@ def test_solenoid_scale_oracle_on_small_instance():
     g = solenoid(1, 32, 4, 1)
     for scale in g.ladder:
         sk = build_skeleton(g.space, scale)
-        rank, torsion = homology_oracle(g.space.n, sk.edges, sk.triangles)
+        rank, torsion = homology_oracle(g.space.n, sk.edges.tolist(), sk.triangles.tolist())
         assert (rank, torsion) == (1, ())
 
 

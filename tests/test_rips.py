@@ -56,9 +56,9 @@ def test_skeleton_triangles_are_exactly_3_cliques():
             for k in range(j + 1, n)
             if e.related(i, j) and e.related(j, k) and e.related(i, k)
         }
-        assert sk.triangles == sorted(want) and _plain_int_tuples(sk.triangles, 3)
-        edges = set(sk.edges)
-        for (i, j, k) in sk.triangles:
+        assert sk.triangles.tolist() == [list(t) for t in sorted(want)]
+        edges = set(map(tuple, sk.edges.tolist()))
+        for (i, j, k) in sk.triangles.tolist():
             assert (i, j) in edges and (j, k) in edges and (i, k) in edges
 
 
@@ -97,7 +97,7 @@ def test_h1_matches_oracle_randomized():
         n = rng.randint(2, 8)
         e = random_entourage(rng, n, rng.choice([0.3, 0.5, 0.7]))
         sk = build_skeleton(space_for(e), e)
-        rank, torsion = homology_oracle(n, sk.edges, sk.triangles)
+        rank, torsion = homology_oracle(n, sk.edges.tolist(), sk.triangles.tolist())
         grp = h1(sk)
         assert (grp.rank, grp.torsion) == (rank, torsion)
 
@@ -222,8 +222,18 @@ def test_generator_count_minus_relator_rank_gives_h1_rank():
         assert len(sk.generators) - rank_rel == h1(sk).rank
 
 
-def _plain_int_tuples(items, width):
-    return all(type(t) is tuple and len(t) == width and all(type(v) is int for v in t) for t in items)
+def _plain_int_rows(items, width):
+    return all(type(t) is list and len(t) == width and all(type(v) is int for v in t) for t in items)
+
+
+def _sorted_int_array(arr, width):
+    # read-only, integer-typed, (rows x width), rows distinct and in lexicographic order
+    rows = arr.tolist()
+    return (
+        type(arr) is np.ndarray and arr.dtype.kind == "i" and not arr.flags.writeable
+        and arr.shape == (len(rows), width) and rows == sorted(rows)
+        and len(set(map(tuple, rows))) == len(rows)
+    )
 
 
 def test_skeleton_output_is_plain_python():
@@ -238,11 +248,19 @@ def test_skeleton_output_is_plain_python():
     ]
     for sp, e in cases:
         sk = build_skeleton(sp, e)
-        assert type(sk.triangles) is list and sk.triangles == sorted(sk.triangles)
-        assert type(sk.edges) is list and sk.edges == sorted(sk.edges)
-        assert _plain_int_tuples(sk.triangles, 3) and _plain_int_tuples(sk.edges, 2)
+        assert _sorted_int_array(sk.triangles, 3) and _sorted_int_array(sk.edges, 2)
+        assert _sorted_int_array(sk.generators, 2)
         assert all(type(r) is int for r in sk.roots)
-        assert json.loads(json.dumps(sk.to_json()))["triangles"] == [list(t) for t in sk.triangles]
+        doc = sk.to_json()
+        assert _plain_int_rows(doc["triangles"], 3) and _plain_int_rows(doc["edges"], 2)
+        assert json.loads(json.dumps(doc))["triangles"] == doc["triangles"] == sk.triangles.tolist()
+        assert doc["edges"] == sk.edges.tolist()
+        pres = edge_path_presentation(sk, 0)
+        assert all(type(v) is int for g in pres.generators for v in g)
+        assert all(type(g) is int and type(s) is int for word in pres.relators for g, s in word)
+        data = sk.h1_data()
+        for g in range(len(sk.generators)):
+            assert all(type(v) is int for v in sk.fundamental_walk(g) + list(data.class_of({g: 1})))
     assert len(build_skeleton(*cases[3]).roots) == 2
 
 
@@ -370,7 +388,7 @@ def test_h1_torsion_on_rp2():
     base = rp2_relation()
     n = base.n
     sk = RipsSkeleton(space_for(base), base)
-    assert homology_oracle(n, sk.edges, sk.triangles) == (0, (2,))  # the same on every relabelling
+    assert homology_oracle(n, sk.edges.tolist(), sk.triangles.tolist()) == (0, (2,))  # the same on every relabelling
     for seed in range(20):
         perm = list(range(n))
         random.Random(seed).shuffle(perm)
@@ -394,13 +412,12 @@ def test_skeleton_generators_and_ids():
         sk = RipsSkeleton(space_for(e), e)
         parent, component = vertex_bfs_forest(e)
         assert (sk.parent, sk.component) == (parent, component)
-        want = [(a, b) for a, b in sk.edges if parent[b] != a and parent[a] != b]
-        assert sk.generators == want and _plain_int_tuples(sk.generators, 2)
+        want = [(a, b) for a, b in sk.edges.tolist() if parent[b] != a and parent[a] != b]
+        assert sk.generators.tolist() == [list(w) for w in want] and _sorted_int_array(sk.generators, 2)
         gid = np.full((e.n, e.n), -1, dtype=np.int32)
         for k, (a, b) in enumerate(want):
             gid[a, b] = gid[b, a] = k
         assert sk.gen_id.dtype == np.int32 and np.array_equal(sk.gen_id, gid)
-        assert [list(x) for x in sk.gen_ends] == [[a for a, _ in want], [b for _, b in want]]
         for k, (a, b) in enumerate(want):
             assert sk.step_gen(a, b) == (k, 1) and sk.step_gen(b, a) == (k, -1)
             assert type(sk.step_gen(a, b)[0]) is int
@@ -417,22 +434,26 @@ def test_h1_matches_sympy_oracle_on_hawaiian():
         sub = Entourage(e.rel[np.ix_(idx, idx)])
         sk = build_skeleton(space_for(sub), sub)
         grp = h1(sk)
-        assert (grp.rank, grp.torsion) == homology_oracle(len(idx), sk.edges, sk.triangles)
+        assert (grp.rank, grp.torsion) == homology_oracle(len(idx), sk.edges.tolist(), sk.triangles.tolist())
     sk = build_skeleton(g.space, g.ladder.finest())
     grp = h1(sk)
-    assert (grp.rank, grp.torsion) == homology_oracle(g.space.n, sk.edges, sk.triangles) == (3, ())
+    assert (grp.rank, grp.torsion) == homology_oracle(g.space.n, sk.edges.tolist(), sk.triangles.tolist()) == (3, ())
 
 
 def test_tower_builds_no_triangles():
-    # H1 and analyze's summary list no triangles; `tri` and the tuple list
-    # are built only for the callers that read them
+    # H1 and analyze's summary list no triangles; the triangle array is
+    # built only for the callers that read it.  No skeleton keeps a Python
+    # container per edge, generator or triangle: none longer than n
     rips._skeleton.cache_clear()
     g = hawaiian(5, 24)
     tower = build_tower(g.space, g.ladder)
-    assert all(sk._tri is None and sk._triangles is None for sk in tower.skeletons)
+    for sk in tower.skeletons:
+        assert sk._triangles is None and not hasattr(sk, "tri") and not hasattr(sk, "gen_ends")
+        held = [getattr(sk, name) for name in RipsSkeleton.__slots__]
+        assert all(len(x) <= sk.n for x in held if isinstance(x, (list, tuple, dict)))
     sk = tower.skeletons[-1]
-    assert not sk.tri.flags.writeable and sk.tri is sk.tri
-    assert sk.triangles == [tuple(t) for t in sk.tri.tolist()] and sk.triangles is sk.triangles
+    assert not sk.triangles.flags.writeable and sk.triangles is sk.triangles
+    assert sk.triangles.shape == (sk.triangle_count, 3)
 
 
 def test_triangle_count_without_triangles():
@@ -442,21 +463,38 @@ def test_triangle_count_without_triangles():
     for e in cases:
         sk = RipsSkeleton(space_for(e), e)
         count = sk.triangle_count
-        assert sk._tri is None and type(count) is int
-        assert count == len(sk.tri)
+        assert sk._triangles is None and type(count) is int
+        assert count == len(sk.triangles)
 
 
 def test_skeleton_memory_per_triangle():
     # coarsest hawaiian(5, 24) scale: the array costs 24 B per triangle; a
     # list of tuples built with it would add about 70 B, past both bounds
     g = hawaiian(5, 24)
-    RipsSkeleton(g.space, g.ladder[-1]).tri  # first-use allocations outside the trace
+    RipsSkeleton(g.space, g.ladder[-1]).triangles  # first-use allocations outside the trace
     tracemalloc.start()
     try:
         sk = RipsSkeleton(g.space, g.ladder[0])
-        r = len(sk.tri)
+        r = len(sk.triangles)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert r == 222398
     assert kept < 40 * r and peak < 100 * r
+
+
+def test_skeleton_memory_per_edge():
+    # coarsest hawaiian(5, 24) scale: the edge and generator arrays, the
+    # class array and the n x n id matrix keep about 49 B per edge; tuple
+    # lists of the edges and generators would add about 110 B
+    g = hawaiian(5, 24)
+    RipsSkeleton(g.space, g.ladder[-1]).h1_data()  # first-use allocations outside the trace
+    tracemalloc.start()
+    try:
+        sk = RipsSkeleton(g.space, g.ladder[0])
+        sk.h1_data()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sk.edges) == 6336
+    assert kept < 64 * len(sk.edges)
