@@ -43,10 +43,17 @@ class SearchBudget:
     first tightened by greedy deletes, and the search runs between the
     tightened ends; the chains passed on the way count as stored.
     `max_length` bounds the length of every chain the search stores.
+    Both bounds are at least 1.
     """
 
     states: int = 50_000
     max_length: int | None = None  # default 4 * n, resolved per space
+
+    def __post_init__(self):
+        if self.states < 1:
+            raise ValidationError(f"the state budget must be at least 1, not {self.states}")
+        if self.max_length is not None and self.max_length < 1:
+            raise ValidationError(f"the chain length bound must be at least 1, not {self.max_length}")
 
     def resolved_length(self, n: int) -> int:
         return self.max_length if self.max_length is not None else 4 * n

@@ -58,10 +58,6 @@ def _basepoint(args, space: FiniteSpace) -> int:
     return space.distinguished[0][1] if space.distinguished else 0
 
 
-def _budget(args) -> SearchBudget:
-    return SearchBudget(states=args.budget_states, max_length=args.max_chain_length)
-
-
 def _load_input(args) -> tuple[FiniteSpace, ScaleLadder | None]:
     if getattr(args, "gallery", None):
         g = make_gallery(args.gallery)
@@ -123,9 +119,9 @@ def cmd_analyze(args) -> int:
         for i, sk in enumerate(tower.skeletons)
     ]
     if args.audit:
-        doc["joinability_audit"] = uniform_joinability_audit(space, ladder, _budget(args))
+        doc["joinability_audit"] = uniform_joinability_audit(space, ladder, args.budget)
     if args.certified_pairs is not None:
-        _, rep = g_entourage(space, target, ladder, _budget(args))
+        _, rep = g_entourage(space, target, ladder, args.budget)
         doc["certified_pairs"] = rep
     doc["config"] = _config_block(args)
     _dump(doc, args.output)
@@ -171,7 +167,7 @@ def cmd_cover(args) -> int:
         ladder = ScaleLadder.from_json(f.source, ladder_doc)
     else:
         raise ValidationError("no ladder: add one to the map file or pass --ladder")
-    report = uniform_cover_verdict(f, ladder, _budget(args))
+    report = uniform_cover_verdict(f, ladder, args.budget)
     doc = report.to_json()
     doc["config"] = _config_block(args)
     _dump(doc, args.output)
@@ -199,7 +195,7 @@ def cmd_join(args) -> int:
         fine = ladder.finest()
     else:
         raise ValidationError("pass --fine or a ladder")
-    verdict = joinability_witness(space, x, y, target, fine, _budget(args))
+    verdict = joinability_witness(space, x, y, target, fine, args.budget)
     doc = verdict.to_json()
     doc.update({"schema": 1, "kind": "joinability", "config": _config_block(args)})
     if verdict.verdict.is_yes() and verdict.verdict.certificate is not None:
@@ -217,7 +213,7 @@ def cmd_short(args) -> int:
     scale = entourage_at(space, args.scale, strict=args.strict_thresholds)
     chain_scale = entourage_at(space, as_number(doc.get("eps", args.scale)), strict=args.strict_thresholds)
     chain = validate_chain(space, chain_scale, seq)
-    verdict = is_short(chain, scale, _budget(args))
+    verdict = is_short(chain, scale, args.budget)
     out = verdict.to_json()
     out.update({"schema": 1, "kind": "shortness", "config": _config_block(args)})
     if verdict.is_yes() and verdict.certificate is not None:
@@ -248,7 +244,7 @@ def cmd_replay(args) -> int:
 def cmd_ball(args) -> int:
     space, recommended = _load_input(args)
     scale = entourage_at(space, args.eps, strict=args.strict_thresholds)
-    ball = build_cover_ball(space, scale, _basepoint(args, space), args.radius, _budget(args))
+    ball = build_cover_ball(space, scale, _basepoint(args, space), args.radius, args.budget)
     if args.format == "dot":
         _dump(ball.to_dot() + "\n", args.output)
     else:
@@ -338,6 +334,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a malformed budget exits 2 before any work
+        args.budget = SearchBudget(states=args.budget_states, max_length=args.max_chain_length)
         return args.func(args)
     except CertificateError as e:
         print(f"certificate error: {e}", file=sys.stderr)

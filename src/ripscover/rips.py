@@ -30,27 +30,47 @@ from .snf import IntLattice, eliminate_unit_pivots, reduce_vector, smith_normal_
 from .space import Entourage, FiniteSpace, bfs_forest, path_to_root
 
 
-def _blocks(count: int, n: int):
-    """Slices of 0..count in steps of about 4M / n, so a (step x n) mask
-    stays a few MB."""
-    step = max(1, (1 << 22) // max(n, 1))
+# Bytes one gathered block may hold.  Every (rows x n) temporary of this
+# layer is cut into blocks of at most this size, so the layer's peak memory
+# is what its skeletons keep plus a few such blocks, at any n.  Of 64 KB to
+# 1 MB, 256 KB ran H1 and the triangle count fastest over the hawaiian(5, 24)
+# and hawaiian(5, 96) ladders (2-core x86_64, numpy 2.4).
+_BLOCK_BYTES = 1 << 18
+
+
+def _blocks(count: int, row_bytes: int):
+    """Slices of 0..count, each of as many rows of `row_bytes` as fit in
+    _BLOCK_BYTES (at least one)."""
+    step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
     return (slice(s, s + step) for s in range(0, count, step))
+
+
+def _pairs(rel: np.ndarray):
+    """The related pairs (a, c) of a bool matrix in row-major order, as
+    index arrays a, c per block of rows; each block's two index arrays fit
+    in _BLOCK_BYTES."""
+    for r in _blocks(len(rel), 2 * rel.shape[1] * np.intp(0).itemsize):
+        a, c = np.nonzero(rel[r])
+        yield a + r.start, c
+
+
+def _masks(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Per block of the pairs (a[t], b[t]), in order: the block's slice and
+    the (block x n) mask x[a] & y[b] of two bool matrices."""
+    for s in _blocks(len(a), x.shape[1]):
+        m = x[a[s]]
+        m &= y[b[s]]
+        yield s, m
 
 
 def _triangle_masks(rel: np.ndarray):
     """Per block of the edges a < b of a symmetric relation matrix (in
     lexicographic order): the arrays a, b and the (block x n) mask of the
-    vertices k > b related to both, so each triangle a < b < k shows once.
-    Edges go in blocks so the mask stays a few MB."""
-    n = len(rel)
-    iu, ju = np.nonzero(np.triu(rel, k=1))
-    cols = np.arange(n)
-    for s in _blocks(len(iu), n):
-        a, b = iu[s], ju[s]
-        m = rel[a]
-        m &= rel[b]
-        m &= cols > b[:, None]
-        yield a, b, m
+    vertices k > b related to both, so each triangle a < b < k shows once."""
+    up = np.triu(rel, k=1)
+    for iu, ju in _pairs(up):
+        for s, m in _masks(up, rel, ju, iu):
+            yield iu[s], ju[s], m
 
 
 class RipsSkeleton:
@@ -230,26 +250,25 @@ class AbelianGroup:
 
 
 def _any_common(rel: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per pair (a[t], b[t]): is some vertex related to both in `rel`?"""
+    """Per pair (a[t], b[t]): is some vertex related to both in `rel`?  The
+    pairs go in blocks whose gathered rows fit in _BLOCK_BYTES."""
     out = np.zeros(len(a), dtype=bool)
-    for s in _blocks(len(a), len(rel)):
-        m = rel[a[s]]
-        m &= rel[b[s]]
+    for s, m in _masks(rel, rel, a, b):
         out[s] = m.any(axis=1)
     return out
 
 
 def _max_over(rel: np.ndarray, lab: np.ndarray) -> np.ndarray:
     """out[a, b] = the largest lab[c, b] over the c with rel[a, c], -1 where
-    there is none.  Rows a go in blocks, so the gathered rows stay a few MB."""
-    n = len(lab)
+    there is none; no label is below -1.  The related pairs (a, c) go in
+    blocks whose gathered rows lab[c] fill _BLOCK_BYTES, and a row a split
+    between blocks takes the maximum of its parts."""
     out = np.full_like(lab, -1)
-    step = max(1, (1 << 20) // max(n * n, 1))
-    for s in range(0, n, step):
-        a, c = np.nonzero(rel[s:s + step])
-        if len(a):
-            first = np.flatnonzero(np.diff(a, prepend=-1))
-            out[s + a[first]] = np.maximum.reduceat(lab[c], first, axis=0)
+    for a, c in _pairs(rel):
+        for s in _blocks(len(a), lab.shape[1] * lab.itemsize):
+            first = np.flatnonzero(np.diff(a[s], prepend=-1))
+            rows = a[s][first]
+            out[rows] = np.maximum(out[rows], np.maximum.reduceat(lab[c[s]], first, axis=0))
     return out
 
 
@@ -364,10 +383,12 @@ def _closure(skel: RipsSkeleton) -> tuple[np.ndarray, list[dict[int, int]]]:
             # triangles a-b-c with a-c dead and a-b, b-c twisted, once each
             tm = np.zeros((n, n), dtype=bool)
             tm[ga[tw], gb[tw]] = tm[gb[tw], ga[tw]] = True
-            b, a = np.nonzero(tm)
-            e, c = np.nonzero(dead[a] & tm[b] & (np.arange(n) > a[:, None]))
-            t = np.sort(np.stack([a[e], b[e], c], axis=1), axis=1)
-            keys.append((t[:, 0] * n + t[:, 1]) * n + t[:, 2])
+            up = np.triu(dead, k=1)
+            for b, a in _pairs(tm):
+                for s, m in _masks(up, tm, a, b):
+                    e, c = np.nonzero(m)
+                    t = np.sort(np.stack([a[s][e], b[s][e], c], axis=1), axis=1)
+                    keys.append((t[:, 0] * n + t[:, 1]) * n + t[:, 2])
         keys = np.sort(np.concatenate(keys))
         i, jk = np.divmod(keys, n * n)
         j, k = np.divmod(jk, n)

@@ -321,6 +321,26 @@ def _exit_code(argv) -> int:
         return e.code
 
 
+@pytest.mark.parametrize("budget", [
+    ["--budget-states", "0"],
+    ["--budget-states", "-5"],
+    ["--max-chain-length", "0"],
+    ["--max-chain-length", "-3"],
+])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--gallery", "hexagon_ex72"],
+    ["cover", "--map", os.path.join(FIXTURES, "identity_map.json")],
+    ["ball", "--gallery", "hexagon_ex72", "--eps", "1"],
+])
+def test_malformed_search_budget_exits_2(tmp_path, capsys, budget, command):
+    # rejected before any work, so no report echoes the bad budget
+    out = tmp_path / "report.json"
+    assert _exit_code([*budget, *command, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "at least 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _identity_map() -> dict:
     with open(os.path.join(FIXTURES, "identity_map.json")) as fh:
         return json.load(fh)

@@ -1,9 +1,12 @@
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ripscover import rips
 from ripscover.errors import ValidationError
@@ -382,6 +385,56 @@ def test_edge_closure_matches_union_find_over_listed_rows():
         assert (cls.tolist(), rows) == listed_closure(sk)
 
 
+def _h1_layer(e, budget):
+    """What the block loops produce on one relation: the closure, the
+    triangle count and the triangles of a fresh skeleton, built in blocks of
+    `budget` bytes."""
+    with mock.patch.object(rips, "_BLOCK_BYTES", budget):
+        sk = RipsSkeleton(space_for(e), e)
+        cls, rows = rips._closure(sk)
+        return cls.tolist(), rows, sk.triangle_count, sk.triangles.tolist()
+
+
+def test_h1_layer_does_not_depend_on_the_block_budget_on_the_gallery():
+    # a budget of one byte gathers one row per block, and _max_over one
+    # related pair per block
+    cases = [e for g in (hexagon_ex72(), polygon(12, 1.0), hawaiian(3, 16)) for e in g.ladder]
+    cases += [list(hawaiian(5, 24).ladder)[3], _relabelled(5, 24, 37, 3).entourage, rp2_relation()]
+    for e in cases:
+        want = _h1_layer(e, rips._BLOCK_BYTES)
+        for budget in (1, 3 * e.n + 1):
+            assert _h1_layer(e, budget) == want
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(2, 14), p=st.sampled_from([0.25, 0.5, 0.8]),
+       budget=st.integers(1, 600))
+def test_h1_layer_does_not_depend_on_the_block_budget(seed, n, p, budget):
+    e = random_entourage(random.Random(seed), n, p)
+    assert _h1_layer(e, budget) == _h1_layer(e, rips._BLOCK_BYTES)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 12), p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       budget=st.integers(1, 400))
+def test_block_loops_match_dense_numpy(seed, n, p, budget):
+    # small budgets split the pairs, and the related pairs of one row of
+    # _max_over, between blocks; labels are never below -1
+    rng = np.random.default_rng(seed)
+    rel = rng.random((n, n)) < p
+    lab = rng.integers(-1, 3 * n, size=(n, n)).astype(np.int32)
+    a, b = rng.integers(0, n, size=(2, 3 * n))
+    want_any = (rel[a] & rel[b]).any(axis=1)
+    want_max = np.where(rel[:, :, None], lab[None, :, :], -1).max(axis=1)
+    with mock.patch.object(rips, "_BLOCK_BYTES", budget):
+        got_any = rips._any_common(rel, a, b)
+        got_max = rips._max_over(rel, lab)
+        got_max_t = rips._max_over(rel, lab.T)
+    assert np.array_equal(got_any, want_any)
+    assert got_max.dtype == np.int32 and np.array_equal(got_max, want_max)
+    assert np.array_equal(got_max_t, np.where(rel[:, :, None], lab.T[None, :, :], -1).max(axis=1))
+
+
 def test_h1_torsion_on_rp2():
     # RP^2's classes are twisted (+g and -g in one component): they reach
     # the greedy unmerged, as rows of two letters that are their own survivors
@@ -498,3 +551,17 @@ def test_skeleton_memory_per_edge():
         tracemalloc.stop()
     assert len(sk.edges) == 6336
     assert kept < 64 * len(sk.edges)
+
+
+def test_block_temporaries_stay_within_a_few_budgets():
+    # on the stalled relabelling the temporaries above what h1_data and
+    # triangle_count keep are a few 256 KB blocks: about 0.94 and 0.89 MB
+    for read, bound in ((RipsSkeleton.h1_data, 1.5), (lambda sk: sk.triangle_count, 1.1)):
+        sk = _relabelled(5, 24, 160, 1)
+        tracemalloc.start()
+        try:
+            read(sk)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < bound * (1 << 20)
