@@ -21,7 +21,6 @@ the point of output, so no numpy scalar reaches a report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -195,14 +194,16 @@ class RipsSkeleton:
         }
 
 
-@lru_cache(maxsize=256)
-def _skeleton(space: FiniteSpace, entourage: Entourage) -> RipsSkeleton:
-    return RipsSkeleton(space, entourage)
-
-
 def build_skeleton(space: FiniteSpace, entourage: Entourage) -> RipsSkeleton:
-    """All off-diagonal related pairs and all 3-cliques, deterministically."""
-    return _skeleton(space, entourage)
+    """All off-diagonal related pairs and all 3-cliques, deterministically.
+
+    The relation keeps its skeleton and hands it back, so a skeleton lives
+    as long as its relation; asked with a different space, it is rebuilt.
+    """
+    skel = entourage._skeleton
+    if skel is None or skel.space != space:
+        skel = entourage._skeleton = RipsSkeleton(space, entourage)
+    return skel
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,21 @@
 
 A space is a fixed finite point set with a symmetric dissimilarity matrix;
 an entourage is a reflexive symmetric boolean relation on the points that
-encodes "close at this scale".  All objects are immutable after
-construction, except that a map keeps each relation it has pushed forward
-(`image_under`), so that a relation is pushed forward once per map; all are
-safe to share between threads.
+encodes "close at this scale".
+
+What the objects answer is immutable after construction.  Derived data is
+kept by the object it derives from and nothing is kept process-wide, so it
+lives exactly as long as its owner:
+- `SpaceMap._images`: each relation a map has pushed forward (`image_under`);
+- `Entourage._skeleton`: the relation's Rips skeleton (`rips.build_skeleton`),
+  rebuilt only when asked with a different space;
+- `RipsSkeleton._triangles`, `_h1data` and `_moves`: the skeleton's triangle
+  array, H1 data and move tables, each built on first use;
+- `rips._H1Data._steps`: the coordinates of each step read so far;
+- the `cached_property`s of `tower._RootedWalks`: one walker's forest,
+  root-component skeleton and image lattice.
+Keeping the same value twice is harmless, so all objects are safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ class FiniteSpace:
                 raise ValidationError("coords must be one vector per point")
             if not np.isfinite(coords).all():
                 raise ValidationError("coords must be finite (no NaN or infinity)")
+        check_coords = coords is not None and dist is not None
         if dist is None:
             if coords is None:
                 raise ValidationError("need coords or dist")
@@ -80,7 +92,7 @@ class FiniteSpace:
         if float(dist.min()) < 0.0:
             i, j = np.unravel_index(dist.argmin(), dist.shape)
             raise ValidationError(f"negative distance at ({i},{j})")
-        if coords is not None:
+        if check_coords:
             euclid = _euclidean(coords)
             if float(np.abs(euclid - dist).max()) > COORD_TOL * scale:
                 raise ValidationError("dist disagrees with Euclidean distance of coords")
@@ -157,7 +169,7 @@ def _euclidean(coords: np.ndarray) -> np.ndarray:
 class Entourage:
     """Reflexive symmetric boolean relation on point indices 0..n-1."""
 
-    __slots__ = ("n", "rel", "meta", "_hash")
+    __slots__ = ("n", "rel", "meta", "_hash", "_skeleton")
 
     def __init__(self, rel, meta=None):
         rel = np.asarray(rel, dtype=bool)
@@ -172,6 +184,7 @@ class Entourage:
         self.rel = rel
         self.meta = dict(meta) if meta else {}
         self._hash = hash((self.n, rel.tobytes()))
+        self._skeleton = None  # set by rips.build_skeleton only
 
     @classmethod
     def identity(cls, n: int) -> "Entourage":
@@ -207,8 +220,9 @@ class Entourage:
         return Entourage(self.rel & other.rel)
 
     def without_pair(self, i: int, j: int) -> "Entourage":
-        """Copy of the relation with one off-diagonal pair removed."""
-        if i == j:
+        """Copy of the relation with one off-diagonal pair removed; the
+        relation itself when the pair is not in it (or i == j)."""
+        if i == j or not self.rel[i, j]:
             return self
         rel = self.rel.copy()
         rel[i, j] = rel[j, i] = False
@@ -327,9 +341,6 @@ class SpaceMap:
 
     def is_injective(self) -> bool:
         return len(set(self.assign)) == len(self.assign)
-
-    def fiber(self, y: int) -> list[int]:
-        return [i for i, a in enumerate(self.assign) if a == y]
 
     def __eq__(self, other):
         return (

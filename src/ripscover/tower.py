@@ -374,6 +374,10 @@ def uniform_joinability_audit(space: FiniteSpace, ladder: ScaleLadder, budget: S
     coarse scale asks once per pair of the next finer scale and every cell
     reads its pairs from those verdicts; full support then only grows with
     the fine index, so the finest cell decides the scale.
+    The questions go pair by pair: the finest relation without the pair is
+    made once and asked at every coarse scale whose next finer scale holds
+    the pair, so its skeleton is built once.  (The witness removes the pair
+    again, which returns that same relation.)
     `supported_per_scale` has one entry per coarse ladder index, in ladder
     order, so two scales that share a label stay apart."""
     budget = budget or DEFAULT_BUDGET
@@ -381,13 +385,15 @@ def uniform_joinability_audit(space: FiniteSpace, ladder: ScaleLadder, budget: S
         raise ValidationError("audit needs a ladder of length at least 2")
     finest = ladder.finest()
     k = len(ladder)
+    asked: list[dict[tuple[int, int], Trivalue]] = [{} for _ in range(k - 1)]
+    for (px, py) in ladder[1].pairs():
+        fine = finest.without_pair(px, py)
+        for i in range(k - 1):
+            if ladder[i + 1].related(px, py):
+                asked[i][(px, py)] = joinability_witness(space, px, py, ladder[i], fine, budget).verdict
     cells = []
     supported = []
-    for i in range(k - 1):
-        verdicts = {
-            (px, py): joinability_witness(space, px, py, ladder[i], finest, budget).verdict
-            for (px, py) in ladder[i + 1].pairs()
-        }
+    for i, verdicts in enumerate(asked):
         for j in range(i + 1, k):
             pairs = ladder[j].pairs()
             failures = [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ripscover import chains, cover, rips
+from ripscover import chains, cover
 from ripscover.chains import DEFAULT_BUDGET, Chain, SearchBudget
 from ripscover.cover import (
     build_cover_ball,
@@ -653,7 +653,6 @@ def test_uniform_cover_pushes_each_scale_forward_once(monkeypatch):
 def test_cover_run_leaves_triangle_lists_unbuilt(monkeypatch):
     # is_simplicial_cover reads the target skeleton's triangle array, and
     # what it builds is that one read-only array, not a list of tuples
-    rips._skeleton.cache_clear()
     built = []
     real = cover.build_skeleton
 

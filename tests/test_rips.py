@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from ripscover.rips import (
     h1_class,
     inclusion_h1_map,
 )
-from ripscover.space import Entourage, entourage_at
+from ripscover.space import Entourage, FiniteSpace, entourage_at
 from ripscover.tower import build_tower
 
 from _oracles import (
@@ -497,7 +499,6 @@ def test_tower_builds_no_triangles():
     # H1 and analyze's summary list no triangles; the triangle array is
     # built only for the callers that read it.  No skeleton keeps a Python
     # container per edge, generator or triangle: none longer than n
-    rips._skeleton.cache_clear()
     g = hawaiian(5, 24)
     tower = build_tower(g.space, g.ladder)
     for sk in tower.skeletons:
@@ -507,6 +508,24 @@ def test_tower_builds_no_triangles():
     sk = tower.skeletons[-1]
     assert not sk.triangles.flags.writeable and sk.triangles is sk.triangles
     assert sk.triangles.shape == (sk.triangle_count, 3)
+
+
+def test_a_relation_keeps_its_skeleton_for_its_own_lifetime():
+    sp = hexagon_ex72().space
+    e = entourage_at(sp, 1.0)
+    sk = build_skeleton(sp, e)
+    assert build_skeleton(sp, e) is sk
+    assert build_skeleton(FiniteSpace(sp.labels, dist=sp.dist), e) is sk  # an equal space
+    # a different space of the same size gets its own skeleton
+    wide = FiniteSpace(sp.labels, dist=2 * sp.dist)
+    other = build_skeleton(wide, e)
+    assert other is not sk and other.space is wide and build_skeleton(wide, e) is other
+    # nothing process-wide holds a skeleton: it goes with its relation, a
+    # cycle only the cyclic collector frees (watched through an array only
+    # the skeleton holds, as a slotted skeleton takes no weak reference)
+    gone = weakref.ref(build_skeleton(sp, entourage_at(sp, 1.0)).gen_id)
+    gc.collect()
+    assert gone() is None
 
 
 def test_triangle_count_without_triangles():

@@ -166,6 +166,22 @@ def test_overflowing_coordinates_rejected_without_warning():
             FiniteSpace(["p", "q"], dist=[[0.0, 1.0], [1.0, 0.0]], coords=[[1e300, 0.0], [-1e300, 0.0]])
 
 
+def test_dist_must_agree_with_coords(monkeypatch):
+    from ripscover import space as space_mod
+
+    coords = [[0.0, 0.0], [3.0, 4.0]]
+    with pytest.raises(ValidationError, match="dist disagrees with Euclidean distance of coords"):
+        FiniteSpace(["p", "q"], dist=[[0.0, 4.0], [4.0, 0.0]], coords=coords)
+    both = FiniteSpace(["p", "q"], dist=[[0.0, 5.0], [5.0, 0.0]], coords=coords)
+    # given coords alone, the distances are computed once and not checked against themselves
+    calls = []
+    real = space_mod._euclidean
+    monkeypatch.setattr(space_mod, "_euclidean", lambda c: calls.append(c) or real(c))
+    alone = FiniteSpace(["p", "q"], coords=coords)
+    assert len(calls) == 1
+    assert alone == both and alone.dist[0, 1] == 5.0
+
+
 def test_image_under_composition_inclusion():
     rng = random.Random(23)
     for _ in range(80):
@@ -277,6 +293,9 @@ def test_intersect_and_without_pair():
         cut = e.without_pair(i, j)
         assert not cut.related(i, j) and cut.issubset(e)
         assert len(cut.pairs()) == len(pairs) - 1
+        # an absent pair leaves the relation itself, as i == j does
+        assert cut.without_pair(i, j) is cut and cut.without_pair(j, i) is cut
+        assert e.without_pair(i, i) is e
 
 
 def test_preimage_under_pullback():

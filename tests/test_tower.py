@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,7 +8,7 @@ from ripscover import tower
 from ripscover.chains import DEFAULT_BUDGET, HomotopyCertificate, SearchBudget, Trivalue, decide_homotopic
 from ripscover.errors import ValidationError
 from ripscover.gallery import gallery, hexagon_ex72, hexagon_ex73, polygon, solenoid
-from ripscover.rips import build_skeleton, h1, h1_class
+from ripscover.rips import RipsSkeleton, build_skeleton, h1, h1_class
 from ripscover.snf import IntLattice
 from ripscover.space import Entourage, ScaleLadder, entourage_at
 from ripscover.tower import (
@@ -408,3 +409,33 @@ def test_hawaiian_audit_verdicts():
     assert big_circle == {(f"c1_{k}", f"c1_{k + 1}") for k in range(2, 13)}
     assert sorted({lad.describe(i) for i, _, _ in failing}) == ["eps=0.740596", "eps=1.28275"]
     assert len(failing) == 22
+
+
+def test_audit_builds_no_skeleton_twice(monkeypatch):
+    # pair-major: the finest relation without a pair is made once and asked
+    # at every coarse scale; scale-major questions would build 532 skeletons,
+    # most of them for relations equal to one built before
+    built = []
+    real = RipsSkeleton.__init__
+
+    def counting(self, space, entourage):
+        built.append(entourage)
+        real(self, space, entourage)
+
+    monkeypatch.setattr(RipsSkeleton, "__init__", counting)
+    g = gallery("hawaiian:3,16")
+    uniform_joinability_audit(g.space, g.ladder)
+    assert len(set(built)) == len(built) <= 180
+
+
+def test_solenoid_audit_memory():
+    # each relation of the audit takes its skeleton along when it is dropped;
+    # a process-wide cache of 256 skeletons peaked at 169 MB here
+    g = solenoid(2)
+    tracemalloc.start()
+    try:
+        uniform_joinability_audit(g.space, g.ladder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
