@@ -172,11 +172,15 @@ class HomotopyCertificate:
         return chain
 
     def to_json(self) -> dict:
-        ent = {"n": self.entourage.n, "pairs": [list(p) for p in self.entourage.pairs()]}
+        """The relation is written as its scale (`eps`, `strict`) when it is
+        one, which `from_json` recomputes from the space, else as its pairs."""
+        ent = {"n": self.entourage.n}
         meta = self.entourage.meta
         if "eps" in meta:
             ent["eps"] = meta["eps"]
             ent["strict"] = meta.get("strict", False)
+        else:
+            ent["pairs"] = [list(p) for p in self.entourage.pairs()]
         return {
             "schema": 1,
             "kind": "homotopy_certificate",
@@ -192,27 +196,29 @@ class HomotopyCertificate:
 
     @classmethod
     def from_json(cls, doc: dict) -> "HomotopyCertificate":
-        """Parse a certificate; a relation labelled with an `eps` must be that
-        scale of the carried space, so a file cannot bring its own relation."""
+        """Parse a certificate; a relation labelled with an `eps` is that
+        scale of the carried space, so a file cannot bring its own relation.
+        A pair list given next to the `eps` must equal that scale."""
         try:
             if doc.get("kind") != "homotopy_certificate":
                 raise CertificateError("not a homotopy certificate document")
             space = space_from_json(doc["space"])
             ent = doc["entourage"]
-            entourage = Entourage.from_pairs(
-                as_index(ent["n"]), [(as_index(i), as_index(j)) for i, j in ent["pairs"]]
-            )
+            n = as_index(ent["n"])
+            listed = None
+            if "pairs" in ent or "eps" not in ent:
+                listed = Entourage.from_pairs(n, [(as_index(i), as_index(j)) for i, j in ent["pairs"]])
+            entourage = listed
             if "eps" in ent:
                 eps, strict = float(ent["eps"]), ent.get("strict", False)
                 if not isinstance(strict, bool):
                     raise ValueError(f"strict must be true or false, got {strict!r}")
-                scale = entourage_at(space, eps, strict=strict)
-                if scale != entourage:
+                entourage = entourage_at(space, eps, strict=strict)
+                if n != space.n or (listed is not None and listed != entourage):
                     raise CertificateError(
-                        f"the pair list is not the {'strict ' if strict else ''}eps={eps:g} "
+                        f"the relation is not the {'strict ' if strict else ''}eps={eps:g} "
                         "scale of the certificate's space"
                     )
-                entourage = scale
             moves = []
             for m in doc["moves"]:
                 if m[0] == "insert":

@@ -3,7 +3,7 @@
 Subcommands: analyze, cover, join, short, replay, ball, gallery.
 Exit codes: 0 success (or positive verdict), 1 negative verdict on a
 yes/no question, 2 input validation problem, 3 certificate failure.
-Reports are deterministic json (sorted keys, no timestamps).
+Reports are deterministic json: one line, sorted keys, no timestamps.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from .space import (
     SpaceMap,
     as_index,
     as_number,
+    dump_space,
     entourage_at,
     load_space,
     space_from_json,
+    write_report,
 )
 from .tower import build_tower, g_entourage, joinability_witness, uniform_joinability_audit
 
@@ -38,17 +40,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_CERTIFICATE = 3
-
-
-def _dump(doc: dict | str, path: str | None) -> None:
-    """Write a report to the file at `path`, or to stdout: a dict as sorted
-    json, a string as it is."""
-    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _basepoint(args, space: FiniteSpace) -> int:
@@ -107,7 +98,7 @@ def cmd_analyze(args) -> int:
     if args.certified_pairs is not None:
         target = entourage_at(space, args.certified_pairs, strict=args.strict_thresholds)
     if args.format == "text":  # the table shows none of the json-only sections below
-        _dump(tower.text_table() + "\n", args.output)
+        write_report(tower.text_table() + "\n", args.output)
         return EXIT_OK
     doc = tower.to_json()
     doc["skeletons"] = [
@@ -124,7 +115,7 @@ def cmd_analyze(args) -> int:
         _, rep = g_entourage(space, target, ladder, args.budget)
         doc["certified_pairs"] = rep
     doc["config"] = _config_block(args)
-    _dump(doc, args.output)
+    write_report(doc, args.output)
     return EXIT_OK
 
 
@@ -170,14 +161,14 @@ def cmd_cover(args) -> int:
     report = uniform_cover_verdict(f, ladder, args.budget)
     doc = report.to_json()
     doc["config"] = _config_block(args)
-    _dump(doc, args.output)
+    write_report(doc, args.output)
     positive = report.verdicts["uniform_covering_map_at_ladder"]
     return EXIT_OK if positive else EXIT_NEGATIVE
 
 
 def _write_certificate(cert: HomotopyCertificate, args) -> str:
     path = args.certificate_out or "certificate.json"
-    _dump(cert.to_json(), path)
+    write_report(cert.to_json(), path)
     return path
 
 
@@ -200,7 +191,7 @@ def cmd_join(args) -> int:
     doc.update({"schema": 1, "kind": "joinability", "config": _config_block(args)})
     if verdict.verdict.is_yes() and verdict.verdict.certificate is not None:
         doc["certificate_file"] = _write_certificate(verdict.verdict.certificate, args)
-    _dump(doc, args.output)
+    write_report(doc, args.output)
     return EXIT_OK if not verdict.verdict.is_no() else EXIT_NEGATIVE
 
 
@@ -218,7 +209,7 @@ def cmd_short(args) -> int:
     out.update({"schema": 1, "kind": "shortness", "config": _config_block(args)})
     if verdict.is_yes() and verdict.certificate is not None:
         out["certificate_file"] = _write_certificate(verdict.certificate, args)
-    _dump(out, args.output)
+    write_report(out, args.output)
     return EXIT_OK if not verdict.is_no() else EXIT_NEGATIVE
 
 
@@ -227,7 +218,7 @@ def cmd_replay(args) -> int:
     final = cert.replay()
     meta = cert.entourage.meta
     scale = {"eps": meta["eps"], "strict": meta["strict"]} if "eps" in meta else None
-    _dump(
+    write_report(
         {
             "schema": 1,
             "kind": "replay",
@@ -246,19 +237,17 @@ def cmd_ball(args) -> int:
     scale = entourage_at(space, args.eps, strict=args.strict_thresholds)
     ball = build_cover_ball(space, scale, _basepoint(args, space), args.radius, args.budget)
     if args.format == "dot":
-        _dump(ball.to_dot() + "\n", args.output)
+        write_report(ball.to_dot() + "\n", args.output)
     else:
         doc = ball.to_json()
         doc["config"] = _config_block(args)
-        _dump(doc, args.output)
+        write_report(doc, args.output)
     return EXIT_OK
 
 
 def cmd_gallery(args) -> int:
     g = make_gallery(args.name)
-    doc = g.space.to_json()
-    doc["recommended_ladder"] = g.ladder.to_json()
-    _dump(doc, args.output)
+    dump_space(g.space, args.output, g.ladder)
     return EXIT_OK
 
 

@@ -250,13 +250,19 @@ class AbelianGroup:
         return " + ".join(parts)
 
 
-def _any_common(rel: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per pair (a[t], b[t]): is some vertex related to both in `rel`?  The
-    pairs go in blocks whose gathered rows fit in _BLOCK_BYTES."""
-    out = np.zeros(len(a), dtype=bool)
-    for s, m in _masks(rel, rel, a, b):
-        out[s] = m.any(axis=1)
-    return out
+def _any_common(rel: np.ndarray, a: np.ndarray, b: np.ndarray, pick) -> np.ndarray:
+    """The indices t of `pick` (an index array or range) for which some
+    vertex is related to both a[t] and b[t] in `rel`, in order.  `pick` goes
+    in blocks whose gathered rows fit in _BLOCK_BYTES."""
+    out = [np.zeros(0, dtype=np.intp)]
+    for s in _blocks(len(pick), rel.shape[1]):
+        t = pick[s]
+        if isinstance(t, range):
+            t = np.arange(t.start, t.stop)
+        m = rel[a[t]]
+        m &= rel[b[t]]
+        out.append(t[m.any(axis=1)])
+    return np.concatenate(out)
 
 
 def _max_over(rel: np.ndarray, lab: np.ndarray) -> np.ndarray:
@@ -273,26 +279,32 @@ def _max_over(rel: np.ndarray, lab: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagate(lab: np.ndarray, live: np.ndarray, dead: np.ndarray, node: np.ndarray) -> np.ndarray:
+def _propagate(lab: np.ndarray, live: np.ndarray, dead: np.ndarray, gid: np.ndarray) -> np.ndarray:
     """Label propagation over the double cover until no label moves: every
     node ends with the largest node id of its component.
 
-    The step a -> b is joined to c -> b, and b -> a to b -> c, when a-b and
-    c-b are live and a-c is dead.  `node` gives the node of each step
-    u -> v; only the vertices with a live edge take part.  Labels start
-    from `lab`, which must already name a node of each node's component.
+    The step u -> v of generator g is the node 2g when u < v (+g) and
+    2g + 1 when u > v (-g).  The step a -> b is joined to c -> b, and
+    b -> a to b -> c, when a-b and c-b are live and a-c is dead.  Only the
+    vertices with a live edge take part.  Labels start from `lab`, which
+    must already name a node of each node's component and be its own
+    pointer jump (lab[lab] == lab), as every labelling this returns is.
     """
-    sub = np.ix_(*[np.flatnonzero(live.any(axis=1))] * 2)
-    live, dead, node = live[sub], dead[sub], node[sub]
+    idx = np.flatnonzero(live.any(axis=1))
+    sub = np.ix_(idx, idx)
+    live, dead, node = live[sub], dead[sub], 2 * gid[sub]
+    for r in _blocks(len(idx), len(idx)):
+        node[r] += idx[r, None] > idx
+    np.maximum(node, -1, out=node)  # off the generators 2 * -1 (+ 1) becomes -1
     at = node[live]
     while True:
-        old = lab.copy()
         m = np.where(live, lab[node], -1)
-        lab[at] = np.maximum(m, np.maximum(_max_over(dead, m), _max_over(dead, m.T).T))[live]
+        new = np.maximum(m, np.maximum(_max_over(dead, m), _max_over(dead, m.T).T))[live]
+        if np.array_equal(new, lab[at]):
+            return lab
+        lab[at] = new
         while not np.array_equal(jump := lab[lab], lab):
             lab = jump
-        if np.array_equal(lab, old):
-            return lab
 
 
 _SIGNS = np.array([1, 1, -1])  # the relator of i < j < k is +g(ij) + g(jk) - g(ik)
@@ -336,9 +348,7 @@ def _closure(skel: RipsSkeleton) -> tuple[np.ndarray, list[dict[int, int]]]:
     gid = skel.gen_id
     ngen = len(ga)
     if not ngen:
-        return np.zeros(0, dtype=np.int64), []
-    # the step u -> v is +g (node 2g) when u < v and -g (node 2g + 1) when u > v
-    node = np.where(gid >= 0, 2 * gid + np.tri(n, k=-1, dtype=np.int32), -1)
+        return np.zeros(0, dtype=np.int32), []
     parent = np.asarray(skel.parent, dtype=np.intp)
     child = np.flatnonzero(parent >= 0)
     dead = np.zeros((n, n), dtype=bool)
@@ -347,34 +357,33 @@ def _closure(skel: RipsSkeleton) -> tuple[np.ndarray, list[dict[int, int]]]:
     lab = np.arange(2 * ngen, dtype=np.int32)
 
     def dies(test):
-        return test[_any_common(dead, ga[test], gb[test])]
+        return _any_common(dead, ga, gb, test)
 
     def kill(seed):
         while len(seed):
-            killed = []
+            was = alive.copy()
             while len(seed):  # the peel
-                killed.append(seed)
                 alive[seed] = False
                 dead[ga[seed], gb[seed]] = dead[gb[seed], ga[seed]] = True
                 ends = np.zeros(n, dtype=bool)
                 ends[ga[seed]] = ends[gb[seed]] = True
                 seed = dies(np.flatnonzero(alive & (ends[ga] | ends[gb])))
             # a killed generator takes its component and the mirror one along
-            seed = np.concatenate(killed)
+            gone = was & ~alive
             hit = np.zeros(2 * ngen, dtype=bool)
-            hit[lab[2 * seed]] = hit[lab[2 * seed + 1]] = True
+            hit[lab[0::2][gone]] = hit[lab[1::2][gone]] = True
             seed = np.flatnonzero(alive & hit[lab[0::2]])
 
-    seed = dies(np.arange(ngen))
+    seed = dies(range(ngen))
     while True:
         kill(seed)
         live = np.zeros((n, n), dtype=bool)
         live[ga[alive], gb[alive]] = live[gb[alive], ga[alive]] = True
-        lab = _propagate(lab, live, dead, node)
+        lab = _propagate(lab, live, dead, gid)
         plus = lab[0::2]
         twisted = plus == lab[1::2]
-        letter = np.where(twisted, np.arange(ngen), plus >> 1)
-        sign = np.where(twisted | (plus % 2 == 0), 1, -1)
+        letter = np.where(twisted, np.arange(ngen, dtype=np.int32), plus >> 1)
+        sign = np.where(twisted | (plus % 2 == 0), np.int8(1), np.int8(-1))
 
         keys = [np.empty(0, dtype=np.intp)]
         for a, b, mask in _triangle_masks(live):

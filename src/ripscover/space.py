@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from collections import deque
 
 import numpy as np
@@ -566,11 +567,20 @@ def load_space(path: str, format: str | None = None) -> FiniteSpace:
     raise ValidationError(f"unknown format {format!r}")
 
 
-def dump_space(space: FiniteSpace, path: str, ladder: ScaleLadder | None = None) -> None:
+def write_report(doc: dict | str, path: str | None) -> None:
+    """Write a report to the file at `path`, or to stdout: a dict as one line
+    of sorted compact json, a string as it is."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def dump_space(space: FiniteSpace, path: str | None, ladder: ScaleLadder | None = None) -> None:
     doc = space.to_json()
     if ladder is not None:
         doc["recommended_ladder"] = ladder.to_json()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(doc, path)
 

@@ -161,6 +161,78 @@ def test_deterministic_reports(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+def _compact(path) -> bool:
+    """Is the file one line of sorted compact json?"""
+    text = path.read_text()
+    return text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_reports_are_one_line_of_sorted_compact_json(tmp_path):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"space": hexagon_ex72().space.to_json(), "seq": [0, 5, 4, 3, 2, 1], "eps": 1.0}))
+    runs = [
+        (["analyze", "--gallery", "hexagon_ex73", "--audit", "--certified-pairs", "3"], 0),
+        (["cover", "--map", os.path.join(FIXTURES, "double_cover_map.json")], 0),
+        (["join", "--gallery", "hexagon_ex72", "--pair", "a,b", "--target", "3", "--fine", "1"], 0),
+        (["short", "--chain", str(chain), "--scale", "3"], 0),
+        (["ball", "--gallery", "hexagon_ex72", "--eps", "1", "--radius", "3"], 0),
+        (["gallery", "solenoid:2"], 0),
+    ]
+    written = []
+    for k, (args, code) in enumerate(runs):
+        out = tmp_path / f"report{k}.json"
+        extra = ["--output", str(out)]
+        if args[0] in ("join", "short"):
+            cert = tmp_path / f"cert{k}.json"
+            extra += ["--certificate-out", str(cert)]
+            written.append(cert)
+        assert run(args + extra) == code
+        written.append(out)
+    replayed = tmp_path / "replay.json"
+    assert run(["replay", str(written[2]), "--output", str(replayed)]) == 0
+    written.append(replayed)
+    assert len(written) == 9
+    for path in written:
+        assert _compact(path), path
+
+
+def test_certified_pairs_report_size(tmp_path):
+    # 55 certificates at eps=3, where all 11 points are related: 368,208
+    # bytes indented and with each certificate's pair list, 41,084 as one
+    # compact line that writes the relation as its eps
+    out = tmp_path / "cp.json"
+    assert run(["analyze", "--gallery", "hexagon_ex73", "--certified-pairs", "3", "--output", str(out)]) == 0
+    assert out.stat().st_size <= 45_000
+    certs = [p["certificate"] for p in json.loads(out.read_text())["certified_pairs"]["pairs"] if "certificate" in p]
+    assert len(certs) == 55
+    assert all(c["entourage"] == {"n": 11, "eps": 3.0, "strict": False} for c in certs)
+
+
+def test_replay_eps_certificates_with_and_without_a_pair_list(tmp_path, capsys):
+    sp = hexagon_ex73().space
+    e3 = entourage_at(sp, 3.0)
+    doc = decide_homotopic(validate_chain(sp, e3, [0, 5, 4, 3, 2, 1]), validate_chain(sp, e3, [0, 1])).certificate.to_json()
+    assert "pairs" not in doc["entourage"]
+    cert, out = tmp_path / "cert.json", tmp_path / "replay.json"
+    cert.write_text(json.dumps(doc))
+    assert run(["replay", str(cert), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["scale"] == {"eps": 3.0, "strict": False}
+    # the older format: the scale's pair list next to its eps still replays,
+    # and a pair list that is not that scale does not
+    doc["entourage"]["pairs"] = [list(p) for p in e3.pairs()]
+    cert.write_text(json.dumps(doc))
+    assert run(["replay", str(cert), "--output", str(out)]) == 0
+    doc["entourage"]["pairs"] = doc["entourage"]["pairs"][1:]
+    cert.write_text(json.dumps(doc))
+    assert run(["replay", str(cert), "--output", os.devnull]) == 3
+    # a relation given neither as a scale nor as pairs
+    doc["entourage"] = {"n": sp.n}
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["replay", str(cert), "--output", os.devnull]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_analyze_audit_and_certified_pairs(tmp_path):
     out = tmp_path / "full.json"
     code = run([
@@ -475,21 +547,27 @@ _CERTIFICATE_FIELDS = [
 ]
 
 
-def _certificate_doc() -> dict:
+def _certificate_doc(listed: bool) -> dict:
+    """A replayable eps certificate; `listed` adds the scale's pair list
+    next to its eps, as older certificates carry it."""
     space = space_from_json(_points_space())
     cert = HomotopyCertificate(space, entourage_at(space, 1.5), (0, 1), (Insert(1, 2), Delete(1)), (0, 1))
     cert.replay()
-    return cert.to_json()
+    doc = cert.to_json()
+    if listed:
+        doc["entourage"]["pairs"] = [list(p) for p in cert.entourage.pairs()]
+    return doc
 
 
 @settings(derandomize=True, max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(path=st.sampled_from(_CERTIFICATE_FIELDS), value=_BAD_VALUES)
-def test_certificate_file_never_raises(tmp_path, capsys, path, value):
-    # one field of a replayable certificate replaced by a value of the wrong
-    # shape or type: replay accepts (0), rejects the input (2) or the
-    # certificate (3), no traceback
-    doc = _certificate_doc()
+@given(path=st.sampled_from(_CERTIFICATE_FIELDS), value=_BAD_VALUES, listed=st.booleans())
+def test_certificate_file_never_raises(tmp_path, capsys, path, value, listed):
+    # one field of a replayable certificate, with or without a pair list
+    # next to its eps, replaced by a value of the wrong shape or type:
+    # replay accepts (0), rejects the input (2) or the certificate (3), no
+    # traceback
+    doc = _certificate_doc(listed or path[:2] == ("entourage", "pairs"))
     _set(doc, path, value)
     bad = tmp_path / "cert.json"
     bad.write_text(json.dumps(doc))
