@@ -257,41 +257,50 @@ def hawaiian(m: int, samples: int = 16) -> GallerySpace:
     return GallerySpace(space, ScaleLadder.from_thresholds(space, thresholds))
 
 
+def _count(v: str) -> int:
+    """A count argument of a gallery spec: an integer, never a truncated real."""
+    try:
+        return int(v)
+    except ValueError as e:
+        raise ValidationError(f"expected an integer gallery argument, got {v!r}") from e
+
+
+def _real(v: str) -> float:
+    """A real argument of a gallery spec: a finite number."""
+    try:
+        x = float(v)
+    except ValueError as e:
+        raise ValidationError(f"expected a number as gallery argument, got {v!r}") from e
+    if not math.isfinite(x):
+        raise ValidationError(f"expected a finite gallery argument, got {v!r}")
+    return x
+
+
+# builder, the kind of each argument in order, and how many are required
+_SPECS = {
+    "polygon": (polygon, (_count, _real), 2),
+    "hexagon_ex72": (hexagon_ex72, (_count,), 0),
+    "hexagon_ex73": (hexagon_ex73, (), 0),
+    "solenoid": (solenoid, (_count, _count, _real, _real), 1),
+    "hawaiian": (hawaiian, (_count, _count), 1),
+}
+
+
 def gallery(name: str) -> GallerySpace:
     """Build a gallery space from a spec string like 'polygon:12,1' or 'hexagon_ex72'."""
     base = name
-    args: list[float] = []
+    args: list[str] = []
     for sep in (":", "("):
         if sep in name:
             base, rest = name.split(sep, 1)
             rest = rest.rstrip(")")
-            if rest:
-                try:
-                    args = [float(v) for v in rest.split(",")]
-                except ValueError as e:
-                    raise ValidationError(f"bad gallery arguments in {name!r}") from e
+            args = rest.split(",") if rest else []
             break
     base = base.strip()
-    if base == "polygon":
-        if len(args) != 2:
-            raise ValidationError("polygon needs (n, r)")
-        return polygon(int(args[0]), args[1])
-    if base == "hexagon_ex72":
-        return hexagon_ex72(int(args[0]) if args else 0)
-    if base == "hexagon_ex73":
-        return hexagon_ex73()
-    if base == "solenoid":
-        if not args:
-            raise ValidationError("solenoid needs at least the stage count")
-        ints = [int(v) for v in args[:2]]
-        return solenoid(
-            ints[0],
-            ints[1] if len(args) > 1 else 64,
-            args[2] if len(args) > 2 else 4.0,
-            args[3] if len(args) > 3 else 1.0,
-        )
-    if base == "hawaiian":
-        if not args:
-            raise ValidationError("hawaiian needs the circle count")
-        return hawaiian(int(args[0]), int(args[1]) if len(args) > 1 else 16)
-    raise ValidationError(f"unknown gallery space {name!r}")
+    if base not in _SPECS:
+        raise ValidationError(f"unknown gallery space {name!r}")
+    build, kinds, required = _SPECS[base]
+    if not required <= len(args) <= len(kinds):
+        want = required if required == len(kinds) else f"{required} to {len(kinds)}"
+        raise ValidationError(f"{base} takes {want} arguments, got {name!r}")
+    return build(*(kind(v) for kind, v in zip(kinds, args)))

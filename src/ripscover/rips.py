@@ -7,10 +7,10 @@ generator kills it, and one with two says they are equal up to sign; both
 are closed to a fixed point on the n x n edge matrices (`_closure`), so
 the triangles behind them are never listed.  Each class of generators is
 named by its largest id.  Only the triangles with three live edges are
-listed and read through the classes; the few rows left go through a sparse
-unit-pivot phase feeding a small dense Smith form, so class vectors,
-representatives and torsion are all exact.  The group is the one every
-relator gives; the basis is the classes' survivors'.
+listed and read through the classes; the few distinct rows left go to a
+small dense Smith form, so class vectors, representatives and torsion are
+all exact.  The group is the one every relator gives; the basis is the
+classes' survivors'.
 
 A skeleton keeps its edges, generators and triangles as one read-only
 integer array each, never as one Python object per simplex, and builds
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierMismatch, ChainError, ValidationError
-from .snf import IntLattice, eliminate_unit_pivots, reduce_vector, smith_normal_form
+from .snf import IntLattice, smith_normal_form
 from .space import Entourage, FiniteSpace, bfs_forest, path_to_root
 
 
@@ -335,7 +335,7 @@ def _closure(skel: RipsSkeleton) -> tuple[np.ndarray, list[dict[int, int]]]:
     component holding both +g and -g says 2g = 0: torsion, which a signed
     class cannot hold.  Such a twisted component is not merged: its
     generators stay their own letters, and the triangles joining them with
-    one dead edge are listed too.  What is left for the greedy is every
+    one dead edge are listed too.  What is left for the Smith form is every
     listed triangle's row that is not zero read through the classes, in
     sorted triangle order, as {letter: coefficient}.
 
@@ -431,41 +431,34 @@ class _H1Data:
     over the non-forest edges.  `_closure` settles most rows on the edge
     matrices: it kills generators, identifies the rest in classes up to
     sign, and hands back the rows it cannot settle, written in the classes'
-    survivors.  Those go through `eliminate_unit_pivots` and a small dense
-    Smith form.  A generator vector is read through the classes (`cls`:
-    killed generators drop out, the others become +-their survivor) before
-    it is reduced.  The coordinates are those of the survivors the greedy
-    leaves untouched, then the Smith coordinates of the core.
+    survivors.  Their distinct rows, first occurrence first, go to one
+    Smith form over the survivors they hold.  A generator vector is read
+    through the classes (`cls`: killed generators drop out, the others
+    become +-their survivor) before its coordinates are taken.  The
+    coordinates are those of the survivors no row holds, then the Smith
+    coordinates of the ones the rows hold.
 
     The group is exactly the one every relator gives.  The basis is the
-    survivors', which need not be the one the greedy over every row picks;
-    the two differ by an invertible integer change of coordinates.  Each
-    class keeps its largest generator, which the greedy keeps too wherever
-    its tie rule decides (of the unit columns held by the fewest rows, it
-    eliminates the least); there the coordinates are the greedy's.
+    survivors' and the Smith form's, which need not be the one an
+    elimination over every row picks; the two differ by an invertible
+    integer change of coordinates.
     """
 
     def __init__(self, skel: RipsSkeleton):
         cls, rows = _closure(skel)
-        subs, core = eliminate_unit_pivots(rows)
-        eliminated = {col for col, _, _ in subs}
-        touched = sorted({c for r in core for c in r})
-        hit = eliminated.union(touched)
+        rows = [dict(r) for r in dict.fromkeys(frozenset(r.items()) for r in rows)]
+        held = {c for r in rows for c in r}
+        touched = sorted(held)
         survivors = np.flatnonzero(cls == np.arange(1, len(cls) + 1)).tolist()
-        untouched = [g for g in survivors if g not in hit]
+        untouched = [g for g in survivors if g not in held]
 
-        mat = [[r.get(t, 0) for r in core] for t in touched]
-        if touched:
-            diag, left, left_inv = smith_normal_form(mat)
-        else:
-            diag, left, left_inv = [], [], []
+        diag, left, left_inv = smith_normal_form([[r.get(t, 0) for r in rows] for t in touched])
         dfull = list(diag) + [0] * (len(touched) - len(diag))
 
         free_core = [i for i, d in enumerate(dfull) if d == 0]
         torsion_core = [i for i, d in enumerate(dfull) if d >= 2]
 
         self.cls = cls
-        self.subs = subs
         self.touched = touched
         self.untouched = untouched
         self.left = left
@@ -487,11 +480,9 @@ class _H1Data:
                 y[s - 1] = y.get(s - 1, 0) + c
             elif s < 0:
                 y[-s - 1] = y.get(-s - 1, 0) - c
-        x = reduce_vector(y, self.subs)
-        out = [x.get(g, 0) for g in self.untouched]
-        if self.touched:
-            xt = [x.get(t, 0) for t in self.touched]
-            out.extend(sum(lv * xv for lv, xv in zip(self.left[i], xt)) for i in self.core_ids)
+        yt = [y.get(t, 0) for t in self.touched]
+        out = [y.get(g, 0) for g in self.untouched]
+        out.extend(sum(lv * yv for lv, yv in zip(self.left[i], yt)) for i in self.core_ids)
         return out
 
     def class_of(self, gen_vector: dict[int, int]) -> tuple[int, ...]:

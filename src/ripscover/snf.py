@@ -1,14 +1,10 @@
-"""Exact integer linear algebra: Smith form with transforms, Hermite lattices,
-and sparse unit-pivot elimination for large relator systems.
+"""Exact integer linear algebra: Smith form with transforms and Hermite
+lattices.
 
 Everything here works on plain Python ints, so results are exact at any size.
 """
 
 from __future__ import annotations
-
-import heapq
-from collections.abc import Iterable, Mapping
-from itertools import chain
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -28,22 +24,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for t in range(inner):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(cols):
-                    oi[j] += c * bt[j]
-    return out
 
 
 def smith_normal_form(mat: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
@@ -300,116 +280,3 @@ class IntLattice:
 
     def basis(self) -> list[list[int]]:
         return [r[:] for r in self.rows]
-
-
-def eliminate_unit_pivots(rows: Iterable[Mapping[int, int]]):
-    """Sparse Gauss phase over Z using only +-1 pivots.
-
-    rows is an iterable of {column: coefficient} mappings, read once and not
-    mutated.  Returns (subs, core) where subs is the ordered list of
-    substitution steps (col, coef, row_snapshot) that eliminated one column
-    each, and core is the list of surviving nonzero rows that had no unit
-    entry left.  Replaying subs on any integer vector reduces it modulo the
-    row space: for each step, x -= x[col] * coef * row_snapshot.
-
-    Rows are taken by (length, position): the shortest live row that has a
-    unit entry pivots on the unit column held by the fewest live rows, the
-    least such column on ties.  A row a pivot changes is queued again under
-    its new length; a row with no unit entry waits until a pivot changes it.
-    A live row is kept as a flat tuple (c0, v0, c1, v1, ...) and a column's
-    rows as an append-only list checked when the column is pivoted, so a
-    row costs a few words rather than a dict, a set entry per column and a
-    queue entry.
-    """
-    store: list[tuple[int, ...] | None] = []  # position -> row, None once pivoted or zero
-    queued: list[int] = []  # position -> length it is queued under, 0 if not queued
-    col_rows: dict[int, list[int]] = {}  # column -> positions that gained it (may be stale)
-    count: dict[int, int] = {}  # column -> live rows holding it
-    by_len: dict[int, list[int]] = {}
-    for row in rows:
-        flat = tuple(chain.from_iterable(item for item in row.items() if item[1]))
-        if not flat:
-            continue
-        rid = len(store)
-        store.append(flat)
-        queued.append(len(flat) // 2)
-        by_len.setdefault(len(flat) // 2, []).append(rid)
-        for c in flat[::2]:
-            col_rows.setdefault(c, []).append(rid)
-            count[c] = count.get(c, 0) + 1
-
-    # the initial queue is by_len read in order; `heap` holds the re-queued rows
-    initial = ((n, rid) for n in sorted(by_len) for rid in by_len[n])
-    nxt = next(initial, None)
-    heap: list[tuple[int, int]] = []
-    subs: list[tuple[int, int, dict[int, int]]] = []
-    while True:
-        if heap and (nxt is None or heap[0] < nxt):
-            n, rid = heapq.heappop(heap)
-        elif nxt is not None:
-            n, rid = nxt
-            nxt = next(initial, None)
-        else:
-            break
-        if queued[rid] != n:
-            continue  # re-queued under another length, or already taken
-        queued[rid] = 0
-        entries = iter(store[rid])
-        row = dict(zip(entries, entries))
-        units = [c for c, v in row.items() if v == 1 or v == -1]
-        if not units:
-            continue  # revisited if the row changes later
-        col = min(units, key=lambda c: (count[c], c))
-        coef = row[col]
-        subs.append((col, coef, row))
-        store[rid] = None
-        for c in row:
-            count[c] -= 1
-        # eliminate col from every other live row that holds it
-        for rid2 in set(col_rows.pop(col)):
-            if store[rid2] is None:
-                continue
-            entries = iter(store[rid2])
-            row2 = dict(zip(entries, entries))
-            if col not in row2:
-                continue
-            factor = row2[col] * coef
-            for c, v in row.items():
-                was = row2.get(c, 0)
-                nv = was - factor * v
-                if nv:
-                    if not was:
-                        col_rows[c].append(rid2)
-                        count[c] += 1
-                    row2[c] = nv
-                elif was:
-                    del row2[c]
-                    count[c] -= 1
-            if row2:
-                store[rid2] = tuple(chain.from_iterable(row2.items()))
-                if queued[rid2] != len(row2):
-                    queued[rid2] = len(row2)
-                    heapq.heappush(heap, (len(row2), rid2))
-            else:
-                store[rid2] = None
-                queued[rid2] = 0
-
-    core = [dict(zip(flat[::2], flat[1::2])) for flat in store if flat is not None]
-    return subs, core
-
-
-def reduce_vector(vec: dict[int, int], subs) -> dict[int, int]:
-    """Apply recorded substitution steps to a sparse integer vector."""
-    x = {c: v for c, v in vec.items() if v}
-    for col, coef, row in subs:
-        c0 = x.get(col)
-        if not c0:
-            continue
-        factor = c0 * coef
-        for c, v in row.items():
-            nv = x.get(c, 0) - factor * v
-            if nv:
-                x[c] = nv
-            else:
-                x.pop(c, None)
-    return x

@@ -6,9 +6,9 @@ Smith machinery; the homotopy oracle is a plain single-source BFS over raw
 reduction paths.  `numpy_neighbors` keeps the original numpy enumeration of
 the canonical move graph, as the reference order for the table-driven one.
 `AllRowsH1` keeps the original H1 reduction, unit-pivot elimination over
-every triangle relator row, as the reference for the closed one, and
-`dict_unit_pivots` keeps the original dict-and-set form of that elimination
-as the reference for the compact one.  `search_c2_check` keeps the c2
+every triangle relator row (`dict_unit_pivots`, replayed on a vector by
+`reduce_vector`) and a Smith form of the rows it leaves, as the reference
+for the closure that hands only its distinct rows to the Smith form.  `search_c2_check` keeps the c2
 check that runs a full homotopy search for every upstairs question and for
 every downstairs one, as the reference for the one that searches only where
 its verdict can change.  `untightened_decide` keeps the homotopy search that
@@ -78,7 +78,7 @@ from ripscover.chains import (
 )
 from ripscover.errors import ChainError
 from ripscover.rips import AbelianGroup, build_skeleton, h1_class, inclusion_h1_map
-from ripscover.snf import eliminate_unit_pivots, reduce_vector, smith_normal_form
+from ripscover.snf import smith_normal_form
 from ripscover.cover import C2_DOWN_LENGTH, C2_DOWN_STATES, C2_SHORT_LINKS
 from ripscover.space import Entourage, FiniteSpace, ball, bfs_forest, image_under, path_to_root
 from ripscover.tower import _mask_to_component
@@ -137,10 +137,12 @@ def _rank_rational(mat) -> int:
 
 
 def dict_unit_pivots(rows: list[dict[int, int]]):
-    """`snf.eliminate_unit_pivots` with every live row a dict, every
-    column's rows a set and every queue entry versioned.
+    """Sparse Gauss phase over Z using only +-1 pivots, with every live row
+    a dict, every column's rows a set and every queue entry versioned.
 
-    rows is a list of {column: coefficient} dicts (consumed logically, not
+    The shortest live row that has a unit entry pivots on the unit column
+    held by the fewest live rows, the least such column on ties.  rows is
+    a list of {column: coefficient} dicts (consumed logically, not
     mutated).  Returns (subs, core) where subs is the ordered list of
     substitution steps (col, coef, row_snapshot) that eliminated one column
     each, and core is the list of surviving nonzero rows that had no unit
@@ -208,10 +210,28 @@ def dict_unit_pivots(rows: list[dict[int, int]]):
     return subs, core
 
 
+def reduce_vector(vec: dict[int, int], subs) -> dict[int, int]:
+    """Apply the substitution steps of `dict_unit_pivots` to a sparse
+    integer vector."""
+    x = {c: v for c, v in vec.items() if v}
+    for col, coef, row in subs:
+        c0 = x.get(col)
+        if not c0:
+            continue
+        factor = c0 * coef
+        for c, v in row.items():
+            nv = x.get(c, 0) - factor * v
+            if nv:
+                x[c] = nv
+            else:
+                x.pop(c, None)
+    return x
+
+
 class AllRowsH1:
-    """H1 coordinates of a skeleton from `eliminate_unit_pivots` run on one
-    relator row per triangle, with no peeling: fields and `class_of` as in
-    `rips._H1Data`."""
+    """H1 coordinates of a skeleton from `dict_unit_pivots` run on one
+    relator row per triangle, with no peeling, and a Smith form of the rows
+    it leaves: fields and `class_of` as in `rips._H1Data`."""
 
     def __init__(self, skel):
         rows = []
@@ -223,7 +243,7 @@ class AllRowsH1:
                     row[gs[0]] = gs[1]
             if row:
                 rows.append(row)
-        subs, core = eliminate_unit_pivots(rows)
+        subs, core = dict_unit_pivots(rows)
         eliminated = {col for col, _, _ in subs}
         touched = sorted({c for r in core for c in r})
         self.ngen = len(skel.generators)

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -208,6 +210,22 @@ def test_certified_pairs_report_size(tmp_path):
     assert all(c["entourage"] == {"n": 11, "eps": 3.0, "strict": False} for c in certs)
 
 
+def test_report_digests_match_the_recorded_ones(tmp_path):
+    # sha256 and exit code of each report, keyed by its argv with the map
+    # files named relative to the fixtures; a change that alters report bytes
+    # on purpose records the new digests here
+    with open(os.path.join(FIXTURES, "report_digests.json")) as f:
+        recorded = json.load(f)
+    assert len(recorded) == 9
+    out = tmp_path / "report.json"
+    for key, want in recorded.items():
+        args = key.split()
+        if args[0] == "cover":
+            args[-1] = os.path.join(FIXTURES, args[-1])
+        code = run(args + ["--output", str(out)])
+        assert [code, hashlib.sha256(out.read_bytes()).hexdigest()] == want, key
+
+
 def test_replay_eps_certificates_with_and_without_a_pair_list(tmp_path, capsys):
     sp = hexagon_ex73().space
     e3 = entourage_at(sp, 3.0)
@@ -384,6 +402,22 @@ def test_nan_ladder_threshold_exits_2(capsys):
     # NaN passes the "strictly decreasing" comparison
     assert run(["analyze", "--gallery", "hexagon_ex72", "--ladder", "3,nan,1"]) == 2
     assert "thresholds must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    "hawaiian:nan", "polygon:1e400,1", "hawaiian:-1e400", "hawaiian:3.9,16", "polygon:12.7,1",
+    "solenoid:2.5", "hexagon_ex72:1.5", "solenoid:2,64,inf", "polygon:12,nan", "hexagon_ex73:5",
+])
+@pytest.mark.parametrize("command", ["gallery", "analyze"])
+def test_malformed_gallery_spec_exits_2(capsys, spec, command):
+    # counts are integers, never truncated reals, and reals are finite; the
+    # spec is rejected before numpy sees a value
+    argv = [command, spec] if command == "gallery" else [command, "--gallery", spec]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--output", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def _exit_code(argv) -> int:

@@ -272,13 +272,13 @@ def test_skeleton_output_is_plain_python():
 def test_h1_data_without_generators_or_triangles():
     sp = space_for(Entourage.identity(4))
     data = build_skeleton(sp, Entourage.identity(4)).h1_data()  # no generators
-    assert data.group.is_trivial() and data.class_of({}) == () and data.subs == []
+    assert data.group.is_trivial() and data.class_of({}) == ()
     tree = Entourage.from_pairs(4, [(0, 1), (1, 2), (1, 3)])
     assert build_skeleton(space_for(tree), tree).h1_data().group.is_trivial()
     hexagon = hexagon_ex72().space
     sk = build_skeleton(hexagon, entourage_at(hexagon, 1.0))  # one generator, no triangles
     data = sk.h1_data()
-    assert str(data.group) == "Z" and data.untouched == [0] and data.subs == []
+    assert str(data.group) == "Z" and data.untouched == [0]
     assert data.class_of({0: 3}) == (3,)
 
 
@@ -287,9 +287,9 @@ def _by_columns(cols, dim):
 
 
 def _assert_same_as_all_rows(sk, rng, exact=False, vectors=20):
-    # the same group, and coordinates that differ from the all-rows greedy's
-    # by an invertible integer change of basis M (M's columns are the classes
-    # of the greedy's representatives); with `exact`, by none
+    # the same group, and coordinates that differ from the all-rows
+    # elimination's by an invertible integer change of basis M (M's columns
+    # are the classes of its representatives); with `exact`, by none
     data = sk.h1_data()
     ref = AllRowsH1(sk)
     assert data.group == ref.group
@@ -319,7 +319,8 @@ def test_peeled_h1_matches_all_rows_elimination_random():
 
 def test_peeled_h1_matches_all_rows_elimination_hawaiian():
     # the survivor of each class is its largest generator, the column the
-    # greedy keeps, so these scales have the greedy's very coordinates
+    # all-rows elimination keeps, and the closure leaves no row at these
+    # scales, so they have the elimination's very coordinates
     rng = random.Random(7)
     small = hawaiian(3, 16)
     for e in small.ladder:
@@ -354,12 +355,18 @@ def test_peeled_h1_matches_all_rows_when_the_peel_stalls():
         _assert_same_as_all_rows(sk, rng, exact=t == 0)
 
 
-def test_stalled_relabelling_sends_no_rows_to_the_greedy(monkeypatch):
-    # every row the peel leaves here has two live generators, and the
-    # identifications settle all of them on the edge matrices
-    rows = []
-    greedy = rips.eliminate_unit_pivots
-    monkeypatch.setattr(rips, "eliminate_unit_pivots", lambda r: rows.append(len(r)) or greedy(r))
+def test_stalled_relabellings_send_distinct_rows_to_the_smith_form(monkeypatch):
+    # seed 37: the closure leaves 2,326 rows, repeats of two rows over three
+    # letters, and the Smith form gets the two; seed 160: every row the peel
+    # leaves has two live generators, the identifications settle all of
+    # them on the edge matrices, and the Smith form gets an empty matrix
+    shapes = []
+    smith = rips.smith_normal_form
+    monkeypatch.setattr(rips, "smith_normal_form",
+                        lambda mat: shapes.append((len(mat), len(mat[0]) if mat else 0)) or smith(mat))
+    sk = _relabelled(5, 24, 37, 3)
+    assert len(rips._closure(sk)[1]) == 2326
+    assert str(sk.h1_data().group) == "Z^2" and shapes == [(3, 2)]
     sk = _relabelled(5, 24, 160, 1)
     tracemalloc.start()
     try:
@@ -367,7 +374,7 @@ def test_stalled_relabelling_sends_no_rows_to_the_greedy(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(data.group) == "Z" and rows == [0]
+    assert str(data.group) == "Z" and shapes == [(3, 2), (0, 0)]
     assert peak <= 6 << 20
 
 
@@ -442,7 +449,7 @@ def test_block_loops_match_dense_numpy(seed, n, p, budget):
 
 def test_h1_torsion_on_rp2():
     # RP^2's classes are twisted (+g and -g in one component): they reach
-    # the greedy unmerged, as rows of two letters that are their own survivors
+    # the Smith form unmerged, as rows of two letters that are their own survivors
     base = rp2_relation()
     n = base.n
     sk = RipsSkeleton(space_for(base), base)

