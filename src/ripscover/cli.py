@@ -94,7 +94,8 @@ def _config_block(args) -> dict:
 def cmd_analyze(args) -> int:
     space, recommended = _load_input(args)
     ladder = _resolve_ladder(args, space, recommended)
-    tower = build_tower(space, ladder, _basepoint(args, space))
+    basepoint = _basepoint(args, space)
+    tower = build_tower(space, ladder, basepoint)
     if args.certified_pairs is not None:
         target = entourage_at(space, args.certified_pairs, strict=args.strict_thresholds)
     if args.format == "text":  # the table shows none of the json-only sections below
@@ -112,7 +113,7 @@ def cmd_analyze(args) -> int:
     if args.audit:
         doc["joinability_audit"] = uniform_joinability_audit(space, ladder, args.budget)
     if args.certified_pairs is not None:
-        _, rep = g_entourage(space, target, ladder, args.budget)
+        _, rep = g_entourage(space, target, ladder, args.budget, basepoint)
         doc["certified_pairs"] = rep
     doc["config"] = _config_block(args)
     write_report(doc, args.output)

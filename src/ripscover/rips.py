@@ -4,13 +4,14 @@ Only vertices, edges and triangles are ever built; everything the package
 asks about loops factors through them.  Homology is computed from the
 triangle relators in the non-forest-edge basis.  A relator with one live
 generator kills it, and one with two says they are equal up to sign; both
-are closed to a fixed point on the n x n edge matrices (`_closure`), so
-the triangles behind them are never listed.  Each class of generators is
+are settled in one pass on the n x n edge matrices (`_closure`), so the
+triangles behind them are never listed.  Each class of generators is
 named by its largest id.  Only the triangles with three live edges are
-listed and read through the classes; the few distinct rows left go to a
-small dense Smith form, so class vectors, representatives and torsion are
-all exact.  The group is the one every relator gives; the basis is the
-classes' survivors'.
+listed and read through the classes; the few distinct rows left, one-letter
+rows included, go to a small dense Smith form, so class vectors,
+representatives and torsion are all exact.  The group is the one every
+relator gives; the basis is the classes' survivors'.  A walk's class is
+the sum of its steps' coordinates (`_H1Data.walk_coords`).
 
 A skeleton keeps its edges, generators and triangles as one read-only
 integer array each, never as one Python object per simplex, and builds
@@ -279,17 +280,16 @@ def _max_over(rel: np.ndarray, lab: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagate(lab: np.ndarray, live: np.ndarray, dead: np.ndarray, gid: np.ndarray) -> np.ndarray:
+def _propagate(live: np.ndarray, dead: np.ndarray, gid: np.ndarray) -> np.ndarray:
     """Label propagation over the double cover until no label moves: every
     node ends with the largest node id of its component.
 
     The step u -> v of generator g is the node 2g when u < v (+g) and
     2g + 1 when u > v (-g).  The step a -> b is joined to c -> b, and
     b -> a to b -> c, when a-b and c-b are live and a-c is dead.  Only the
-    vertices with a live edge take part.  Labels start from `lab`, which
-    must already name a node of each node's component and be its own
-    pointer jump (lab[lab] == lab), as every labelling this returns is.
+    vertices with a live edge take part; every other node keeps its own id.
     """
+    lab = np.arange(2 * (int(gid.max()) + 1), dtype=np.int32)
     idx = np.flatnonzero(live.any(axis=1))
     sub = np.ix_(idx, idx)
     live, dead, node = live[sub], dead[sub], 2 * gid[sub]
@@ -319,17 +319,14 @@ def _closure(skel: RipsSkeleton) -> tuple[np.ndarray, list[dict[int, int]]]:
     - with two dead edges, that the third generator is zero (a kill);
     - with one dead edge a-c, that step(a -> b) = step(c -> b) (an
       identification of two generators up to sign).
-    Both are closed here on the n x n edge matrices, without listing those
-    triangles.  Kills are the peel: a live generator a-b dies when some
-    vertex c has a-c and b-c dead.  Identifications are the components of
-    the double cover, with a node for +g and one for -g per live generator
-    (`_propagate`).  Only the triangles with three live edges are listed,
-    and read through the classes: one that leaves one unit letter kills
-    its class.  (Three live letters read so leave three letters, one, or
-    2X +- Y, never two unit letters.)  Each kill adds dead edges, so the
-    rules run to a fixed point.  Every rule only adds, so while no class
-    is twisted (below) the fixed point does not depend on the order the
-    rules run in.
+    Both are settled here in one pass on the n x n edge matrices, without
+    listing those triangles.  Kills are the peel: a live generator a-b dies
+    when some vertex c has a-c and b-c dead, and each kill may let another
+    die.  Identifications are then the components of the double cover,
+    with a node for +g and one for -g per live generator (`_propagate`).
+    Only the triangles with three live edges are listed, and read through
+    the classes.  A row that reads as one unit letter is left like any
+    other: the Smith form settles it exactly.
 
     A class is named by its largest generator id, its survivor.  A
     component holding both +g and -g says 2g = 0: torsion, which a signed
@@ -354,74 +351,54 @@ def _closure(skel: RipsSkeleton) -> tuple[np.ndarray, list[dict[int, int]]]:
     dead = np.zeros((n, n), dtype=bool)
     dead[child, parent[child]] = dead[parent[child], child] = True
     alive = np.ones(ngen, dtype=bool)
-    lab = np.arange(2 * ngen, dtype=np.int32)
 
-    def dies(test):
-        return _any_common(dead, ga, gb, test)
+    seed = _any_common(dead, ga, gb, range(ngen))
+    while len(seed):  # the peel
+        alive[seed] = False
+        dead[ga[seed], gb[seed]] = dead[gb[seed], ga[seed]] = True
+        ends = np.zeros(n, dtype=bool)
+        ends[ga[seed]] = ends[gb[seed]] = True
+        seed = _any_common(dead, ga, gb, np.flatnonzero(alive & (ends[ga] | ends[gb])))
+    live = np.zeros((n, n), dtype=bool)
+    live[ga[alive], gb[alive]] = live[gb[alive], ga[alive]] = True
+    lab = _propagate(live, dead, gid)
+    plus = lab[0::2]
+    twisted = plus == lab[1::2]
+    letter = np.where(twisted, np.arange(ngen, dtype=np.int32), plus >> 1)
+    sign = np.where(twisted | (plus % 2 == 0), np.int8(1), np.int8(-1))
 
-    def kill(seed):
-        while len(seed):
-            was = alive.copy()
-            while len(seed):  # the peel
-                alive[seed] = False
-                dead[ga[seed], gb[seed]] = dead[gb[seed], ga[seed]] = True
-                ends = np.zeros(n, dtype=bool)
-                ends[ga[seed]] = ends[gb[seed]] = True
-                seed = dies(np.flatnonzero(alive & (ends[ga] | ends[gb])))
-            # a killed generator takes its component and the mirror one along
-            gone = was & ~alive
-            hit = np.zeros(2 * ngen, dtype=bool)
-            hit[lab[0::2][gone]] = hit[lab[1::2][gone]] = True
-            seed = np.flatnonzero(alive & hit[lab[0::2]])
-
-    seed = dies(range(ngen))
-    while True:
-        kill(seed)
-        live = np.zeros((n, n), dtype=bool)
-        live[ga[alive], gb[alive]] = live[gb[alive], ga[alive]] = True
-        lab = _propagate(lab, live, dead, gid)
-        plus = lab[0::2]
-        twisted = plus == lab[1::2]
-        letter = np.where(twisted, np.arange(ngen, dtype=np.int32), plus >> 1)
-        sign = np.where(twisted | (plus % 2 == 0), np.int8(1), np.int8(-1))
-
-        keys = [np.empty(0, dtype=np.intp)]
-        for a, b, mask in _triangle_masks(live):
-            e, k = np.nonzero(mask)
-            keys.append((a[e] * n + b[e]) * n + k)
-        if (tw := alive & twisted).any():
-            # triangles a-b-c with a-c dead and a-b, b-c twisted, once each
-            tm = np.zeros((n, n), dtype=bool)
-            tm[ga[tw], gb[tw]] = tm[gb[tw], ga[tw]] = True
-            up = np.triu(dead, k=1)
-            for b, a in _pairs(tm):
-                for s, m in _masks(up, tm, a, b):
-                    e, c = np.nonzero(m)
-                    t = np.sort(np.stack([a[s][e], b[s][e], c], axis=1), axis=1)
-                    keys.append((t[:, 0] * n + t[:, 1]) * n + t[:, 2])
-        keys = np.sort(np.concatenate(keys))
-        i, jk = np.divmod(keys, n * n)
-        j, k = np.divmod(jk, n)
-        ids = np.stack([gid[i, j], gid[j, k], gid[i, k]], axis=1)
-        on = (ids >= 0) & alive[ids]
-        lt = np.where(on, letter[ids], -1)
-        co = np.where(on, sign[ids] * _SIGNS, 0)
-        for p, q in ((0, 1), (0, 2), (1, 2)):  # add up repeated letters
-            same = lt[:, p] == lt[:, q]
-            co[same, p] += co[same, q]
-            co[same, q] = 0
-            lt[same, q] = -1
-        nz = co != 0
-        count = nz.sum(axis=1)
-        one = (count == 1) & (np.abs(co) <= 1).all(axis=1)
-        if len(seed := lt[one][nz[one]]):
-            continue
-        keep = count > 0
-        rows = [
-            {g: c for g, c in zip(lr, cr) if c}
-            for lr, cr in zip(lt[keep].tolist(), co[keep].tolist())
-        ]
-        return np.where(alive, sign * (letter + 1), 0), rows
+    keys = [np.empty(0, dtype=np.intp)]
+    for a, b, mask in _triangle_masks(live):
+        e, k = np.nonzero(mask)
+        keys.append((a[e] * n + b[e]) * n + k)
+    if (tw := alive & twisted).any():
+        # triangles a-b-c with a-c dead and a-b, b-c twisted, once each
+        tm = np.zeros((n, n), dtype=bool)
+        tm[ga[tw], gb[tw]] = tm[gb[tw], ga[tw]] = True
+        up = np.triu(dead, k=1)
+        for b, a in _pairs(tm):
+            for s, m in _masks(up, tm, a, b):
+                e, c = np.nonzero(m)
+                t = np.sort(np.stack([a[s][e], b[s][e], c], axis=1), axis=1)
+                keys.append((t[:, 0] * n + t[:, 1]) * n + t[:, 2])
+    keys = np.sort(np.concatenate(keys))
+    i, jk = np.divmod(keys, n * n)
+    j, k = np.divmod(jk, n)
+    ids = np.stack([gid[i, j], gid[j, k], gid[i, k]], axis=1)
+    on = (ids >= 0) & alive[ids]
+    lt = np.where(on, letter[ids], -1)
+    co = np.where(on, sign[ids] * _SIGNS, 0)
+    for p, q in ((0, 1), (0, 2), (1, 2)):  # add up repeated letters
+        same = lt[:, p] == lt[:, q]
+        co[same, p] += co[same, q]
+        co[same, q] = 0
+        lt[same, q] = -1
+    keep = (co != 0).any(axis=1)
+    rows = [
+        {g: c for g, c in zip(lr, cr) if c}
+        for lr, cr in zip(lt[keep].tolist(), co[keep].tolist())
+    ]
+    return np.where(alive, sign * (letter + 1), 0), rows
 
 
 class _H1Data:
@@ -432,7 +409,8 @@ class _H1Data:
     matrices: it kills generators, identifies the rest in classes up to
     sign, and hands back the rows it cannot settle, written in the classes'
     survivors.  Their distinct rows, first occurrence first, go to one
-    Smith form over the survivors they hold.  A generator vector is read
+    Smith form over the survivors they hold, where a row of one unit letter
+    kills that letter.  A generator vector is read
     through the classes (`cls`: killed generators drop out, the others
     become +-their survivor) before its coordinates are taken.  The
     coordinates are those of the survivors no row holds, then the Smith
@@ -499,6 +477,10 @@ class _H1Data:
             self._steps[u, v] = got
         return got
 
+    def walk_coords(self, seq) -> list[int]:
+        """`coords` of the walk seq[0] -> seq[1] -> ..., the sum of its steps'."""
+        return [sum(c) for c in zip(self.zero(), *map(self.step_coords, seq, seq[1:]))]
+
     def representative(self, coord: int) -> dict[int, int]:
         """A generator-vector cycle whose class is the coord-th basis element."""
         nu = len(self.untouched)
@@ -520,31 +502,6 @@ def h1(skel: RipsSkeleton) -> AbelianGroup:
     return skel.h1_data().group
 
 
-def _gen_vector(skel: RipsSkeleton, steps) -> dict[int, int]:
-    """Signed generator counts of the steps u -> v; forest steps and stays count zero."""
-    vec: dict[int, int] = {}
-    for u, v in steps:
-        gs = skel.step_gen(u, v)
-        if gs is None:
-            continue
-        g, s = gs
-        nv = vec.get(g, 0) + s
-        if nv:
-            vec[g] = nv
-        else:
-            vec.pop(g, None)
-    return vec
-
-
-def loop_gen_vector(skel: RipsSkeleton, seq) -> dict[int, int]:
-    """Generator vector of a vertex walk whose every step is related at the skeleton's scale."""
-    steps = list(zip(seq, seq[1:]))
-    for u, v in steps:
-        if not skel.entourage.related(u, v):
-            raise ChainError(f"step ({u},{v}) not related at this scale")
-    return _gen_vector(skel, steps)
-
-
 def h1_class(skel: RipsSkeleton, seq) -> tuple[int, ...]:
     """Class coordinates of a closed vertex walk; all zeros iff nullhomologous."""
     seq = list(seq)
@@ -552,7 +509,11 @@ def h1_class(skel: RipsSkeleton, seq) -> tuple[int, ...]:
         raise ChainError("empty walk")
     if seq[0] != seq[-1]:
         raise ChainError("walk is not closed")
-    return skel.h1_data().class_of(loop_gen_vector(skel, seq))
+    for u, v in zip(seq, seq[1:]):
+        if not skel.entourage.related(u, v):
+            raise ChainError(f"step ({u},{v}) not related at this scale")
+    data = skel.h1_data()
+    return data.group.reduce(data.walk_coords(seq))
 
 
 @dataclass(frozen=True)
@@ -635,10 +596,9 @@ def inclusion_h1_map(fine: RipsSkeleton, coarse: RipsSkeleton) -> H1Map:
     cdata = coarse.h1_data()
     cols = []
     for coord in range(fdata.group.dim):
-        cvec: dict[int, int] = {}
+        col = cdata.zero()
         for g, coef in fdata.representative(coord).items():
-            for cg, s in loop_gen_vector(coarse, fine.fundamental_walk(g)).items():
-                cvec[cg] = cvec.get(cg, 0) + coef * s
-        cols.append(cdata.class_of(cvec))
+            col = [c + coef * w for c, w in zip(col, cdata.walk_coords(fine.fundamental_walk(g)))]
+        cols.append(cdata.group.reduce(col))
     rows = tuple(tuple(col[r] for col in cols) for r in range(cdata.group.dim))
     return H1Map(fdata.group, cdata.group, rows)

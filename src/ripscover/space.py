@@ -358,9 +358,8 @@ class SpaceMap:
 def image_under(f: SpaceMap, e: Entourage) -> Entourage:
     """Push a source relation forward along the map.
 
-    Target points outside the image keep only their diagonal pair; the true
-    image is recorded in the result's metadata so structure checks can see it.
-    The map keeps the result, keyed by the relation, and returns it again.
+    Target points outside the image keep only their diagonal pair.  The map
+    keeps the result, keyed by the relation, and returns it again.
     """
     if e.n != f.source.n:
         raise CarrierMismatch("entourage does not live on the map's source")
@@ -371,7 +370,7 @@ def image_under(f: SpaceMap, e: Entourage) -> Entourage:
         onehot = np.zeros((f.source.n, f.target.n), dtype=bool)
         onehot[np.arange(f.source.n), f.assign] = True
         rel = onehot.T @ e.rel @ onehot
-        fe = f._images[e] = Entourage(rel, meta={"image_points": sorted(set(f.assign))})
+        fe = f._images[e] = Entourage(rel)
     return fe
 
 
@@ -435,10 +434,7 @@ class ScaleLadder:
         return self.scales[-1]
 
     def describe(self, i: int) -> str:
-        d = self.descriptors[i]
-        if "eps" in d:
-            return f"eps{'<' if d.get('strict') else '='}{d['eps']:g}"
-        return d.get("label", f"scale#{i}")
+        return scale_name(self.descriptors[i], f"scale#{i}")
 
     def to_json(self) -> list:
         out = []
@@ -482,6 +478,14 @@ class ScaleLadder:
         return cls(scales, descriptors=descriptors)
 
 
+def scale_name(desc: dict, default: str) -> str:
+    """A scale's name in reports, from its descriptor or an entourage's meta:
+    `eps=t`, or `eps<t` for a strict threshold, else its label or `default`."""
+    if "eps" in desc:
+        return f"eps{'<' if desc.get('strict') else '='}{desc['eps']:g}"
+    return desc.get("label", default)
+
+
 def _describe_scale(s: Entourage) -> dict:
     """Ladder descriptor of one scale; `strict` appears only when set."""
     if "eps" not in s.meta:
@@ -509,30 +513,23 @@ def space_from_json(doc: dict) -> FiniteSpace:
         raise ValidationError(f"malformed space: {e}") from e
 
 
-def load_space(path: str, format: str | None = None) -> FiniteSpace:
-    """Read a space from json, csv-points, or csv-matrix files."""
-    if format is None:
-        if str(path).endswith(".json"):
-            format = "json"
-        else:
-            with open(path, newline="") as fh:
-                first = fh.readline()
-            format = "csv-points" if first.split(",")[0].strip().lower() == "label" else "csv-matrix"
-    if format == "json":
+def load_space(path: str) -> FiniteSpace:
+    """Read a space from json, csv-points (the first field of the header is
+    `label`), or csv-matrix files."""
+    if str(path).endswith(".json"):
         with open(path) as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ValidationError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
         return space_from_json(doc)
-    if format == "csv-points":
+    with open(path, newline="") as fh:
+        first = fh.readline()
+    if first.split(",")[0].strip().lower() == "label":
         labels, coords = [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0].strip().lower() != "label":
-                raise ValidationError(f"{path}:1: csv-points header must start with 'label'")
-            dim = len(header) - 1
+            dim = len(next(reader)) - 1
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -544,27 +541,25 @@ def load_space(path: str, format: str | None = None) -> FiniteSpace:
                 except ValueError as e:
                     raise ValidationError(f"{path}:{lineno}: {e}") from e
         return FiniteSpace(labels, coords=coords)
-    if format == "csv-matrix":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header:
-                raise ValidationError(f"{path}:1: empty file")
-            labels = [s.strip() for s in header]
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(labels):
-                    raise ValidationError(f"{path}:{lineno}: expected {len(labels)} fields")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as e:
-                    raise ValidationError(f"{path}:{lineno}: {e}") from e
-        if len(rows) != len(labels):
-            raise ValidationError(f"{path}: matrix is {len(rows)} rows for {len(labels)} labels")
-        return FiniteSpace(labels, dist=rows)
-    raise ValidationError(f"unknown format {format!r}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise ValidationError(f"{path}:1: empty file")
+        labels = [s.strip() for s in header]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(labels):
+                raise ValidationError(f"{path}:{lineno}: expected {len(labels)} fields")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as e:
+                raise ValidationError(f"{path}:{lineno}: {e}") from e
+    if len(rows) != len(labels):
+        raise ValidationError(f"{path}: matrix is {len(rows)} rows for {len(labels)} labels")
+    return FiniteSpace(labels, dist=rows)
 
 
 def write_report(doc: dict | str, path: str | None) -> None:

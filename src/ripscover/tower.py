@@ -26,7 +26,7 @@ from .chains import (
 from .errors import ValidationError
 from .rips import H1Map, RipsSkeleton, build_skeleton, h1_class, inclusion_h1_map
 from .snf import IntLattice, snf_invariants
-from .space import Entourage, FiniteSpace, ScaleLadder, bfs_forest, path_to_root
+from .space import Entourage, FiniteSpace, ScaleLadder, bfs_forest, path_to_root, scale_name
 
 LADDER_CAVEAT = (
     "stabilization within the ladder is necessary but not sufficient for the full scale filter"
@@ -330,8 +330,8 @@ def joinability_witness(
     homology statements; Yes verdicts carry a replayed certificate.
     """
     budget = budget or DEFAULT_BUDGET
-    tname = f"eps={target.meta['eps']:g}" if "eps" in target.meta else "target"
-    fname = f"eps={fine.meta['eps']:g}" if "eps" in fine.meta else "fine"
+    tname = scale_name(target.meta, "target")
+    fname = scale_name(fine.meta, "fine")
     if not fine.issubset(target):
         raise ValidationError("fine scale must be contained in the target scale")
 

@@ -33,8 +33,8 @@ reference for the rule that drops the chains a delete shortens.
 forward, as the reference for the one-product `image_under`.
 `triangle_peel_rows` keeps the peel that ran in rounds over the whole
 triangle array, and `listed_closure` the signed union-find that reads the
-rows it leaves again and again, as the reference for the closure on the
-edge matrices that lists only the triangles with three live edges.
+rows it leaves, as the reference for the closure on the edge matrices
+that lists only the triangles with three live edges.
 `vertex_bfs_forest` keeps the forest search that read each vertex's
 neighbours with its own `flatnonzero`, as the reference for the one that
 reads them all from one `nonzero`.  `rp2_relation` is a relation whose H1
@@ -327,20 +327,18 @@ def listed_closure(skel):
     """`rips._closure` as a signed union-find over listed rows.
 
     The rows the peel leaves (`triangle_peel_rows`) are read through the
-    classes again and again until a pass changes nothing: a row that leaves
-    one unit letter kills that letter's class, and a row that leaves two
-    unit letters in different classes joins them under the larger root.
-    Returns (cls, rows) in `_closure`'s form.  A class is never twisted
-    here, since joining two roots cannot put +g and -g together; a row that
-    would twist one reads as 2X and is left.  So the two agree wherever
-    `_closure` twists no class.
+    classes in one pass: a row that leaves two unit letters in different
+    classes joins them under the larger root.  Every row is then read
+    through the final classes, and those that are not zero are left, a row
+    of one unit letter among them.  Returns (cls, rows) in `_closure`'s
+    form.  A class is never twisted here, since joining two roots cannot
+    put +g and -g together; a row that would twist one reads as 2X and is
+    left.  So the two agree wherever `_closure` twists no class.
     """
     killed, peeled = triangle_peel_rows(skel)
     ngen = len(skel.generators)
-    dead = [g in killed for g in range(ngen)]
     up = list(range(ngen))
     rel = [1] * ngen  # g = rel[g] * up[g]
-    members = {g: [g] for g in range(ngen)}
 
     def find(g):
         path = []
@@ -356,29 +354,18 @@ def listed_closure(skel):
     def read(row):
         acc: dict[int, int] = {}
         for g, c in row:
-            if not dead[g]:
+            if g not in killed:
                 r = find(g)
                 acc[r] = acc.get(r, 0) + rel[g] * c  # a root's rel stays 1
         return {r: c for r, c in acc.items() if c}
 
     rows = [[(g, c) for g, c in zip(r, (1, 1, -1)) if g >= 0] for r in peeled.tolist()]
-    changed = True
-    while changed:
-        changed = False
-        for row in rows:
-            got = read(row)
-            if not all(c in (1, -1) for c in got.values()):
-                continue
-            if len(got) == 1:
-                for m in members.pop(next(iter(got))):
-                    dead[m] = True
-                changed = True
-            elif len(got) == 2:
-                (x, cx), (y, cy) = sorted(got.items())
-                up[x], rel[x] = y, -cx * cy  # cx x + cy y = 0
-                members[y] += members.pop(x)
-                changed = True
-    cls = [0 if dead[g] else (find(g) + 1) * rel[g] for g in range(ngen)]
+    for row in rows:
+        got = read(row)
+        if len(got) == 2 and all(c in (1, -1) for c in got.values()):
+            (x, cx), (y, cy) = sorted(got.items())
+            up[x], rel[x] = y, -cx * cy  # cx x + cy y = 0
+    cls = [0 if g in killed else (find(g) + 1) * rel[g] for g in range(ngen)]
     return cls, [got for got in map(read, rows) if got]
 
 
@@ -846,7 +833,7 @@ def loop_image_under(f, e: Entourage) -> Entourage:
         hit = e.rel[pre_a].any(axis=0)
         rel[a, np.unique(assign[np.nonzero(hit)[0]])] = True
     rel |= rel.T
-    return Entourage(rel, meta={"image_points": sorted(set(f.assign))})
+    return Entourage(rel)
 
 
 EXPLORED_CANDIDATES = 5  # class-matched walks tried per pair before answering unknown

@@ -216,7 +216,7 @@ def test_report_digests_match_the_recorded_ones(tmp_path):
     # on purpose records the new digests here
     with open(os.path.join(FIXTURES, "report_digests.json")) as f:
         recorded = json.load(f)
-    assert len(recorded) == 9
+    assert len(recorded) == 14
     out = tmp_path / "report.json"
     for key, want in recorded.items():
         args = key.split()
@@ -608,3 +608,47 @@ def test_certificate_file_never_raises(tmp_path, capsys, path, value, listed):
     capsys.readouterr()
     assert _exit_code(["replay", str(bad), "--output", os.devnull]) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, index", [("b", 1), ("6", 6)])
+def test_certified_pairs_start_at_the_basepoint(tmp_path, name, index):
+    # a label, or a digit string read as a point index
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--gallery", "hexagon_ex73", "--basepoint", name, "--certified-pairs", "1",
+                "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["basepoint"] == doc["certified_pairs"]["basepoint"] == index
+
+
+@pytest.mark.parametrize("strict, sep", [([], "="), (["--strict-thresholds"], "<")])
+def test_join_names_its_scales_as_analyze_does(tmp_path, strict, sep):
+    out, cert = tmp_path / "join.json", tmp_path / "cert.json"
+    assert run(strict + ["join", "--gallery", "hexagon_ex73", "--pair", "a,b", "--target", "3", "--fine", "1.5",
+                         "--output", str(out), "--certificate-out", str(cert)]) == 0
+    doc = json.loads(out.read_text())
+    names = [f"eps{sep}3", f"eps{sep}1.5"]
+    assert [doc["target"], doc["fine"]] == doc["witness"]["scales"] == names
+    assert run(strict + ["analyze", "--gallery", "hexagon_ex73", "--ladder", "3,1.5", "--output", str(out)]) == 0
+    assert [s["scale"] for s in json.loads(out.read_text())["scales"]] == names
+
+
+def test_ball_past_its_budget_is_approximate(tmp_path):
+    # at two states some class comparisons end unknown, and an unknown
+    # comparison keeps its two chains as distinct vertices
+    out = tmp_path / "ball.json"
+    args = ["ball", "--gallery", "hexagon_ex73", "--eps", "1", "--radius", "4", "--output", str(out)]
+    assert run(["--budget-states", "2"] + args) == 0
+    doc = json.loads(out.read_text())
+    assert (len(doc["vertices"]), doc["approximate"]) == (22, True)
+    assert run(args) == 0
+    doc = json.loads(out.read_text())
+    assert (len(doc["vertices"]), doc["approximate"]) == (14, False)
+
+
+def test_short_command_with_unrelated_endpoints(tmp_path):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"space": hexagon_ex72().space.to_json(), "seq": [0, 1, 2], "eps": 1.0}))
+    out = tmp_path / "short.json"
+    assert run(["short", "--chain", str(chain), "--scale", "1", "--output", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "no" and doc["obstruction"] == {"kind": "endpoints", "pair": [0, 2]}

@@ -99,6 +99,13 @@ def test_evenly_covers():
     assert evenly_covers(F12, E1_12) == (True, None)
     ok, cx = evenly_covers(FOLD, E1_6)
     assert not ok and cx["kind"] == "injectivity" and cx["x"] in (0, 3)
+    # two arcs 0-1 and 2-3 whose images share the point 0: the image ball
+    # of 0 holds 1 and 2, and the ball of source point 0 lifts only 1
+    four = FiniteSpace(list("abcd"), coords=[(0, 0), (1, 0), (5, 0), (6, 0)])
+    three = FiniteSpace(list("xyz"), coords=[(0, 0), (1, 0), (2, 0)])
+    f = SpaceMap(four, three, [0, 1, 0, 2])
+    e = Entourage.from_pairs(4, [(0, 1), (2, 3)])
+    assert evenly_covers(f, e) == (False, {"kind": "surjectivity", "x": 0, "missing": 2})
 
 
 def test_is_simplicial_cover():

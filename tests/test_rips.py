@@ -378,6 +378,14 @@ def test_stalled_relabellings_send_distinct_rows_to_the_smith_form(monkeypatch):
     assert peak <= 6 << 20
 
 
+# a triangle with three live edges here reads as the one unit letter +g0
+# once the identifications are made
+ONE_LETTER = Entourage.from_pairs(8, [
+    [0, 2], [0, 4], [0, 6], [1, 3], [1, 4], [1, 6], [1, 7], [2, 3], [2, 4],
+    [2, 5], [2, 7], [3, 5], [3, 6], [4, 5], [4, 7], [5, 6], [5, 7], [6, 7],
+])
+
+
 def test_edge_closure_matches_union_find_over_listed_rows():
     # the same kills, classes, signs and rows left as a signed union-find
     # run over every row the triangle peel leaves
@@ -389,9 +397,38 @@ def test_edge_closure_matches_union_find_over_listed_rows():
         cases.append(build_skeleton(space_for(e), e))
     for g in (hawaiian(3, 16), hawaiian(5, 24)):
         cases += [build_skeleton(g.space, e) for e in g.ladder]
+    cases.append(build_skeleton(space_for(ONE_LETTER), ONE_LETTER))
     for sk in cases + list(_stalled_skeletons()):
         cls, rows = rips._closure(sk)
         assert (cls.tolist(), rows) == listed_closure(sk)
+
+
+def test_closure_leaves_a_one_letter_row_to_the_smith_form():
+    # the row {0: 1} reaches the Smith form, which kills generator 0's class
+    sk = RipsSkeleton(space_for(ONE_LETTER), ONE_LETTER)
+    cls, rows = rips._closure(sk)
+    assert rows == [{0: 1}] and cls[0] == 1
+    data = sk.h1_data()
+    assert homology_oracle(8, sk.edges.tolist(), sk.triangles.tolist()) == (1, ())
+    assert str(data.group) == "Z" and data.class_of({0: 1}) == (0,)
+    _assert_same_as_all_rows(sk, random.Random(5))
+
+
+def test_one_letter_rows_keep_the_group_exact():
+    # a seeded sweep: every group equals the all-rows elimination's, and
+    # sympy's where the closure leaves a one-letter row
+    rng = random.Random(1)
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(4, 14)
+        e = random_entourage(rng, n, rng.choice([0.15, 0.3, 0.45, 0.6, 0.75, 0.9]))
+        sk = build_skeleton(space_for(e), e)
+        group = h1(sk)
+        assert group == AllRowsH1(sk).group
+        if any(len(r) == 1 and abs(c) == 1 for r in rips._closure(sk)[1] for c in r.values()):
+            found += 1
+            assert group == AbelianGroup(*homology_oracle(n, sk.edges.tolist(), sk.triangles.tolist()))
+    assert found == 6
 
 
 def _h1_layer(e, budget):
