@@ -39,9 +39,10 @@ class SearchBudget:
     """Explicit bounds for homotopy searches; the move graph is infinite.
 
     `states` bounds the states one search stores, both directions together,
-    so an Unknown names the budget before memory runs out.  Both ends are
+    so an Unknown names the budget before memory runs out.  Both chains are
     first tightened by greedy deletes, and the search runs between the
-    tightened ends; the chains passed on the way count as stored.
+    tightened ends; the given chains and those passed on the way, repeated
+    points included, count as stored.
     `max_length` bounds the length of every chain the search stores.
     Both bounds are at least 1.
     """
@@ -131,22 +132,6 @@ def concat(c: Chain, d: Chain) -> Chain:
 
 def reverse(c: Chain) -> Chain:
     return Chain(c.space, c.entourage, tuple(reversed(c.seq)))
-
-
-def canonicalize(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Collapse consecutive duplicates; never below length 2 for long inputs.
-
-    Length-1 chains admit no moves at all, so a fully constant chain of
-    length >= 2 canonicalizes to the two-point constant walk instead of the
-    singleton.
-    """
-    out = [seq[0]]
-    for v in seq[1:]:
-        if v != out[-1]:
-            out.append(v)
-    if len(out) == 1 and len(seq) >= 2:
-        out.append(out[0])
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -263,57 +248,16 @@ class Trivalue:
         return doc
 
 
-def _collapse_moves(seq: tuple[int, ...]) -> tuple[list[Move], tuple[int, ...]]:
-    """Moves deleting consecutive duplicates down to the canonical form."""
-    moves: list[Move] = []
-    work = list(seq)
-    i = 1
-    while i < len(work):
-        if work[i] != work[i - 1]:
-            i += 1
-            continue
-        if len(work) == 2:
-            break  # the two-point constant walk admits no deletes
-        if i < len(work) - 1:
-            moves.append(Delete(i))
-            del work[i]
-        else:
-            moves.append(Delete(i - 1))
-            del work[i - 1]
-            i = max(i - 1, 1)
-    return moves, tuple(work)
-
-
-def _expand_moves(canonical: tuple[int, ...], target: tuple[int, ...]) -> list[Move]:
-    """Duplicate-insert moves rebuilding `target` from its canonical form."""
-    moves: list[Move] = []
-    work = list(canonical)
-    pos = 0
-    while len(work) < len(target):
-        if pos < len(work) and work[pos] == target[pos]:
-            pos += 1
-            continue
-        if pos >= len(work):
-            # remaining targets duplicate the final vertex
-            i = len(work) - 1
-            moves.append(Insert(i, target[pos]))
-            work.insert(i, target[pos])
-        else:
-            moves.append(Insert(pos, target[pos]))
-            work.insert(pos, target[pos])
-            pos += 1
-    if tuple(work) != tuple(target):
-        raise MoveError("expansion failed to rebuild the target chain")
-    return moves
-
-
 def _neighbors(seq: tuple[int, ...], adj, common, max_len: int):
-    """Canonical-state neighbors as (moves, new_canonical_state) pairs.
+    """A state's neighbors as (moves, new_state) pairs.
 
     `adj` and `common` are the skeleton's move tables.  Moves are plain
     tuples, `(pos,)` for a delete and `(pos, vertex)` for an insert.  Deletes
     come first by position, then inserts by position and vertex: this order
     fixes which states the search visits and which certificate it returns.
+    A delete that leaves a repeated point deletes the repeat too, and an
+    insert never makes one, so the search stores no repeats past the given
+    chains and their tightening paths, which count as stored.
     """
     out = []
     L = len(seq)
@@ -321,7 +265,7 @@ def _neighbors(seq: tuple[int, ...], adj, common, max_len: int):
         a, b = seq[i - 1], seq[i + 1]
         if not adj[a][b]:
             continue
-        if a != b or L == 3:  # (a, x, a) -> (a, a) is already canonical
+        if a != b or L == 3:  # (a, x, a) -> (a, a) keeps its repeat
             out.append((((i,),), seq[:i] + seq[i + 1:]))
         else:
             # the deletion created one duplicate pair; collapse it
@@ -379,11 +323,12 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
     """Are two same-endpoint chains homotopic relative their endpoints?
 
     The homology obstruction is checked first (cheap and sound).  When it
-    vanishes, both canonical ends are tightened by greedy deletes, and the
-    bidirectional search over the canonical move graph runs between the
-    tightened ends, storing at most `budget.states` states.  Yes always
-    carries a certificate that replays; a nonzero obstruction yields No;
-    otherwise the spent budget is reported as Unknown.
+    vanishes, both chains are tightened by greedy deletes, which also remove
+    their repeated points, and the bidirectional search runs between the
+    tightened ends, storing at most `budget.states` states; the given
+    chains and their tightening paths count as stored.  Yes always carries a
+    certificate that replays from `c` to `d`; a nonzero obstruction yields
+    No; otherwise the spent budget is reported as Unknown.
     """
     budget = budget or DEFAULT_BUDGET
     if c.space != d.space or c.entourage != d.entourage:
@@ -399,31 +344,16 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
     if obstruction is not None:
         return Trivalue("no", obstruction=obstruction)
 
-    cc = canonicalize(c.seq)
-    dd = canonicalize(d.seq)
-    max_len = max(budget.resolved_length(c.space.n), len(cc), len(dd))
-
-    pre_moves, _ = _collapse_moves(c.seq)
-    post_moves = _expand_moves(dd, d.seq)
-
-    def finish(path_moves: list[Move]) -> Trivalue:
-        cert = HomotopyCertificate(c.space, ent, c.seq, tuple(pre_moves + path_moves + post_moves), d.seq)
-        if __debug__:
-            cert.replay()
-        return Trivalue("yes", certificate=cert)
-
-    if cc == dd:
-        return finish([])
-
+    max_len = max(budget.resolved_length(c.space.n), len(c.seq), len(d.seq))
     adj, common = skel.move_tables()
-    fwd: dict[tuple[int, ...], tuple | None] = {cc: None}
-    bwd: dict[tuple[int, ...], tuple | None] = {dd: None}
-    fq = deque([_tighten(cc, adj, common, fwd)])
-    bq = deque([_tighten(dd, adj, common, bwd)])
+    fwd: dict[tuple[int, ...], tuple | None] = {c.seq: None}
+    bwd: dict[tuple[int, ...], tuple | None] = {d.seq: None}
+    fq = deque([_tighten(c.seq, adj, common, fwd)])
+    bq = deque([_tighten(d.seq, adj, common, bwd)])
     expanded = 0
     truncated_any = False
 
-    def build_path(meet: tuple[int, ...]) -> list[Move]:
+    def finish(meet: tuple[int, ...]) -> Trivalue:
         fpath: list[tuple[int, ...]] = []
         state = meet
         back = []
@@ -438,7 +368,10 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
             prev, moves = bwd[state]
             fpath.extend(_invert_edge(prev, moves))
             state = prev
-        return _move_objects(fpath)
+        cert = HomotopyCertificate(c.space, ent, c.seq, tuple(_move_objects(fpath)), d.seq)
+        if __debug__:
+            cert.replay()
+        return Trivalue("yes", certificate=cert)
 
     def unknown(reason: str) -> Trivalue:
         return Trivalue("unknown", stats={
@@ -448,7 +381,7 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
 
     meet = next((state for state in bwd if state in fwd), None)
     if meet is not None:
-        return finish(build_path(meet))
+        return finish(meet)
     if len(fwd) + len(bwd) >= budget.states:
         return unknown("state budget exhausted")
     while fq or bq:
@@ -468,7 +401,7 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
                     continue
                 seen[new] = (state, moves)
                 if new in other:
-                    return finish(build_path(new))
+                    return finish(new)
                 if len(fwd) + len(bwd) >= budget.states:
                     return unknown("state budget exhausted")
                 queue.append(new)

@@ -18,7 +18,6 @@ from .chains import (
     Chain,
     SearchBudget,
     Trivalue,
-    canonicalize,
     decide_homotopic,
     e_homotopic,
 )
@@ -30,7 +29,6 @@ from .space import (
     ScaleLadder,
     SpaceMap,
     ball,
-    component_labels,
     compose,
     image_under,
 )
@@ -93,29 +91,16 @@ def is_simplicial_cover(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
     return True, None
 
 
-def chain_lifting_at(
-    f: SpaceMap, e: Entourage, fine: Entourage, basepoint: int | None = None
-) -> tuple[bool, dict | None]:
-    """Can every image-scale link be lifted to an e-link from any fiber point?
-
-    The default quantifies over all starting points (the stronger reading the
-    ladder-level verdicts use).  Passing a basepoint restricts the check to
-    chains lifted from that point's fiber positions reachable at scale e.
-    """
+def chain_lifting_at(f: SpaceMap, e: Entourage, fine: Entourage) -> tuple[bool, dict | None]:
+    """Can every image-scale link be lifted to an e-link from any fiber point?"""
     if e.n != f.source.n or fine.n != f.source.n:
         raise CarrierMismatch("entourages must live on the map's source")
     fibers: dict[int, list[int]] = {}
     for x, y in enumerate(f.assign):
         fibers.setdefault(y, []).append(x)
-    allowed = None
-    if basepoint is not None:
-        labels = component_labels(e)
-        allowed = {x for x in range(f.source.n) if labels[x] == labels[basepoint]}
     for y, yp in image_under(f, fine).pairs():
         for a, b in ((y, yp), (yp, y)):
             for x in fibers.get(a, ()):
-                if allowed is not None and x not in allowed:
-                    continue
                 if not any(e.related(x, xp) for xp in fibers.get(b, ())):
                     return False, {"kind": "link", "x": x, "link": [a, b]}
     return True, None
@@ -559,7 +544,7 @@ def build_cover_ball(
             for q in ball(entourage, endpoint):
                 if q == endpoint:
                     continue
-                cand = canonicalize(witness + (q,))
+                cand = witness + (q,)
                 target = None
                 for cid2 in by_endpoint.get(q, []):
                     verdict = _paths_equal(space, entourage, cand, vertices[cid2][1], budget)

@@ -426,7 +426,7 @@ def g_entourage(
     target: Entourage,
     ladder: ScaleLadder,
     budget: SearchBudget | None = None,
-    basepoint: int | None = None,
+    basepoint: int = 0,
 ) -> tuple[Entourage, dict]:
     """Certified-pair relation: a target pair enters when basepoint chains at
     the finest ladder scale witness that the pair's edge is their difference.
@@ -436,8 +436,8 @@ def g_entourage(
     exact homology statements at the ladder's depth.
     """
     budget = budget or DEFAULT_BUDGET
-    if basepoint is None:
-        basepoint = space.distinguished[0][1] if space.distinguished else 0
+    if not (0 <= basepoint < space.n):
+        raise ValidationError("basepoint out of range")
     delta = ladder.finest()
     if not delta.issubset(target):
         raise ValidationError("the ladder's finest scale must sit inside the target")

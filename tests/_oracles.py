@@ -13,7 +13,9 @@ check that runs a full homotopy search for every upstairs question and for
 every downstairs one, as the reference for the one that searches only where
 its verdict can change.  `untightened_decide` keeps the homotopy search that
 starts from the canonical ends without first tightening them, as the
-reference for the one that does.  `ExploredWalker` and `explored_witness`
+reference for the one that does; it keeps its own `canonicalize`, which
+collapses repeated points, and the `collapse_moves` and `expand_moves`
+that delete them before its search and put them back after it.  `ExploredWalker` and `explored_witness`
 keep the witness search over (point, class vector) states, capped by a
 class norm, with up to five class-matched candidate walks per pair, as the
 reference for the witness walk the tower builds from lattice coordinates.
@@ -64,19 +66,16 @@ from ripscover.chains import (
     Move,
     SearchBudget,
     Trivalue,
-    _collapse_moves,
-    _expand_moves,
     _h1_obstruction,
     _invert_edge,
     _move_objects,
     _neighbors,
-    canonicalize,
     decide_homotopic,
     e_homotopic,
     e_obstruction_at,
     validate_chain,
 )
-from ripscover.errors import ChainError
+from ripscover.errors import ChainError, MoveError
 from ripscover.rips import AbelianGroup, build_skeleton, h1_class, inclusion_h1_map
 from ripscover.snf import smith_normal_form
 from ripscover.cover import C2_DOWN_LENGTH, C2_DOWN_STATES, C2_SHORT_LINKS
@@ -446,6 +445,66 @@ def raw_move_bfs(ent: Entourage, start, goal, max_len: int, state_cap: int = 200
     return False
 
 
+def canonicalize(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """Collapse consecutive duplicates; never below length 2 for long inputs.
+
+    Length-1 chains admit no moves at all, so a fully constant chain of
+    length >= 2 canonicalizes to the two-point constant walk instead of the
+    singleton.
+    """
+    out = [seq[0]]
+    for v in seq[1:]:
+        if v != out[-1]:
+            out.append(v)
+    if len(out) == 1 and len(seq) >= 2:
+        out.append(out[0])
+    return tuple(out)
+
+
+def collapse_moves(seq: tuple[int, ...]) -> tuple[list[Move], tuple[int, ...]]:
+    """Moves deleting consecutive duplicates down to the canonical form."""
+    moves: list[Move] = []
+    work = list(seq)
+    i = 1
+    while i < len(work):
+        if work[i] != work[i - 1]:
+            i += 1
+            continue
+        if len(work) == 2:
+            break  # the two-point constant walk admits no deletes
+        if i < len(work) - 1:
+            moves.append(Delete(i))
+            del work[i]
+        else:
+            moves.append(Delete(i - 1))
+            del work[i - 1]
+            i = max(i - 1, 1)
+    return moves, tuple(work)
+
+
+def expand_moves(canonical: tuple[int, ...], target: tuple[int, ...]) -> list[Move]:
+    """Duplicate-insert moves rebuilding `target` from its canonical form."""
+    moves: list[Move] = []
+    work = list(canonical)
+    pos = 0
+    while len(work) < len(target):
+        if pos < len(work) and work[pos] == target[pos]:
+            pos += 1
+            continue
+        if pos >= len(work):
+            # remaining targets duplicate the final vertex
+            i = len(work) - 1
+            moves.append(Insert(i, target[pos]))
+            work.insert(i, target[pos])
+        else:
+            moves.append(Insert(pos, target[pos]))
+            work.insert(pos, target[pos])
+            pos += 1
+    if tuple(work) != tuple(target):
+        raise MoveError("expansion failed to rebuild the target chain")
+    return moves
+
+
 def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -> Trivalue:
     """`decide_homotopic` without tightening: the bidirectional search runs
     between the two canonical ends as given.
@@ -473,8 +532,8 @@ def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -
     dd = canonicalize(d.seq)
     max_len = max(budget.resolved_length(c.space.n), len(cc), len(dd))
 
-    pre_moves, _ = _collapse_moves(c.seq)
-    post_moves = _expand_moves(dd, d.seq)
+    pre_moves, _ = collapse_moves(c.seq)
+    post_moves = expand_moves(dd, d.seq)
 
     def finish(path_moves: list[Move]) -> Trivalue:
         cert = HomotopyCertificate(c.space, ent, c.seq, tuple(pre_moves + path_moves + post_moves), d.seq)

@@ -11,7 +11,6 @@ from ripscover.chains import (
     Insert,
     SearchBudget,
     apply_move,
-    canonicalize,
     close_chains_certificate,
     concat,
     decide_homotopic,
@@ -26,7 +25,15 @@ from ripscover.gallery import gallery, hexagon_ex72, hexagon_ex73
 from ripscover.rips import build_skeleton
 from ripscover.space import FiniteSpace, ball, entourage_at
 
-from _oracles import numpy_neighbors, random_chain, random_entourage, space_for, untightened_decide
+from _oracles import (
+    canonicalize,
+    collapse_moves,
+    numpy_neighbors,
+    random_chain,
+    random_entourage,
+    space_for,
+    untightened_decide,
+)
 
 SP = hexagon_ex72().space
 E1 = entourage_at(SP, 1.0)
@@ -338,8 +345,6 @@ def test_certificate_rejects_tampering():
 
 
 def test_collapse_moves_reach_canonical():
-    from ripscover.chains import _collapse_moves
-
     rng = random.Random(8)
     for _ in range(80):
         n = rng.randint(2, 6)
@@ -352,7 +357,7 @@ def test_collapse_moves_reach_canonical():
         fat = []
         for v in base:
             fat.extend([v] * rng.randint(1, 3))
-        moves, canon = _collapse_moves(tuple(fat))
+        moves, canon = collapse_moves(tuple(fat))
         assert canon == canonicalize(tuple(fat))
         chain = validate_chain(sp, e, fat)
         for m in moves:
@@ -405,8 +410,9 @@ def test_neighbors_match_numpy_enumeration():
 
 
 def test_pinned_certificate_moves():
-    # d tightens to the edge (0, 1) and c, the pentagon arc, admits no
-    # delete; the search from the tightened ends meets on d's tightening path
+    # tightening deletes c's repeats, leaving the pentagon arc, which admits
+    # no delete, and takes d through (0, 6, 1) to the edge (0, 1); the search
+    # meets on d's tightening path, whose deletes are reversed at the end
     sp = hexagon_ex73().space
     e1 = entourage_at(sp, 1.0)
     c = validate_chain(sp, e1, (0, 0, 5, 4, 3, 3, 2, 1))
@@ -414,12 +420,36 @@ def test_pinned_certificate_moves():
     r = decide_homotopic(c, d)
     assert r.is_yes()
     assert r.certificate.moves == (
-        Delete(1), Delete(4), Insert(1, 6), Delete(2), Delete(2), Delete(2), Delete(2), Insert(2, 6),
+        Delete(1), Delete(3), Insert(1, 6), Delete(2), Delete(2), Delete(2), Delete(2), Insert(1, 6),
     )
     assert r.certificate.replay().seq == d.seq
     back = decide_homotopic(d, c)
     assert back.certificate.moves == (
-        Delete(2), Insert(2, 2), Insert(2, 3), Insert(2, 4), Insert(2, 5), Delete(1),
-        Insert(1, 0), Insert(5, 3),
+        Delete(1), Insert(2, 2), Insert(2, 3), Insert(2, 4), Insert(2, 5), Delete(1),
+        Insert(3, 3), Insert(1, 0),
     )
     assert back.certificate.replay().seq == c.seq
+
+
+def test_repeated_points_certificates_run_between_the_given_chains():
+    # walks from a to c on hexagon_ex73 at eps 1, with repeated points at the
+    # start, inside and at the end; those through q1..q4 go round the one
+    # hole, the rest do not.  The search starts from the chains as given, so
+    # each yes replays from c itself to d itself
+    sp = hexagon_ex73().space
+    e1 = entourage_at(sp, 1.0)
+    walks = {
+        (0, 6): False, (0, 0, 6): False, (0, 6, 6): False, (0, 1, 1, 6): False,
+        (0, 0, 5, 4, 4, 3, 6, 6): False, (0, 7, 8, 9, 10, 6): True,
+        (0, 0, 7, 8, 8, 9, 10, 6, 6): True, (0, 7, 8, 9, 10, 3, 3, 6): True,
+    }
+    for a, round_a in walks.items():
+        for b, round_b in walks.items():
+            r = decide_homotopic(validate_chain(sp, e1, a), validate_chain(sp, e1, b))
+            assert r.kind == ("yes" if round_a == round_b else "no"), (a, b)
+            if r.is_yes():
+                assert r.certificate.start == a and r.certificate.replay().seq == b
+    # the constant chain and the two-point constant walk it tightens to
+    for a, b in [((0, 0, 0), (0, 0)), ((0, 0), (0, 0, 0))]:
+        r = decide_homotopic(validate_chain(sp, e1, a), validate_chain(sp, e1, b))
+        assert r.is_yes() and r.certificate.start == a and r.certificate.replay().seq == b

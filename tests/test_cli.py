@@ -216,7 +216,7 @@ def test_report_digests_match_the_recorded_ones(tmp_path):
     # on purpose records the new digests here
     with open(os.path.join(FIXTURES, "report_digests.json")) as f:
         recorded = json.load(f)
-    assert len(recorded) == 14
+    assert len(recorded) == 17
     out = tmp_path / "report.json"
     for key, want in recorded.items():
         args = key.split()

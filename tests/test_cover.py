@@ -707,21 +707,6 @@ def test_cover_ball_radius_zero_and_dot():
     assert dot.startswith("graph") and "v0" in dot
 
 
-def test_chain_lifting_pointed_variant():
-    # restricting to one basepoint's component can pass where the universal
-    # quantifier fails: an isolated extra point breaks only the global form
-    src = FiniteSpace(
-        ["x0", "x1", "far"], dist=[[0, 1, 9], [1, 0, 9], [9, 9, 0]]
-    )
-    tgt = FiniteSpace(["y0", "y1"], dist=[[0, 1], [1, 0]])
-    f = SpaceMap(src, tgt, [0, 1, 1])
-    e = entourage_at(src, 1.0)
-    ok_all, cx = chain_lifting_at(f, e, e)
-    assert not ok_all and cx["x"] == 2
-    ok_pt, _ = chain_lifting_at(f, e, e, basepoint=0)
-    assert ok_pt
-
-
 def test_shipped_triangle_lift_regression_fixture():
     import json
     import os
@@ -764,8 +749,8 @@ def test_strict_scale_is_its_own_scale(monkeypatch):
     twins = ScaleLadder.from_json(f.source, [{"pairs": pairs, "label": "s"}, {"pairs": pairs, "label": "s"}])
     real = cover.chain_lifting_at
 
-    def lifting_from_first_scale(f, e, fine, basepoint=None):
-        return real(f, e, fine, basepoint) if e is twins[0] else (False, {"kind": "planted"})
+    def lifting_from_first_scale(f, e, fine):
+        return real(f, e, fine) if e is twins[0] else (False, {"kind": "planted"})
 
     monkeypatch.setattr(cover, "chain_lifting_at", lifting_from_first_scale)
     report = uniform_cover_verdict(f, twins)

@@ -172,6 +172,17 @@ def test_g_entourage_hexagon_ex73():
     assert ent.related(a, a)
 
 
+def test_g_entourage_basepoint_range():
+    # the basepoint defaults to point 0, as build_tower's does, and a point
+    # outside the space is refused rather than read from the far end
+    g = hexagon_ex73()
+    e3 = entourage_at(g.space, 3.0)
+    assert g_entourage(g.space, e3, g.ladder)[1] == g_entourage(g.space, e3, g.ladder, basepoint=0)[1]
+    for bad in (-1, g.space.n):
+        with pytest.raises(ValidationError, match="basepoint out of range"):
+            g_entourage(g.space, e3, g.ladder, basepoint=bad)
+
+
 def test_g_entourage_identity_scale():
     sp = hexagon_ex72().space
     ident = Entourage.identity(6)
