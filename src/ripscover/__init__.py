@@ -10,12 +10,9 @@ from .chains import (
     Trivalue,
     apply_move,
     close_chains_certificate,
-    concat,
     decide_homotopic,
     e_homotopic,
-    e_obstruction,
     is_short,
-    reverse,
     validate_chain,
 )
 from .cover import (
@@ -44,10 +41,8 @@ from .gallery import GallerySpace, gallery, hawaiian, hexagon_ex72, hexagon_ex73
 from .rips import (
     AbelianGroup,
     H1Map,
-    Presentation,
     RipsSkeleton,
     build_skeleton,
-    edge_path_presentation,
     h1,
     h1_class,
     inclusion_h1_map,
@@ -62,9 +57,7 @@ from .space import (
     dump_space,
     entourage_at,
     image_under,
-    is_chain_connected,
     load_space,
-    preimage_under,
     space_from_json,
 )
 from .tower import (

@@ -79,9 +79,6 @@ class Chain:
     def end(self) -> int:
         return self.seq[-1]
 
-    def __len__(self):
-        return len(self.seq)
-
 
 def validate_chain(space: FiniteSpace, entourage: Entourage, seq) -> Chain:
     """Check every link; failures report the first offending position."""
@@ -122,18 +119,6 @@ def apply_move(chain: Chain, move: Move) -> Chain:
     raise MoveError(f"unknown move {move!r}")
 
 
-def concat(c: Chain, d: Chain) -> Chain:
-    if c.entourage != d.entourage:
-        raise ChainError("chains live at different scales")
-    if c.end != d.start:
-        raise ChainError(f"cannot concatenate: {c.end} != {d.start}")
-    return Chain(c.space, c.entourage, c.seq + d.seq[1:])
-
-
-def reverse(c: Chain) -> Chain:
-    return Chain(c.space, c.entourage, tuple(reversed(c.seq)))
-
-
 @dataclass(frozen=True)
 class HomotopyCertificate:
     """A replayable move sequence transforming one chain into another."""
@@ -146,7 +131,10 @@ class HomotopyCertificate:
 
     def replay(self) -> Chain:
         """Re-apply every move, checking legality; returns the final chain."""
-        chain = validate_chain(self.space, self.entourage, self.start)
+        try:
+            chain = validate_chain(self.space, self.entourage, self.start)
+        except ChainError as e:
+            raise CertificateError(f"invalid start chain: {e}") from e
         for m in self.moves:
             try:
                 chain = apply_move(chain, m)
@@ -190,6 +178,8 @@ class HomotopyCertificate:
             space = space_from_json(doc["space"])
             ent = doc["entourage"]
             n = as_index(ent["n"])
+            if n != space.n:
+                raise CertificateError(f"the relation is on {n} points, the certificate's space has {space.n}")
             listed = None
             if "pairs" in ent or "eps" not in ent:
                 listed = Entourage.from_pairs(n, [(as_index(i), as_index(j)) for i, j in ent["pairs"]])
@@ -199,7 +189,7 @@ class HomotopyCertificate:
                 if not isinstance(strict, bool):
                     raise ValueError(f"strict must be true or false, got {strict!r}")
                 entourage = entourage_at(space, eps, strict=strict)
-                if n != space.n or (listed is not None and listed != entourage):
+                if listed is not None and listed != entourage:
                     raise CertificateError(
                         f"the relation is not the {'strict ' if strict else ''}eps={eps:g} "
                         "scale of the certificate's space"
@@ -298,7 +288,7 @@ def _invert_edge(prev: tuple[int, ...], moves) -> list[tuple[int, ...]]:
 
 
 def _h1_obstruction(skel, c_seq: tuple[int, ...], d_seq: tuple[int, ...]) -> dict | None:
-    """The class of the loop c * reverse(d) as a `no` obstruction, if nonzero."""
+    """The class of the loop c, then d backwards, as a `no` obstruction, if nonzero."""
     vector = h1_class(skel, c_seq + tuple(reversed(d_seq))[1:])
     return {"kind": "h1_class", "vector": list(vector)} if any(vector) else None
 
@@ -409,13 +399,6 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
                    else "frontier exhausted; growth truncated by length bound")
 
 
-def _at_scale(c: Chain, d: Chain, entourage: Entourage) -> tuple[Chain, Chain]:
-    """Both chains re-read at `entourage`."""
-    if c.space != d.space:
-        raise ChainError("chains live on different spaces")
-    return validate_chain(c.space, entourage, c.seq), validate_chain(d.space, entourage, d.seq)
-
-
 def _conjugate(entourage: Entourage, c_seq: tuple[int, ...], d_seq: tuple[int, ...]) -> tuple[int, ...] | dict:
     """d's walk conjugated by the edges joining its endpoints to c's, or an
     endpoint obstruction when those edges are missing."""
@@ -434,29 +417,24 @@ def e_homotopic(c: Chain, d: Chain, entourage: Entourage, budget: SearchBudget |
     Chains valid at finer scales are re-read at `entourage`; unrelated
     endpoint pairs are a legitimate No, not an error.
     """
-    cc, dd = _at_scale(c, d, entourage)
+    if c.space != d.space:
+        raise ChainError("chains live on different spaces")
+    cc, dd = validate_chain(c.space, entourage, c.seq), validate_chain(d.space, entourage, d.seq)
     target = _conjugate(entourage, cc.seq, dd.seq)
     if isinstance(target, dict):
         return Trivalue("no", obstruction=target)
     return decide_homotopic(cc, Chain(c.space, entourage, target), budget)
 
 
-def e_obstruction(c: Chain, d: Chain, entourage: Entourage) -> dict | None:
-    """The obstruction of `e_homotopic`'s No, found without a search.
+def e_obstruction_at(skel, c_seq: tuple[int, ...], d_seq: tuple[int, ...]) -> dict | None:
+    """The obstruction of `e_homotopic`'s No at the skeleton's scale, found
+    without a search, for walks already valid there.
 
     `e_homotopic` answers No exactly when this returns a dict, and with
     that dict: the endpoint check, then the H1 class of the conjugated loop.
-    None means its answer would be Yes or Unknown.
-    """
-    cc, dd = _at_scale(c, d, entourage)
-    return e_obstruction_at(build_skeleton(c.space, entourage), cc.seq, dd.seq)
-
-
-def e_obstruction_at(skel, c_seq: tuple[int, ...], d_seq: tuple[int, ...]) -> dict | None:
-    """`e_obstruction` at the skeleton's scale, for walks already valid there.
-
-    Nothing is validated and no skeleton is looked up, so a caller that
-    asks about many pairs at one scale checks their validity once itself.
+    None means its answer would be Yes or Unknown.  Nothing is validated and
+    no skeleton is looked up, so a caller that asks about many pairs at one
+    scale checks their validity once itself.
     """
     target = _conjugate(skel.entourage, c_seq, d_seq)
     if isinstance(target, dict):

@@ -292,7 +292,7 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
             path = [src]
             while tree[path[-1]][0] is not None:
                 path.append(tree[path[-1]][0])
-            path.reverse()
+            path = path[::-1]
             return refuted([s[0] for s in path] + [y], [s[1] for s in path] + [yp], up)
         tree.setdefault((y, yp), (src, diff))
     phase1 = {"phase1": "no identical-image refutation at any length"}

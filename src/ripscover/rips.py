@@ -1,4 +1,4 @@
-"""Rips 2-skeletons, edge-path presentations, and exact first homology.
+"""Rips 2-skeletons and their exact first homology.
 
 Only vertices, edges and triangles are ever built; everything the package
 asks about loops factors through them.  Homology is computed from the
@@ -183,16 +183,6 @@ class RipsSkeleton:
                     common[a][b] = tuple(v for v in row_a if row_b[v] and v != a and v != b)
             self._moves = (adj, common)
         return self._moves
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "edges": self.edges.tolist(),
-            "triangles": self.triangles.tolist(),
-            "forest_parent": list(self.parent),
-            "roots": list(self.roots),
-        }
 
 
 def build_skeleton(space: FiniteSpace, entourage: Entourage) -> RipsSkeleton:
@@ -463,10 +453,6 @@ class _H1Data:
         out.extend(sum(lv * yv for lv, yv in zip(self.left[i], yt)) for i in self.core_ids)
         return out
 
-    def class_of(self, gen_vector: dict[int, int]) -> tuple[int, ...]:
-        """Coordinates (free..., torsion...) of a cycle in generator form."""
-        return self.group.reduce(self.coords(gen_vector))
-
     def step_coords(self, u: int, v: int) -> tuple[int, ...]:
         """`coords` of the one step u -> v (zero on forest edges and stays),
         computed once per step and kept."""
@@ -514,49 +500,6 @@ def h1_class(skel: RipsSkeleton, seq) -> tuple[int, ...]:
             raise ChainError(f"step ({u},{v}) not related at this scale")
     data = skel.h1_data()
     return data.group.reduce(data.walk_coords(seq))
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """Edge-path group presentation of one component of a skeleton."""
-
-    basepoint: int
-    generators: tuple[tuple[int, int], ...]
-    relators: tuple[tuple[tuple[int, int], ...], ...]  # words of (generator, exponent)
-    component_size: int
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "basepoint": self.basepoint,
-            "generators": [list(g) for g in self.generators],
-            "relators": [[[g, e] for g, e in word] for word in self.relators],
-        }
-
-
-def edge_path_presentation(skel: RipsSkeleton, basepoint: int) -> Presentation:
-    """One generator per non-forest edge, one relator per triangle.
-
-    Both are restricted to the basepoint's component and ordered
-    lexicographically, so the presentation is reproducible.
-    """
-    if not (0 <= basepoint < skel.n):
-        raise ValidationError(f"basepoint {basepoint} out of range")
-    comp = skel.component[basepoint]
-    component = np.asarray(skel.component)
-    mine = component[skel.generators[:, 0]] == comp
-    local = (np.cumsum(mine) - 1).tolist()  # a generator's index among the component's
-    tri = skel.triangles[component[skel.triangles[:, 0]] == comp]
-    i, j, k = tri.T
-    gid = skel.gen_id
-    signs = _SIGNS.tolist()
-    relators = [
-        tuple((local[g], s) for g, s in zip(row, signs) if g >= 0)
-        for row in np.stack([gid[i, j], gid[j, k], gid[i, k]], axis=1).tolist()
-    ]
-    gens = map(tuple, skel.generators[mine].tolist())
-    size = sum(1 for c in skel.component if c == comp)
-    return Presentation(basepoint, tuple(gens), tuple(relators), size)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ def as_number(v) -> float:
 class FiniteSpace:
     """Points with labels, optional coordinates and a distance matrix."""
 
-    __slots__ = ("n", "labels", "coords", "dist", "distinguished", "_hash")
+    __slots__ = ("n", "labels", "coords", "dist", "distinguished")
 
     def __init__(self, labels, dist=None, coords=None, distinguished=None):
         labels = tuple(str(s) for s in labels)
@@ -112,7 +112,6 @@ class FiniteSpace:
         self.coords = coords
         self.dist = dist
         self.distinguished = distinguished
-        self._hash = hash((n, labels, dist.tobytes()))
 
     def index_of(self, name) -> int:
         """Resolve a point by distinguished name, label, or integer index."""
@@ -140,7 +139,7 @@ class FiniteSpace:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n, self.labels))
 
     def __repr__(self):
         return f"FiniteSpace(n={self.n})"
@@ -170,7 +169,7 @@ def _euclidean(coords: np.ndarray) -> np.ndarray:
 class Entourage:
     """Reflexive symmetric boolean relation on point indices 0..n-1."""
 
-    __slots__ = ("n", "rel", "meta", "_hash", "_skeleton")
+    __slots__ = ("n", "rel", "meta", "_skeleton")
 
     def __init__(self, rel, meta=None):
         rel = np.asarray(rel, dtype=bool)
@@ -184,7 +183,6 @@ class Entourage:
         self.n = rel.shape[0]
         self.rel = rel
         self.meta = dict(meta) if meta else {}
-        self._hash = hash((self.n, rel.tobytes()))
         self._skeleton = None  # set by rips.build_skeleton only
 
     @classmethod
@@ -216,10 +214,6 @@ class Entourage:
         self._check_carrier(other)
         return bool(np.all(~self.rel | other.rel))
 
-    def intersect(self, other: "Entourage") -> "Entourage":
-        self._check_carrier(other)
-        return Entourage(self.rel & other.rel)
-
     def without_pair(self, i: int, j: int) -> "Entourage":
         """Copy of the relation with one off-diagonal pair removed; the
         relation itself when the pair is not in it (or i == j)."""
@@ -239,7 +233,7 @@ class Entourage:
         return isinstance(other, Entourage) and self.n == other.n and np.array_equal(self.rel, other.rel)
 
     def __hash__(self):
-        return self._hash
+        return hash(self.rel.tobytes())
 
     def __repr__(self):
         off = int(self.rel.sum()) - self.n
@@ -270,13 +264,6 @@ def ball(e: Entourage, x: int) -> list[int]:
     if not (0 <= x < e.n):
         raise ValidationError(f"point index {x} out of range")
     return np.flatnonzero(e.rel[x]).tolist()
-
-
-def is_chain_connected(space: FiniteSpace, e: Entourage) -> bool:
-    """True when the relation graph on the space's points is connected."""
-    if space.n != e.n:
-        raise CarrierMismatch("space and entourage sizes differ")
-    return int(component_labels(e).max()) == 0
 
 
 def bfs_forest(e: Entourage, first: int = 0) -> tuple[list[int], list[int]]:
@@ -315,11 +302,6 @@ def path_to_root(parent: list[int], v: int) -> list[int]:
     return path
 
 
-def component_labels(e: Entourage) -> np.ndarray:
-    """Connected-component index per point (component ids by least member)."""
-    return np.asarray(bfs_forest(e)[1])
-
-
 class SpaceMap:
     """Point assignment between two spaces; continuity is a per-scale question."""
 
@@ -343,17 +325,6 @@ class SpaceMap:
     def is_injective(self) -> bool:
         return len(set(self.assign)) == len(self.assign)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpaceMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.assign == other.assign
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.assign))
-
 
 def image_under(f: SpaceMap, e: Entourage) -> Entourage:
     """Push a source relation forward along the map.
@@ -372,14 +343,6 @@ def image_under(f: SpaceMap, e: Entourage) -> Entourage:
         rel = onehot.T @ e.rel @ onehot
         fe = f._images[e] = Entourage(rel)
     return fe
-
-
-def preimage_under(f: SpaceMap, e: Entourage) -> Entourage:
-    """Pairs whose images are related: the pullback relation on the source."""
-    if e.n != f.target.n:
-        raise CarrierMismatch("entourage does not live on the map's target")
-    assign = np.asarray(f.assign)
-    return Entourage(e.rel[np.ix_(assign, assign)])
 
 
 class ScaleLadder:

@@ -57,7 +57,6 @@ class TowerReport:
     skeletons: list
     groups: list
     bondings: list[H1Map]
-    maps: dict[tuple[int, int], H1Map]        # (fine c, coarse a) with c > a
     images: dict[tuple[int, int], IntLattice]
     scale_notes: list[dict]
 
@@ -143,7 +142,7 @@ def build_tower(space: FiniteSpace, ladder: ScaleLadder, basepoint: int = 0) -> 
         for c in range(a + 2, k):
             maps[(c, a)] = maps[(c - 1, a)].compose(bondings[c - 1])
     images = {key: m.image_lattice() for key, m in maps.items()}
-    return TowerReport(space, ladder, basepoint, skeletons, groups, bondings, maps, images, notes)
+    return TowerReport(space, ladder, basepoint, skeletons, groups, bondings, images, notes)
 
 
 def _first_depth(tower: TowerReport, a: int, holds, found: str, missing: str) -> dict:

@@ -230,7 +230,7 @@ def reduce_vector(vec: dict[int, int], subs) -> dict[int, int]:
 class AllRowsH1:
     """H1 coordinates of a skeleton from `dict_unit_pivots` run on one
     relator row per triangle, with no peeling, and a Smith form of the rows
-    it leaves: fields and `class_of` as in `rips._H1Data`."""
+    it leaves: fields and `coords` as in `rips._H1Data`."""
 
     def __init__(self, skel):
         rows = []
@@ -259,15 +259,15 @@ class AllRowsH1:
         self.core_ids = free + torsion
         self.group = AbelianGroup(len(self.untouched) + len(free), tuple(dfull[i] for i in torsion))
 
-    def class_of(self, gen_vector: dict[int, int]) -> tuple[int, ...]:
+    def coords(self, gen_vector: dict[int, int]) -> list[int]:
         x = reduce_vector(gen_vector, self.subs)
         out = [x.get(g, 0) for g in self.untouched]
         xt = [x.get(t, 0) for t in self.touched]
         out.extend(sum(lv * xv for lv, xv in zip(self.left[i], xt)) for i in self.core_ids)
-        return self.group.reduce(out)
+        return out
 
     def generator_classes(self) -> list[tuple[int, ...]]:
-        """`class_of({g: 1})` for every generator g, from one backward pass
+        """`coords({g: 1})`, reduced, for every generator g, from one backward pass
         over the substitutions: a pivot column's class is minus coef times
         the classes of the rest of its row, whose columns are pivoted later
         or never."""
@@ -920,7 +920,7 @@ class ExploredWalker:
         got = self._steps.get((u, v))
         if got is None:
             gs = self.skel.step_gen(u, v)
-            got = self.data.zero() if gs is None else self.data.class_of({gs[0]: gs[1]})
+            got = self.data.zero() if gs is None else self.group.reduce(self.data.coords({gs[0]: gs[1]}))
             self._steps[(u, v)] = got
         return got
 

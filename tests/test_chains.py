@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import tracemalloc
 
@@ -12,12 +13,10 @@ from ripscover.chains import (
     SearchBudget,
     apply_move,
     close_chains_certificate,
-    concat,
     decide_homotopic,
     e_homotopic,
-    e_obstruction,
+    e_obstruction_at,
     is_short,
-    reverse,
     validate_chain,
 )
 from ripscover.errors import CertificateError, ChainError, MoveError
@@ -65,16 +64,6 @@ def test_apply_move_rules():
         apply_move(c, Delete(0))  # endpoints immovable
     with pytest.raises(MoveError):
         apply_move(c, Insert(0, 1))
-
-
-def test_concat_reverse():
-    a = validate_chain(SP, E1, [0, 1])
-    b = validate_chain(SP, E1, [1, 2])
-    assert concat(a, b).seq == (0, 1, 2)
-    with pytest.raises(ChainError):
-        concat(b, a)
-    c = validate_chain(SP, E1, ARC)
-    assert reverse(reverse(c)).seq == c.seq
 
 
 def test_canonicalize():
@@ -236,7 +225,7 @@ def test_e_obstruction_is_e_homotopic_no():
     kinds = set()
     for space, e, c, d in cases:
         cc, dd = validate_chain(space, e, c), validate_chain(space, e, d)
-        got = e_obstruction(cc, dd, e)
+        got = e_obstruction_at(build_skeleton(space, e), cc.seq, dd.seq)
         full = e_homotopic(cc, dd, e, SearchBudget(states=200))
         assert got == (full.obstruction if full.is_no() else None)
         kinds.add(None if got is None else got["kind"])
@@ -453,3 +442,15 @@ def test_repeated_points_certificates_run_between_the_given_chains():
     for a, b in [((0, 0, 0), (0, 0)), ((0, 0), (0, 0, 0))]:
         r = decide_homotopic(validate_chain(sp, e1, a), validate_chain(sp, e1, b))
         assert r.is_yes() and r.certificate.start == a and r.certificate.replay().seq == b
+
+
+def test_readme_library_tour_runs_as_written():
+    # the README's python block runs, and each value its comments quote is
+    # what the line gives
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(block, scope)
+    quoted = [line.split("#", 1) for line in block.splitlines() if "# '" in line]
+    assert [eval(expr, scope) for expr, _ in quoted] == [note.split("'")[1] for _, note in quoted] == ["no"]

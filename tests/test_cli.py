@@ -313,6 +313,21 @@ def test_replay_non_integer_entries_exit_3(tmp_path, capsys, field, value):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("entourage",), {"n": 7, "pairs": [[0, 1]]}),  # a relation on more points than the space
+    (("start",), [0, 9, 1]),  # a vertex out of range
+    (("start",), [0, 3, 1]),  # a link 0-3 unrelated at eps=1
+])
+def test_replay_certificate_faults_exit_3(tmp_path, capsys, path, value):
+    sp = hexagon_ex72().space
+    doc = HomotopyCertificate(sp, entourage_at(sp, 1.0), (0, 1), (), (0, 1)).to_json()
+    _set(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["replay", str(bad)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_replay_checks_relation_against_its_scale(tmp_path):
     sp = hexagon_ex73().space
     complete = Entourage.complete(sp.n)
@@ -484,6 +499,39 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in capsys.readouterr().err
 
 
+_HEXAGON_JOIN = ["join", "--gallery", "hexagon_ex72", "--target", "3"]
+
+
+@pytest.mark.parametrize("argv, edit, code, ladder", [
+    (["cover", "--ladder", "1.5,0.8"], None, 0, [1.5, 0.8]),  # the option overrides the file's ladder
+    (["cover"], "space_paths", 0, [3.0, 1.0, 0.0]),  # both spaces named by a file path
+    (["cover"], "no_ladder", 2, None),  # no ladder in the file and no --ladder
+    ([*_HEXAGON_JOIN, "--pair", "a", "--fine", "1"], None, 2, None),  # one point, not a pair
+    ([*_HEXAGON_JOIN, "--pair", "a,b"], None, 2, None),  # neither --fine nor --ladder
+])
+def test_cover_and_join_input_paths(tmp_path, capsys, argv, edit, code, ladder):
+    # a cover runs on the identity map file, edited as `edit` says
+    if argv[0] == "cover":
+        doc = _identity_map()
+        if edit == "space_paths":
+            for side in ("source", "target"):
+                path = tmp_path / f"{side}.json"
+                path.write_text(json.dumps(doc[side]))
+                doc[side] = str(path)
+        elif edit == "no_ladder":
+            del doc["ladder"]
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, "--map", str(path)]
+    out = tmp_path / "report.json"
+    assert _exit_code([*argv, "--output", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    if ladder is None:
+        assert not out.exists()
+    else:
+        assert [s["eps"] for s in json.loads(out.read_text())["ladder"]] == ladder
+
+
 _POINTS = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 _MAP_FIELDS = [
     ("source",), ("source", "labels"), ("source", "labels", 1), ("source", "coords"),
@@ -599,14 +647,13 @@ def _certificate_doc(listed: bool) -> dict:
 def test_certificate_file_never_raises(tmp_path, capsys, path, value, listed):
     # one field of a replayable certificate, with or without a pair list
     # next to its eps, replaced by a value of the wrong shape or type:
-    # replay accepts (0), rejects the input (2) or the certificate (3), no
-    # traceback
+    # replay accepts (0) or rejects the certificate (3), no traceback
     doc = _certificate_doc(listed or path[:2] == ("entourage", "pairs"))
     _set(doc, path, value)
     bad = tmp_path / "cert.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert _exit_code(["replay", str(bad), "--output", os.devnull]) in (0, 2, 3)
+    assert _exit_code(["replay", str(bad), "--output", os.devnull]) in (0, 3)
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -5,7 +5,7 @@ import pytest
 from ripscover.errors import ValidationError
 from ripscover.gallery import gallery, hawaiian, hexagon_ex72, hexagon_ex73, polygon, solenoid
 from ripscover.rips import build_skeleton, h1
-from ripscover.space import entourage_at, is_chain_connected
+from ripscover.space import bfs_forest, entourage_at
 
 from _oracles import homology_oracle
 
@@ -30,7 +30,7 @@ def test_hexagon_ex72_densified_keeps_verdict_geometry():
     assert sp.n == 6 + 5 * 2
     e1 = entourage_at(sp, 1.0)
     assert e1.related(0, 1)  # the unsampled side's endpoints still sit at 1
-    assert is_chain_connected(sp, e1)
+    assert max(bfs_forest(e1)[1]) == 0  # one component
 
 
 def test_polygon_square():
@@ -76,7 +76,7 @@ def test_solenoid_each_scale_reads_a_circle():
         sk = build_skeleton(g.space, scale)
         grp = h1(sk)
         assert (grp.rank, grp.torsion) == (1, ())
-        assert is_chain_connected(g.space, scale)
+        assert max(bfs_forest(scale)[1]) == 0
 
 
 def test_solenoid_scale_oracle_on_small_instance():

@@ -1,5 +1,4 @@
 import gc
-import json
 import random
 import tracemalloc
 import weakref
@@ -18,7 +17,6 @@ from ripscover.rips import (
     H1Map,
     RipsSkeleton,
     build_skeleton,
-    edge_path_presentation,
     h1,
     h1_class,
     inclusion_h1_map,
@@ -68,13 +66,13 @@ def test_skeleton_triangles_are_exactly_3_cliques():
 
 
 def test_presentation_counts():
+    # the edge-path presentation: a generator per non-forest edge, a relator per triangle
     sp = hexagon_ex72().space
-    pres1 = edge_path_presentation(build_skeleton(sp, entourage_at(sp, 1.0)), 0)
-    assert len(pres1.generators) == 1 and len(pres1.relators) == 0
-    pres3 = edge_path_presentation(build_skeleton(sp, entourage_at(sp, 3.0)), 0)
-    assert len(pres3.generators) == 10 and len(pres3.relators) == 20
-    pres0 = edge_path_presentation(build_skeleton(sp, Entourage.identity(6)), 0)
-    assert len(pres0.generators) == 0
+    sk1 = build_skeleton(sp, entourage_at(sp, 1.0))
+    assert len(sk1.generators) == 1 and len(sk1.triangles) == 0
+    sk3 = build_skeleton(sp, entourage_at(sp, 3.0))
+    assert len(sk3.generators) == 10 and len(sk3.triangles) == 20
+    assert len(build_skeleton(sp, Entourage.identity(6)).generators) == 0
 
 
 def test_generator_count_identity():
@@ -149,7 +147,7 @@ def test_h1_representatives_hit_basis():
         data = sk.h1_data()
         for coord in range(data.group.dim):
             rep = data.representative(coord)
-            got = data.class_of(rep)
+            got = _class(data, rep)
             want = [0] * data.group.dim
             want[coord] = 1
             for i, d in enumerate(data.group.torsion):
@@ -196,16 +194,6 @@ def test_inclusion_requires_nesting():
         inclusion_h1_map(coarse, fine)
 
 
-def test_skeleton_and_presentation_json():
-    sp = hexagon_ex72().space
-    sk = build_skeleton(sp, entourage_at(sp, 1.0))
-    doc = sk.to_json()
-    assert doc["n"] == 6 and len(doc["edges"]) == 6
-    pres = edge_path_presentation(sk, 0)
-    pdoc = pres.to_json()
-    assert len(pdoc["generators"]) == 1 and pdoc["basepoint"] == 0
-
-
 def test_generator_count_minus_relator_rank_gives_h1_rank():
     # |generators| - rank(abelianized relators) must equal the homology rank
     from _oracles import _rank_rational
@@ -225,10 +213,6 @@ def test_generator_count_minus_relator_rank_gives_h1_rank():
             rows.append(row)
         rank_rel = _rank_rational(rows) if rows else 0
         assert len(sk.generators) - rank_rel == h1(sk).rank
-
-
-def _plain_int_rows(items, width):
-    return all(type(t) is list and len(t) == width and all(type(v) is int for v in t) for t in items)
 
 
 def _sorted_int_array(arr, width):
@@ -256,30 +240,28 @@ def test_skeleton_output_is_plain_python():
         assert _sorted_int_array(sk.triangles, 3) and _sorted_int_array(sk.edges, 2)
         assert _sorted_int_array(sk.generators, 2)
         assert all(type(r) is int for r in sk.roots)
-        doc = sk.to_json()
-        assert _plain_int_rows(doc["triangles"], 3) and _plain_int_rows(doc["edges"], 2)
-        assert json.loads(json.dumps(doc))["triangles"] == doc["triangles"] == sk.triangles.tolist()
-        assert doc["edges"] == sk.edges.tolist()
-        pres = edge_path_presentation(sk, 0)
-        assert all(type(v) is int for g in pres.generators for v in g)
-        assert all(type(g) is int and type(s) is int for word in pres.relators for g, s in word)
         data = sk.h1_data()
         for g in range(len(sk.generators)):
-            assert all(type(v) is int for v in sk.fundamental_walk(g) + list(data.class_of({g: 1})))
+            assert all(type(v) is int for v in sk.fundamental_walk(g) + list(_class(data, {g: 1})))
     assert len(build_skeleton(*cases[3]).roots) == 2
 
 
 def test_h1_data_without_generators_or_triangles():
     sp = space_for(Entourage.identity(4))
     data = build_skeleton(sp, Entourage.identity(4)).h1_data()  # no generators
-    assert data.group.is_trivial() and data.class_of({}) == ()
+    assert data.group.is_trivial() and _class(data, {}) == ()
     tree = Entourage.from_pairs(4, [(0, 1), (1, 2), (1, 3)])
     assert build_skeleton(space_for(tree), tree).h1_data().group.is_trivial()
     hexagon = hexagon_ex72().space
     sk = build_skeleton(hexagon, entourage_at(hexagon, 1.0))  # one generator, no triangles
     data = sk.h1_data()
     assert str(data.group) == "Z" and data.untouched == [0]
-    assert data.class_of({0: 3}) == (3,)
+    assert _class(data, {0: 3}) == (3,)
+
+
+def _class(data, gen_vector):
+    # the class of a generator vector in an H1 basis: its reduced coordinates
+    return data.group.reduce(data.coords(gen_vector))
 
 
 def _by_columns(cols, dim):
@@ -294,18 +276,18 @@ def _assert_same_as_all_rows(sk, rng, exact=False, vectors=20):
     ref = AllRowsH1(sk)
     assert data.group == ref.group
     dim = data.group.dim
-    fwd = H1Map(ref.group, data.group, _by_columns([data.class_of(ref.representative(j)) for j in range(dim)], dim))
-    back = H1Map(data.group, ref.group, _by_columns([ref.class_of(data.representative(j)) for j in range(dim)], dim))
+    fwd = H1Map(ref.group, data.group, _by_columns([_class(data, ref.representative(j)) for j in range(dim)], dim))
+    back = H1Map(data.group, ref.group, _by_columns([_class(ref, data.representative(j)) for j in range(dim)], dim))
     eye = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     assert fwd.compose(back).matrix == eye and back.compose(fwd).matrix == eye
     for g, want in enumerate(ref.generator_classes()):
-        got = data.class_of({g: 1})
+        got = _class(data, {g: 1})
         assert got == fwd.apply(want) and (got == want or not exact)
     ngen = len(sk.generators)
     for _ in range(vectors if ngen else 0):
         vec = {rng.randrange(ngen): rng.randint(-3, 3) for _ in range(rng.randint(1, 8))}
-        want = ref.class_of(vec)
-        got = data.class_of(vec)
+        want = _class(ref, vec)
+        got = _class(data, vec)
         assert got == fwd.apply(want) and (got == want or not exact)
 
 
@@ -410,7 +392,7 @@ def test_closure_leaves_a_one_letter_row_to_the_smith_form():
     assert rows == [{0: 1}] and cls[0] == 1
     data = sk.h1_data()
     assert homology_oracle(8, sk.edges.tolist(), sk.triangles.tolist()) == (1, ())
-    assert str(data.group) == "Z" and data.class_of({0: 1}) == (0,)
+    assert str(data.group) == "Z" and _class(data, {0: 1}) == (0,)
     _assert_same_as_all_rows(sk, random.Random(5))
 
 
@@ -498,7 +480,7 @@ def test_h1_torsion_on_rp2():
         sk = RipsSkeleton(space_for(e), e)
         data = sk.h1_data()
         assert data.group == AllRowsH1(sk).group == AbelianGroup(0, (2,))
-        assert data.class_of(data.representative(0)) == (1,)
+        assert _class(data, data.representative(0)) == (1,)
         cls, rows = rips._closure(sk)
         assert any(len(r) == 2 for r in rows)
         assert all(cls[g] == g + 1 for r in rows for g in r)

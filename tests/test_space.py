@@ -14,12 +14,10 @@ from ripscover.space import (
     SpaceMap,
     ball,
     bfs_forest,
-    component_labels,
     compose,
     dump_space,
     entourage_at,
     image_under,
-    is_chain_connected,
     load_space,
 )
 
@@ -233,9 +231,9 @@ def test_ball_contains_center_and_bounds():
 
 def test_chain_connected():
     sp = hexagon_ex72().space
-    assert is_chain_connected(sp, entourage_at(sp, 1.0))
-    assert is_chain_connected(sp, Entourage.complete(6))
-    assert not is_chain_connected(sp, Entourage.identity(6))
+    assert max(bfs_forest(entourage_at(sp, 1.0))[1]) == 0
+    assert max(bfs_forest(Entourage.complete(6))[1]) == 0
+    assert max(bfs_forest(Entourage.identity(6))[1]) == 5
 
 
 def test_bfs_forest_components_by_least_member():
@@ -244,7 +242,6 @@ def test_bfs_forest_components_by_least_member():
     parent, component = bfs_forest(e)
     assert component == [0, 1, 0, 1, 1]
     assert parent == [-1, -1, 0, 1, 1]
-    assert component_labels(e).tolist() == component
 
 
 def test_bfs_forest_matches_per_vertex_neighbour_reads():
@@ -278,14 +275,14 @@ def test_ladder_json_round_trip():
     doc = g.ladder.to_json()
     back = ScaleLadder.from_json(g.space, doc)
     assert [e for e in back] == [e for e in g.ladder]
+    # equal relations, and equal spaces, hash equal
+    assert len({*back, *g.ladder}) == len(g.ladder)
+    assert len({g.space, hexagon_ex73().space}) == 1
 
 
-def test_intersect_and_without_pair():
+def test_without_pair():
     rng = random.Random(44)
     e = random_entourage(rng, 6, 0.5)
-    f = random_entourage(rng, 6, 0.5)
-    both = e.intersect(f)
-    assert both.issubset(e) and both.issubset(f)
     pairs = e.pairs()
     if pairs:
         i, j = pairs[0]
@@ -295,21 +292,6 @@ def test_intersect_and_without_pair():
         # an absent pair leaves the relation itself, as i == j does
         assert cut.without_pair(i, j) is cut and cut.without_pair(j, i) is cut
         assert e.without_pair(i, i) is e
-
-
-def test_preimage_under_pullback():
-    from ripscover.space import preimage_under
-    from ripscover.gallery import polygon
-
-    src = polygon(12, 1).space
-    tgt = polygon(6, 1).space
-    f = SpaceMap(src, tgt, [i % 6 for i in range(12)])
-    down = Entourage.from_pairs(6, [(i, (i + 1) % 6) for i in range(6)])
-    up = preimage_under(f, down)
-    # pairs upstairs relate exactly when their images are one step apart
-    for i in range(12):
-        for j in range(12):
-            assert up.related(i, j) == down.related(i % 6, j % 6)
 
 
 def test_ladder_json_strict_is_a_boolean_and_echoed():

@@ -8,7 +8,7 @@ from ripscover import tower
 from ripscover.chains import DEFAULT_BUDGET, HomotopyCertificate, SearchBudget, Trivalue, decide_homotopic
 from ripscover.errors import ValidationError
 from ripscover.gallery import gallery, hexagon_ex72, hexagon_ex73, polygon, solenoid
-from ripscover.rips import RipsSkeleton, build_skeleton, h1, h1_class
+from ripscover.rips import RipsSkeleton, build_skeleton, h1, h1_class, inclusion_h1_map
 from ripscover.snf import IntLattice
 from ripscover.space import Entourage, ScaleLadder, entourage_at
 from ripscover.tower import (
@@ -75,8 +75,8 @@ def test_cone_like_tower_trivial_at_filled_scale():
 def test_functoriality_and_nesting():
     g = solenoid(2, 64, 4, 1)
     t = build_tower(g.space, g.ladder, 0)
-    prod = t.maps[(1, 0)].compose(t.maps[(2, 1)])
-    assert prod.matrix == t.maps[(2, 0)].matrix
+    prod = t.bondings[0].compose(t.bondings[1])
+    assert prod.matrix == inclusion_h1_map(t.skeletons[2], t.skeletons[0]).matrix
     assert t.image(2, 0).issubset(t.image(1, 0))
 
 
