@@ -329,7 +329,7 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
     if c.seq == d.seq:
         return Trivalue("yes", certificate=HomotopyCertificate(c.space, ent, c.seq, (), d.seq))
 
-    skel = build_skeleton(c.space, ent)
+    skel = build_skeleton(ent)
     obstruction = _h1_obstruction(skel, c.seq, d.seq)
     if obstruction is not None:
         return Trivalue("no", obstruction=obstruction)

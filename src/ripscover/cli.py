@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ripscover",
         description="Rips skeletons, chain homotopy, covering checks and scale towers",
     )
-    parser.add_argument("--budget-states", type=int, default=50_000, help="search state budget")
+    parser.add_argument("--budget-states", type=int, default=SearchBudget.states, help="search state budget")
     parser.add_argument("--max-chain-length", type=int, default=None, help="hard chain length bound (default 4n)")
     parser.add_argument("--strict-thresholds", action="store_true", help="use < instead of <= for eps scales")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -70,7 +70,7 @@ def is_simplicial_cover(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
     ok, cx = evenly_covers(f, e)
     if not ok:
         return False, cx
-    down = build_skeleton(f.target, image_under(f, e))
+    down = build_skeleton(image_under(f, e))
     tris_at: dict[int, list[list[int]]] = {}
     for tri in down.triangles.tolist():
         for v in tri:
@@ -262,7 +262,7 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
     ff = image_under(f, fine)
     ff_rows = ff.rel.tolist()
     # fine chains are valid at e, as fine lies inside e
-    h1 = build_skeleton(f.source, e).h1_data()
+    h1 = build_skeleton(e).h1_data()
     step = h1.step_coords
     e_rows = e.rel.tolist()
     per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states), max_length=C2_DOWN_LENGTH)

@@ -125,10 +125,9 @@ def hexagon_ex73() -> GallerySpace:
     scales = [
         entourage_at(space, 3.0),
         entourage_at(space, 1.0),
-        Entourage.from_pairs(space.n, arc_pairs),
+        Entourage.from_pairs(space.n, arc_pairs, meta={"label": "arc-steps"}),
     ]
-    descriptors = [{"eps": 3.0}, {"eps": 1.0}, {"pairs": arc_pairs, "label": "arc-steps"}]
-    return GallerySpace(space, ScaleLadder(scales, descriptors=descriptors))
+    return GallerySpace(space, ScaleLadder(scales))
 
 
 def solenoid(k: int, samples_per_winding: int = 64, major: float = 4.0, minor: float = 1.0) -> GallerySpace:

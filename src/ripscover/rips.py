@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CarrierMismatch, ChainError, ValidationError
+from .errors import ChainError, ValidationError
 from .snf import IntLattice, smith_normal_form
-from .space import Entourage, FiniteSpace, bfs_forest, path_to_root
+from .space import Entourage, bfs_forest, path_to_root
 
 
 # Bytes one gathered block may hold.  Every (rows x n) temporary of this
@@ -86,19 +86,15 @@ class RipsSkeleton:
     """
 
     __slots__ = (
-        "space", "entourage", "edges", "_triangles",
-        "parent", "roots", "component",
+        "entourage", "edges", "_triangles", "parent",
         "gen_id", "generators", "_h1data", "_moves",
     )
 
-    def __init__(self, space: FiniteSpace, entourage: Entourage):
-        if space.n != entourage.n:
-            raise CarrierMismatch("space and entourage sizes differ")
-        n = space.n
+    def __init__(self, entourage: Entourage):
+        n = entourage.n
         edges = np.stack(np.nonzero(np.triu(entourage.rel, k=1)), axis=1)
 
-        parent, component = bfs_forest(entourage)
-        roots = [v for v in range(n) if parent[v] < 0]
+        parent, _ = bfs_forest(entourage)
 
         up = np.asarray(parent, dtype=np.intp)
         iu, ju = edges.T
@@ -108,13 +104,10 @@ class RipsSkeleton:
         gen_id[ga, gb] = gen_id[gb, ga] = np.arange(len(ga), dtype=np.int32)
         edges.flags.writeable = generators.flags.writeable = False
 
-        self.space = space
         self.entourage = entourage
         self.edges = edges
         self._triangles = None
         self.parent = parent
-        self.roots = roots
-        self.component = component
         self.gen_id = gen_id
         self.generators = generators
         self._h1data = None
@@ -122,7 +115,7 @@ class RipsSkeleton:
 
     @property
     def n(self) -> int:
-        return self.space.n
+        return self.entourage.n
 
     @property
     def triangles(self) -> np.ndarray:
@@ -185,16 +178,15 @@ class RipsSkeleton:
         return self._moves
 
 
-def build_skeleton(space: FiniteSpace, entourage: Entourage) -> RipsSkeleton:
+def build_skeleton(entourage: Entourage) -> RipsSkeleton:
     """All off-diagonal related pairs and all 3-cliques, deterministically.
 
-    The relation keeps its skeleton and hands it back, so a skeleton lives
-    as long as its relation; asked with a different space, it is rebuilt.
+    The relation builds its skeleton once, keeps it and hands it back, so a
+    skeleton lives exactly as long as its relation.
     """
-    skel = entourage._skeleton
-    if skel is None or skel.space != space:
-        skel = entourage._skeleton = RipsSkeleton(space, entourage)
-    return skel
+    if entourage._skeleton is None:
+        entourage._skeleton = RipsSkeleton(entourage)
+    return entourage._skeleton
 
 
 @dataclass(frozen=True)
@@ -531,8 +523,6 @@ class H1Map:
 
 def inclusion_h1_map(fine: RipsSkeleton, coarse: RipsSkeleton) -> H1Map:
     """Homology map induced by reading fine-scale cycles at a coarser scale."""
-    if fine.space != coarse.space:
-        raise CarrierMismatch("skeletons live on different spaces")
     if not fine.entourage.issubset(coarse.entourage):
         raise ValidationError("fine entourage is not contained in the coarse one")
     fdata = fine.h1_data()

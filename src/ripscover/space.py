@@ -9,7 +9,7 @@ kept by the object it derives from and nothing is kept process-wide, so it
 lives exactly as long as its owner:
 - `SpaceMap._images`: each relation a map has pushed forward (`image_under`);
 - `Entourage._skeleton`: the relation's Rips skeleton (`rips.build_skeleton`),
-  rebuilt only when asked with a different space;
+  built once, from the relation alone;
 - `RipsSkeleton._triangles`, `_h1data` and `_moves`: the skeleton's triangle
   array, H1 data and move tables, each built on first use;
 - `rips._H1Data._steps`: the coordinates of each step read so far;
@@ -68,35 +68,35 @@ class FiniteSpace:
                 raise ValidationError("coords must be one vector per point")
             if not np.isfinite(coords).all():
                 raise ValidationError("coords must be finite (no NaN or infinity)")
-        check_coords = coords is not None and dist is not None
         if dist is None:
             if coords is None:
                 raise ValidationError("need coords or dist")
-            dist = _euclidean(coords)
-        dist = np.asarray(dist, dtype=float)
-        if dist.shape != (n, n):
-            raise ValidationError("dist must be an n x n matrix")
-        if not np.isfinite(dist).all():
-            i, j = np.argwhere(~np.isfinite(dist))[0]
-            raise ValidationError(f"non-finite distance at ({i},{j})")
-        scale = max(1.0, float(np.abs(dist).max()))
-        asym = float(np.abs(dist - dist.T).max())
-        if asym > SYMMETRY_TOL * scale:
-            i, j = np.unravel_index(np.abs(dist - dist.T).argmax(), dist.shape)
-            raise ValidationError(
-                f"dist is not symmetric: dist[{i}][{j}]={dist[i, j]!r} vs dist[{j}][{i}]={dist[j, i]!r}"
-            )
-        dist = (dist + dist.T) / 2.0
-        if float(np.abs(np.diag(dist)).max()) > 0.0:
-            i = int(np.abs(np.diag(dist)).argmax())
-            raise ValidationError(f"nonzero diagonal entry at point {i}")
-        if float(dist.min()) < 0.0:
-            i, j = np.unravel_index(dist.argmin(), dist.shape)
-            raise ValidationError(f"negative distance at ({i},{j})")
-        if check_coords:
-            euclid = _euclidean(coords)
-            if float(np.abs(euclid - dist).max()) > COORD_TOL * scale:
-                raise ValidationError("dist disagrees with Euclidean distance of coords")
+            dist = _euclidean(coords)  # exactly symmetric, zero diagonal, nonnegative
+        else:
+            dist = np.asarray(dist, dtype=float)
+            if dist.shape != (n, n):
+                raise ValidationError("dist must be an n x n matrix")
+            if not np.isfinite(dist).all():
+                i, j = np.argwhere(~np.isfinite(dist))[0]
+                raise ValidationError(f"non-finite distance at ({i},{j})")
+            scale = max(1.0, float(np.abs(dist).max()))
+            asym = float(np.abs(dist - dist.T).max())
+            if asym > SYMMETRY_TOL * scale:
+                i, j = np.unravel_index(np.abs(dist - dist.T).argmax(), dist.shape)
+                raise ValidationError(
+                    f"dist is not symmetric: dist[{i}][{j}]={dist[i, j]!r} vs dist[{j}][{i}]={dist[j, i]!r}"
+                )
+            dist = (dist + dist.T) / 2.0
+            if float(np.abs(np.diag(dist)).max()) > 0.0:
+                i = int(np.abs(np.diag(dist)).argmax())
+                raise ValidationError(f"nonzero diagonal entry at point {i}")
+            if float(dist.min()) < 0.0:
+                i, j = np.unravel_index(dist.argmin(), dist.shape)
+                raise ValidationError(f"negative distance at ({i},{j})")
+            if coords is not None:
+                euclid = _euclidean(coords)
+                if float(np.abs(euclid - dist).max()) > COORD_TOL * scale:
+                    raise ValidationError("dist disagrees with Euclidean distance of coords")
         if distinguished:
             distinguished = tuple((str(k), as_index(v)) for k, v in dict(distinguished).items())
             for name, idx in distinguished:
@@ -157,11 +157,22 @@ class FiniteSpace:
 
 def _euclidean(coords: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances of finite coordinates; coordinates so
-    large that a difference or its square overflows are rejected."""
+    large that a difference or its square overflows are rejected.
+
+    The squared differences are added axis by axis into one n x n array,
+    through one n x n buffer.  That is the order in which numpy's sum adds
+    fewer than eight terms, so for d < 8 the result is bit for bit that of
+    summing the (n, n, d) array of squares, which is never held."""
+    n = len(coords)
+    out = np.zeros((n, n))
+    buf = np.empty((n, n))
     try:
         with np.errstate(over="raise"):
-            diff = coords[:, None, :] - coords[None, :, :]
-            return np.sqrt((diff * diff).sum(axis=2))
+            for x in coords.T:
+                np.subtract.outer(x, x, out=buf)
+                buf *= buf
+                out += buf
+            return np.sqrt(out, out=out)
     except FloatingPointError as e:
         raise ValidationError("coords too large: a squared distance overflows") from e
 
@@ -350,12 +361,12 @@ class ScaleLadder:
 
     Built either from strictly decreasing thresholds on a space or from an
     explicit list of nested relations; each scale must be contained in the
-    previous one.
+    previous one.  A scale is named and written out from its own `meta`.
     """
 
-    __slots__ = ("scales", "descriptors")
+    __slots__ = ("scales",)
 
-    def __init__(self, scales, descriptors=None):
+    def __init__(self, scales):
         scales = tuple(scales)
         if not scales:
             raise ValidationError("ladder must contain at least one scale")
@@ -366,10 +377,7 @@ class ScaleLadder:
         for fine, coarse in zip(scales[1:], scales):
             if not fine.issubset(coarse):
                 raise ValidationError("ladder scales must be nested (each inside the previous)")
-        if descriptors is None:
-            descriptors = [_describe_scale(s) for s in scales]
         self.scales = scales
-        self.descriptors = list(descriptors)
 
     @classmethod
     def from_thresholds(cls, space: FiniteSpace, thresholds, strict: bool = False) -> "ScaleLadder":
@@ -397,25 +405,19 @@ class ScaleLadder:
         return self.scales[-1]
 
     def describe(self, i: int) -> str:
-        return scale_name(self.descriptors[i], f"scale#{i}")
+        return scale_name(self[i].meta, f"scale#{i}")
 
     def to_json(self) -> list:
-        out = []
-        for d in self.descriptors:
-            entry = dict(d)
-            if "pairs" in entry:
-                entry["pairs"] = [list(p) for p in entry["pairs"]]
-            out.append(entry)
-        return out
+        return [_describe_scale(s) for s in self.scales]
 
     @classmethod
     def from_json(cls, space: FiniteSpace, doc) -> "ScaleLadder":
         """Entries are {"eps": number, "strict": bool} (strict optional) or
-        {"pairs": [[i, j], ...], "label": str} (label optional)."""
+        {"pairs": [[i, j], ...], "label": str} (label optional, kept in the
+        relation's meta)."""
         if not isinstance(doc, list):
             raise ValidationError(f"a ladder must be a list of scales, got {doc!r}")
         scales = []
-        descriptors = []
         for entry in doc:
             if not isinstance(entry, dict):
                 raise ValidationError(f"ladder entry must be an object, got {entry!r}")
@@ -424,38 +426,36 @@ class ScaleLadder:
                 if not isinstance(strict, bool):
                     raise ValidationError(f"strict must be true or false, got {strict!r}")
                 scale = entourage_at(space, as_number(entry["eps"]), strict=strict)
-                d = _describe_scale(scale)
             elif "pairs" in entry:
                 try:
                     pairs = [(as_index(i), as_index(j)) for i, j in entry["pairs"]]
                 except (TypeError, ValueError) as e:
                     raise ValidationError(f"ladder pairs must be [i, j] index pairs: {e}") from e
-                scale = Entourage.from_pairs(space.n, pairs)
-                d = {"pairs": pairs}
-                if "label" in entry:
-                    d["label"] = str(entry["label"])
+                meta = {"label": str(entry["label"])} if "label" in entry else None
+                scale = Entourage.from_pairs(space.n, pairs, meta=meta)
             else:
                 raise ValidationError("ladder entry needs 'eps' or 'pairs'")
             scales.append(scale)
-            descriptors.append(d)
-        return cls(scales, descriptors=descriptors)
+        return cls(scales)
 
 
-def scale_name(desc: dict, default: str) -> str:
-    """A scale's name in reports, from its descriptor or an entourage's meta:
-    `eps=t`, or `eps<t` for a strict threshold, else its label or `default`."""
-    if "eps" in desc:
-        return f"eps{'<' if desc.get('strict') else '='}{desc['eps']:g}"
-    return desc.get("label", default)
+def scale_name(meta: dict, default: str) -> str:
+    """A scale's name in reports, from its entourage's meta: `eps=t`, or
+    `eps<t` for a strict threshold, else its label or `default`."""
+    if "eps" in meta:
+        return f"eps{'<' if meta.get('strict') else '='}{meta['eps']:g}"
+    return meta.get("label", default)
 
 
 def _describe_scale(s: Entourage) -> dict:
-    """Ladder descriptor of one scale; `strict` appears only when set."""
-    if "eps" not in s.meta:
-        return {"pairs": s.pairs()}
-    if s.meta.get("strict"):
-        return {"eps": s.meta["eps"], "strict": True}
-    return {"eps": s.meta["eps"]}
+    """Ladder entry of one scale, from its meta: its eps (`strict` only when
+    set), else its sorted pairs and any label."""
+    if "eps" in s.meta:
+        return {"eps": s.meta["eps"], "strict": True} if s.meta.get("strict") else {"eps": s.meta["eps"]}
+    entry = {"pairs": [list(p) for p in s.pairs()]}
+    if "label" in s.meta:
+        entry["label"] = s.meta["label"]
+    return entry
 
 
 def space_from_json(doc: dict) -> FiniteSpace:

@@ -128,10 +128,12 @@ def build_tower(space: FiniteSpace, ladder: ScaleLadder, basepoint: int = 0) -> 
         raise ValidationError("basepoint out of range")
     skeletons = []
     notes = []
+    # every scale holds the finest one, so if that is connected, so are they all
+    connected = max(bfs_forest(ladder.finest())[1]) == 0
     for e in ladder:
-        sk = build_skeleton(space, e)
-        masked, ncomp, size = _mask_to_component(e, basepoint, sk.component)
-        skeletons.append(sk if ncomp == 1 else build_skeleton(space, masked))
+        labels = [0] * space.n if connected else bfs_forest(e, first=basepoint)[1]
+        masked, ncomp, size = _mask_to_component(e, basepoint, labels)
+        skeletons.append(build_skeleton(masked))
         notes.append({"components": ncomp, "component_size": size})
     groups = [sk.h1_data().group for sk in skeletons]
     k = len(ladder)
@@ -222,7 +224,7 @@ class _RootedWalks:
         self.walk_rel = walk_rel
         self.target = target
         self.root = root
-        self.skel = build_skeleton(space, target)
+        self.skel = build_skeleton(target)
         self.budget = budget
 
     @cached_property
@@ -235,7 +237,7 @@ class _RootedWalks:
         """Skeleton of the walk relation on the root's component, read off
         the forest's components."""
         masked, _, _ = _mask_to_component(self.walk_rel, self.root, self.forest[1])
-        return build_skeleton(self.space, masked)
+        return build_skeleton(masked)
 
     @cached_property
     def lattice(self) -> IntLattice:
@@ -351,7 +353,7 @@ def joinability_witness(
     walk = walks[1]
     defects = [list(h1_class(walker.skel, walk + (x,)))]
     if fine.related(y, x):
-        defects.append(list(h1_class(build_skeleton(space, fine), walk + (x,))))
+        defects.append(list(h1_class(build_skeleton(fine), walk + (x,))))
     else:
         defects.append(None)
     return verdictify(verdict, TruncatedGeneralizedPath([tname, fname], walk, defects))

@@ -523,7 +523,7 @@ def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -
     if c.seq == d.seq:
         return Trivalue("yes", certificate=HomotopyCertificate(c.space, ent, c.seq, (), d.seq))
 
-    skel = build_skeleton(c.space, ent)
+    skel = build_skeleton(ent)
     obstruction = _h1_obstruction(skel, c.seq, d.seq)
     if obstruction is not None:
         return Trivalue("no", obstruction=obstruction)
@@ -831,7 +831,7 @@ def pairwise_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | N
     if f.is_injective():
         return {"status": "proved", "note": "injective map with nested scales"}
     ff = image_under(f, fine)
-    skel = build_skeleton(f.source, e)
+    skel = build_skeleton(e)
     pair_cap = budget.states
     per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states), max_length=C2_DOWN_LENGTH)
     examined = 0
@@ -909,7 +909,7 @@ class ExploredWalker:
         self.walk_rel = walk_rel
         self.target = target
         self.root = root
-        self.skel = build_skeleton(space, target)
+        self.skel = build_skeleton(target)
         self.data = self.skel.h1_data()
         self.group = self.data.group
         self.budget = budget
@@ -934,7 +934,7 @@ class ExploredWalker:
     @cached_property
     def lattice(self):
         masked, _, _ = _mask_to_component(self.walk_rel, self.root, bfs_forest(self.walk_rel)[1])
-        return inclusion_h1_map(build_skeleton(self.space, masked), self.skel).image_lattice()
+        return inclusion_h1_map(build_skeleton(masked), self.skel).image_lattice()
 
     @cached_property
     def explored(self):

@@ -89,7 +89,7 @@ def test_criterion_2_hexagon_two_sheets():
     by_pair = {tuple(p["pair"]): p for p in report["pairs"]}
 
     # negative half: every first-hexagon point besides a is obstructed at c
-    tskel = build_skeleton(sp, e1)
+    tskel = build_skeleton(e1)
     for name in ("b", "p1", "p2", "p3", "p4"):
         p = sp.index_of(name)
         entry = by_pair[(min(p, c), max(p, c))]
@@ -131,7 +131,7 @@ def test_criterion_3_solenoid_tower():
     full_cycle = list(range(256)) + [0]
     degrees = []
     for scale in g.ladder:
-        sk = build_skeleton(g.space, scale)
+        sk = build_skeleton(scale)
         (cls,) = h1_class(sk, full_cycle)
         degrees.append(abs(cls))
     assert degrees == [4, 2, 1]
@@ -233,7 +233,7 @@ def test_criterion_7_homology_oracle_equivalence():
     while checked < 500:
         n = rng.randint(2, 8)
         e = random_entourage(rng, n, rng.choice([0.25, 0.4, 0.55, 0.75]))
-        sk = build_skeleton(space_for(e), e)
+        sk = build_skeleton(e)
         rank, torsion = homology_oracle(n, sk.edges.tolist(), sk.triangles.tolist())
         grp = h1(sk)
         assert (grp.rank, grp.torsion) == (rank, torsion)
@@ -295,7 +295,7 @@ def test_criterion_8_decider_vs_exhaustive_oracle():
             assert verdict.is_yes(), (c, d)
             verdict.certificate.replay()
             # a Yes may never coexist with a nonzero obstruction
-            sk = build_skeleton(sp, e)
+            sk = build_skeleton(e)
             loop = c + tuple(reversed(d))[1:]
             assert not any(h1_class(sk, loop))
             yeses += 1

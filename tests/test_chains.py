@@ -186,7 +186,7 @@ def test_search_stores_at_most_its_budget():
     e = entourage_at(grid, 1.5)
     c = validate_chain(grid, e, [i * k for i in range(k)] + [(k - 1) * k + j for j in range(1, k)])
     d = validate_chain(grid, e, list(range(k)) + [i * k + k - 1 for i in range(1, k)])
-    build_skeleton(grid, e).move_tables()
+    build_skeleton(e).move_tables()
     for states in (1000, 4000):
         tracemalloc.start()
         try:
@@ -225,7 +225,7 @@ def test_e_obstruction_is_e_homotopic_no():
     kinds = set()
     for space, e, c, d in cases:
         cc, dd = validate_chain(space, e, c), validate_chain(space, e, d)
-        got = e_obstruction_at(build_skeleton(space, e), cc.seq, dd.seq)
+        got = e_obstruction_at(build_skeleton(e), cc.seq, dd.seq)
         full = e_homotopic(cc, dd, e, SearchBudget(states=200))
         assert got == (full.obstruction if full.is_no() else None)
         kinds.add(None if got is None else got["kind"])
@@ -366,7 +366,7 @@ def _cyclic_cover_source(k=3, m=8, chord=0.9):
 def _assert_same_neighbors(sp, ent, seq, max_len):
     from ripscover.chains import _move_objects, _neighbors
 
-    adj, common = build_skeleton(sp, ent).move_tables()
+    adj, common = build_skeleton(ent).move_tables()
     got, truncated = _neighbors(seq, adj, common, max_len)
     want, want_truncated = numpy_neighbors(seq, ent, max_len)
     assert truncated == want_truncated

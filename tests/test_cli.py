@@ -699,3 +699,47 @@ def test_short_command_with_unrelated_endpoints(tmp_path):
     assert run(["short", "--chain", str(chain), "--scale", "1", "--output", str(out)]) == 1
     doc = json.loads(out.read_text())
     assert doc["verdict"] == "no" and doc["obstruction"] == {"kind": "endpoints", "pair": [0, 2]}
+
+
+def test_benchmark_entry_points_keep_their_names(tmp_path, monkeypatch):
+    # perfbench/job.py builds its inputs through the package, rebinds the two
+    # loaders below and calls cli.main; perfbench/tracer.py reads the names
+    # checked after that off the package's calls.  A rename would show only
+    # as a failed benchmark run.
+    import inspect
+
+    import ripscover
+    from ripscover.cover import c2_check
+    from ripscover.tower import joinability_witness
+
+    g = hexagon_ex73()
+    space = ripscover.space_from_json(g.space.to_json())
+    prebuilt = ripscover.GallerySpace(space, ripscover.ScaleLadder.from_json(space, g.ladder.to_json()))
+    with open(os.path.join(FIXTURES, "fold_map.json")) as fh:
+        doc = json.load(fh)
+    source, target = (ripscover.space_from_json(doc[k]) for k in ("source", "target"))
+    fold = ripscover.SpaceMap(source, target, doc["assign"])
+    monkeypatch.setattr(cli, "make_gallery", lambda name: prebuilt)
+    monkeypatch.setattr(cli, "_load_map", lambda path: (fold, doc["ladder"]))
+    built = []
+    real_init = RipsSkeleton.__init__
+
+    def init(*args, **kwargs):
+        real_init(*args, **kwargs)
+        built.append((len(args[0].edges), len(args[0].triangles)))
+
+    monkeypatch.setattr(RipsSkeleton, "__init__", init)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--gallery", "input", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["ladder"] == g.ladder.to_json()
+    assert main(["cover", "--map", "input", "--output", str(out)]) == 1  # the fold is no cover
+    assert json.loads(out.read_text())["kind"] == "cover_report"
+    assert built
+
+    e3 = entourage_at(space, 3.0)
+    res = decide_homotopic(validate_chain(space, e3, [0, 5, 4, 3, 2, 1]), validate_chain(space, e3, [0, 1]))
+    assert res.kind == "yes" and len(res.certificate.moves) > 0
+    fold_ladder = ripscover.ScaleLadder.from_json(source, doc["ladder"])
+    assert type(c2_check(fold, fold_ladder[0], fold_ladder[1])["examined"]) is int
+    bound = inspect.signature(joinability_witness).bind(space, 0, 1, e3, prebuilt.ladder.finest()).arguments
+    assert (bound["x"], bound["y"], bound["target"], bound["fine"]) == (0, 1, e3, prebuilt.ladder.finest())

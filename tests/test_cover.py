@@ -242,7 +242,7 @@ def _assert_reverifies(f, e, fine, got, budget=None):
     chains.validate_chain(f.source, fine, alpha)
     chains.validate_chain(f.source, fine, beta)
     assert alpha[0] == beta[0]
-    assert witness["obstruction"] == chains.e_obstruction_at(build_skeleton(f.source, e), alpha, beta)
+    assert witness["obstruction"] == chains.e_obstruction_at(build_skeleton(e), alpha, beta)
     img_a, img_b = tuple(f(v) for v in alpha), tuple(f(v) for v in beta)
     if img_a != img_b:
         states = (budget or DEFAULT_BUDGET).states
@@ -485,7 +485,7 @@ def test_c2_phase_one_against_enumeration(case):
     f, e, fine = case
     got = c2_check(f, e, fine)
     in_phase_one = got["status"] == "refuted" and "phase1" not in got
-    skel = build_skeleton(f.source, e)
+    skel = build_skeleton(e)
 
     def enumeration_refutes(links):
         return any(chains.e_obstruction_at(skel, a, b) is not None
@@ -592,7 +592,7 @@ def test_c2_searches_only_downstairs_on_refuting_candidates(monkeypatch):
             for j in range(i, len(ladder)):
                 got, log = _logged_c2(monkeypatch, f, ladder[i], ladder[j])
                 ff = image_under(f, ladder[j])
-                skel = build_skeleton(f.source, ladder[i])
+                skel = build_skeleton(ladder[i])
                 for k, entry in enumerate(log):
                     if entry[0] == "up":
                         assert entry[3] == chains.e_obstruction_at(skel, entry[1], entry[2])
@@ -636,6 +636,16 @@ def test_uniform_cover_verdicts():
     assert rep.verdicts["uniform_covering_map_at_ladder"]
 
 
+def test_a_ladder_with_no_transverse_scale_fails_transverse():
+    # the fold sends p1 and p5 to q1, and they lie sqrt(3) < 1.8 apart, so
+    # neither scale is transverse
+    f, _ = _fixture_map("fold")
+    ladder = ScaleLadder.from_json(f.source, [{"eps": 1.9}, {"eps": 1.8}])
+    report = uniform_cover_verdict(f, ladder)
+    assert [s["transverse"] for s in report.per_scale] == [False, False]
+    assert report.verdicts["failing"] == ["generates_structure", "transverse", "simplicial_cover"]
+
+
 def test_uniform_cover_pushes_each_scale_forward_once(monkeypatch):
     # every predicate asks image_under, and the map keeps each push-forward:
     # one push-forward per (map, scale), and every later call returns the
@@ -663,15 +673,15 @@ def test_cover_run_leaves_triangle_lists_unbuilt(monkeypatch):
     built = []
     real = cover.build_skeleton
 
-    def recording(space, e):
-        built.append(real(space, e))
+    def recording(e):
+        built.append(real(e))
         return built[-1]
 
     monkeypatch.setattr(cover, "build_skeleton", recording)
     targets = []
     for f, ladder in _cover_batch_maps():
         uniform_cover_verdict(f, ladder)
-        targets += [skel for skel in built if skel.space is f.target]
+        targets += [skel for skel in built if any(skel.entourage is fe for fe in f._images.values())]
     assert any(skel._triangles is not None and len(skel._triangles) for skel in targets)
     assert all(
         skel._triangles is None or (type(skel._triangles) is np.ndarray and not skel._triangles.flags.writeable)

@@ -19,7 +19,7 @@ def test_hexagon_ex72_geometry():
     a, b = sp.index_of("a"), sp.index_of("b")
     assert abs(sp.dist[a, b] - 1.0) <= TOL
     assert abs(sp.dist.max() - 2.0) <= TOL  # diameter
-    assert [d["eps"] for d in g.ladder.descriptors] == [3.0, 1.0]
+    assert [e.meta["eps"] for e in g.ladder] == [3.0, 1.0]
     assert sp.coords[a][0] == pytest.approx(1.0) and sp.coords[a][1] == pytest.approx(0.0)
     assert sp.coords[b][0] == pytest.approx(0.5)
 
@@ -44,7 +44,7 @@ def test_polygon_ladder_reads_circle():
     g = polygon(12, 1)
     assert len(g.ladder) == 3
     for scale in g.ladder:
-        sk = build_skeleton(g.space, scale)
+        sk = build_skeleton(scale)
         grp = h1(sk)
         assert (grp.rank, grp.torsion) == (1, ())
 
@@ -59,11 +59,11 @@ def test_hexagon_ex73_structure():
     assert len(g.ladder) == 3
     # finest scale is the two arcs only: a tree
     arcs = g.ladder.finest()
-    sk = build_skeleton(sp, arcs)
+    sk = build_skeleton(arcs)
     assert len(sk.edges) == 10 and len(sk.triangles) == 0
     assert h1(sk).is_trivial()
     # the unit scale carries exactly one independent cycle
-    sk1 = build_skeleton(sp, entourage_at(sp, 1.0))
+    sk1 = build_skeleton(entourage_at(sp, 1.0))
     grp = h1(sk1)
     assert (grp.rank, grp.torsion) == (1, ())
 
@@ -73,7 +73,7 @@ def test_solenoid_each_scale_reads_a_circle():
     assert g.space.n == 256
     assert len(g.ladder) == 3
     for scale in g.ladder:
-        sk = build_skeleton(g.space, scale)
+        sk = build_skeleton(scale)
         grp = h1(sk)
         assert (grp.rank, grp.torsion) == (1, ())
         assert max(bfs_forest(scale)[1]) == 0
@@ -82,7 +82,7 @@ def test_solenoid_each_scale_reads_a_circle():
 def test_solenoid_scale_oracle_on_small_instance():
     g = solenoid(1, 32, 4, 1)
     for scale in g.ladder:
-        sk = build_skeleton(g.space, scale)
+        sk = build_skeleton(scale)
         rank, torsion = homology_oracle(g.space.n, sk.edges.tolist(), sk.triangles.tolist())
         assert (rank, torsion) == (1, ())
 
@@ -96,7 +96,7 @@ def test_hawaiian_rank_staircase():
     for m, samples in ((1, 12), (2, 12), (3, 24)):
         g = hawaiian(m, samples)
         assert g.space.n == 1 + m * (samples - 1)
-        ranks = [h1(build_skeleton(g.space, s)).rank for s in g.ladder]
+        ranks = [h1(build_skeleton(s)).rank for s in g.ladder]
         assert ranks == list(range(m + 1))
 
 

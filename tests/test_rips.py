@@ -21,7 +21,7 @@ from ripscover.rips import (
     h1_class,
     inclusion_h1_map,
 )
-from ripscover.space import Entourage, FiniteSpace, entourage_at
+from ripscover.space import Entourage, entourage_at
 from ripscover.tower import build_tower
 
 from _oracles import (
@@ -38,11 +38,11 @@ from _oracles import (
 
 def test_skeleton_counts_hexagon():
     sp = hexagon_ex72().space
-    sk1 = build_skeleton(sp, entourage_at(sp, 1.0))
+    sk1 = build_skeleton(entourage_at(sp, 1.0))
     assert len(sk1.edges) == 6 and len(sk1.triangles) == 0
-    sk3 = build_skeleton(sp, entourage_at(sp, 3.0))
+    sk3 = build_skeleton(entourage_at(sp, 3.0))
     assert len(sk3.edges) == 15 and len(sk3.triangles) == 20
-    sk0 = build_skeleton(sp, Entourage.identity(6))
+    sk0 = build_skeleton(Entourage.identity(6))
     assert len(sk0.edges) == 0 and len(sk0.triangles) == 0
 
 
@@ -51,7 +51,7 @@ def test_skeleton_triangles_are_exactly_3_cliques():
     for _ in range(25):
         n = rng.randint(3, 8)
         e = random_entourage(rng, n, 0.5)
-        sk = build_skeleton(space_for(e), e)
+        sk = build_skeleton(e)
         want = {
             (i, j, k)
             for i in range(n)
@@ -68,11 +68,11 @@ def test_skeleton_triangles_are_exactly_3_cliques():
 def test_presentation_counts():
     # the edge-path presentation: a generator per non-forest edge, a relator per triangle
     sp = hexagon_ex72().space
-    sk1 = build_skeleton(sp, entourage_at(sp, 1.0))
+    sk1 = build_skeleton(entourage_at(sp, 1.0))
     assert len(sk1.generators) == 1 and len(sk1.triangles) == 0
-    sk3 = build_skeleton(sp, entourage_at(sp, 3.0))
+    sk3 = build_skeleton(entourage_at(sp, 3.0))
     assert len(sk3.generators) == 10 and len(sk3.triangles) == 20
-    assert len(build_skeleton(sp, Entourage.identity(6)).generators) == 0
+    assert len(build_skeleton(Entourage.identity(6)).generators) == 0
 
 
 def test_generator_count_identity():
@@ -80,18 +80,18 @@ def test_generator_count_identity():
     for _ in range(40):
         n = rng.randint(2, 8)
         e = random_entourage(rng, n, 0.4)
-        sk = build_skeleton(space_for(e), e)
-        ncomp = len(sk.roots)
+        sk = build_skeleton(e)
+        ncomp = sk.parent.count(-1)
         assert len(sk.generators) == len(sk.edges) - (n - ncomp)
 
 
 def test_h1_known_small_cases():
     sp = hexagon_ex72().space
-    assert str(h1(build_skeleton(sp, entourage_at(sp, 1.0)))) == "Z"
-    assert h1(build_skeleton(sp, entourage_at(sp, 3.0))).is_trivial()
+    assert str(h1(build_skeleton(entourage_at(sp, 1.0)))) == "Z"
+    assert h1(build_skeleton(entourage_at(sp, 3.0))).is_trivial()
     # two filled triangles, disjoint
     e = Entourage.from_pairs(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert h1(build_skeleton(space_for(e), e)).is_trivial()
+    assert h1(build_skeleton(e)).is_trivial()
 
 
 def test_h1_matches_oracle_randomized():
@@ -99,7 +99,7 @@ def test_h1_matches_oracle_randomized():
     for _ in range(120):
         n = rng.randint(2, 8)
         e = random_entourage(rng, n, rng.choice([0.3, 0.5, 0.7]))
-        sk = build_skeleton(space_for(e), e)
+        sk = build_skeleton(e)
         rank, torsion = homology_oracle(n, sk.edges.tolist(), sk.triangles.tolist())
         grp = h1(sk)
         assert (grp.rank, grp.torsion) == (rank, torsion)
@@ -107,7 +107,7 @@ def test_h1_matches_oracle_randomized():
 
 def test_h1_class_basics():
     sp = hexagon_ex72().space
-    sk = build_skeleton(sp, entourage_at(sp, 1.0))
+    sk = build_skeleton(entourage_at(sp, 1.0))
     assert h1_class(sk, [0, 0]) == (0,)
     cyc = [0, 1, 2, 3, 4, 5, 0]
     assert h1_class(sk, cyc) in ((1,), (-1,))
@@ -123,7 +123,7 @@ def test_h1_class_concat_additive():
     for _ in range(40):
         n = rng.randint(3, 8)
         e = random_entourage(rng, n, 0.6)
-        sk = build_skeleton(space_for(e), e)
+        sk = build_skeleton(e)
         a = random_chain(rng, e, rng.randint(1, 5), start=0)
         b = random_chain(rng, e, rng.randint(1, 5), start=0)
         if a is None or b is None or a[-1] != 0 or b[-1] != 0:
@@ -143,7 +143,7 @@ def test_h1_representatives_hit_basis():
     for _ in range(30):
         n = rng.randint(3, 8)
         e = random_entourage(rng, n, 0.5)
-        sk = build_skeleton(space_for(e), e)
+        sk = build_skeleton(e)
         data = sk.h1_data()
         for coord in range(data.group.dim):
             rep = data.representative(coord)
@@ -157,12 +157,12 @@ def test_h1_representatives_hit_basis():
 
 def test_inclusion_map_identity_and_solenoid():
     sp = hexagon_ex72().space
-    sk = build_skeleton(sp, entourage_at(sp, 1.0))
+    sk = build_skeleton(entourage_at(sp, 1.0))
     m = inclusion_h1_map(sk, sk)
     assert m.matrix == ((1,),)
 
     g = solenoid(2, 64, 4, 1)
-    sks = [build_skeleton(g.space, s) for s in g.ladder]
+    sks = [build_skeleton(s) for s in g.ladder]
     m10 = inclusion_h1_map(sks[1], sks[0])
     m21 = inclusion_h1_map(sks[2], sks[1])
     assert m10.matrix in (((2,),), ((-2,),))
@@ -171,14 +171,14 @@ def test_inclusion_map_identity_and_solenoid():
 
 def test_inclusion_map_functorial_on_three_scales():
     g = polygon(12, 1)
-    sks = [build_skeleton(g.space, s) for s in g.ladder]
+    sks = [build_skeleton(s) for s in g.ladder]
     m10 = inclusion_h1_map(sks[1], sks[0])
     m21 = inclusion_h1_map(sks[2], sks[1])
     m20 = inclusion_h1_map(sks[2], sks[0])
     assert m10.compose(m21).matrix == m20.matrix
 
     s = solenoid(2, 64, 4, 1)
-    sks = [build_skeleton(s.space, sc) for sc in s.ladder]
+    sks = [build_skeleton(sc) for sc in s.ladder]
     m10 = inclusion_h1_map(sks[1], sks[0])
     m21 = inclusion_h1_map(sks[2], sks[1])
     m20 = inclusion_h1_map(sks[2], sks[0])
@@ -188,8 +188,8 @@ def test_inclusion_map_functorial_on_three_scales():
 
 def test_inclusion_requires_nesting():
     sp = hexagon_ex72().space
-    fine = build_skeleton(sp, entourage_at(sp, 1.0))
-    coarse = build_skeleton(sp, entourage_at(sp, 3.0))
+    fine = build_skeleton(entourage_at(sp, 1.0))
+    coarse = build_skeleton(entourage_at(sp, 3.0))
     with pytest.raises(ValidationError):
         inclusion_h1_map(coarse, fine)
 
@@ -202,7 +202,7 @@ def test_generator_count_minus_relator_rank_gives_h1_rank():
     for _ in range(40):
         n = rng.randint(2, 8)
         e = random_entourage(rng, n, 0.5)
-        sk = build_skeleton(space_for(e), e)
+        sk = build_skeleton(e)
         rows = []
         for (i, j, k) in sk.triangles:
             row = [0] * len(sk.generators)
@@ -229,31 +229,31 @@ def test_skeleton_output_is_plain_python():
     two_triangles = Entourage.from_pairs(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     hexagon = hexagon_ex72().space
     cases = [
-        (space_for(Entourage.identity(5)), Entourage.identity(5)),  # empty relation
-        (hexagon, entourage_at(hexagon, 1.0)),  # edges, no triangles
-        (space_for(Entourage.identity(1)), Entourage.identity(1)),  # one point
-        (space_for(two_triangles), two_triangles),  # a forest with two roots
-        (hexagon, entourage_at(hexagon, 3.0)),
+        Entourage.identity(5),  # empty relation
+        entourage_at(hexagon, 1.0),  # edges, no triangles
+        Entourage.identity(1),  # one point
+        two_triangles,  # a forest with two roots
+        entourage_at(hexagon, 3.0),
     ]
-    for sp, e in cases:
-        sk = build_skeleton(sp, e)
+    for e in cases:
+        sk = build_skeleton(e)
         assert _sorted_int_array(sk.triangles, 3) and _sorted_int_array(sk.edges, 2)
         assert _sorted_int_array(sk.generators, 2)
-        assert all(type(r) is int for r in sk.roots)
+        assert all(type(p) is int for p in sk.parent)
         data = sk.h1_data()
         for g in range(len(sk.generators)):
             assert all(type(v) is int for v in sk.fundamental_walk(g) + list(_class(data, {g: 1})))
-    assert len(build_skeleton(*cases[3]).roots) == 2
+    assert build_skeleton(cases[3]).parent.count(-1) == 2
 
 
 def test_h1_data_without_generators_or_triangles():
     sp = space_for(Entourage.identity(4))
-    data = build_skeleton(sp, Entourage.identity(4)).h1_data()  # no generators
+    data = build_skeleton(Entourage.identity(4)).h1_data()  # no generators
     assert data.group.is_trivial() and _class(data, {}) == ()
     tree = Entourage.from_pairs(4, [(0, 1), (1, 2), (1, 3)])
-    assert build_skeleton(space_for(tree), tree).h1_data().group.is_trivial()
+    assert build_skeleton(tree).h1_data().group.is_trivial()
     hexagon = hexagon_ex72().space
-    sk = build_skeleton(hexagon, entourage_at(hexagon, 1.0))  # one generator, no triangles
+    sk = build_skeleton(entourage_at(hexagon, 1.0))  # one generator, no triangles
     data = sk.h1_data()
     assert str(data.group) == "Z" and data.untouched == [0]
     assert _class(data, {0: 3}) == (3,)
@@ -296,7 +296,7 @@ def test_peeled_h1_matches_all_rows_elimination_random():
     for _ in range(200):
         n = rng.randint(2, 8)
         e = random_entourage(rng, n, rng.choice([0.25, 0.4, 0.55, 0.75]))
-        _assert_same_as_all_rows(build_skeleton(space_for(e), e), rng)
+        _assert_same_as_all_rows(build_skeleton(e), rng)
 
 
 def test_peeled_h1_matches_all_rows_elimination_hawaiian():
@@ -306,10 +306,10 @@ def test_peeled_h1_matches_all_rows_elimination_hawaiian():
     rng = random.Random(7)
     small = hawaiian(3, 16)
     for e in small.ladder:
-        _assert_same_as_all_rows(build_skeleton(small.space, e), rng, exact=True)
+        _assert_same_as_all_rows(build_skeleton(e), rng, exact=True)
     large = hawaiian(5, 24)
     for e in list(large.ladder)[1:6]:  # the coarsest scale costs the oracle seconds
-        _assert_same_as_all_rows(build_skeleton(large.space, e), rng, exact=True)
+        _assert_same_as_all_rows(build_skeleton(e), rng, exact=True)
 
 
 def _relabelled(m, samples, seed, scale):
@@ -319,7 +319,7 @@ def _relabelled(m, samples, seed, scale):
     random.Random(seed).shuffle(perm)
     e = list(g.ladder)[scale]
     sub = Entourage(e.rel[np.ix_(perm, perm)])
-    return RipsSkeleton(space_for(sub), sub)
+    return RipsSkeleton(sub)
 
 
 def _stalled_skeletons():
@@ -376,10 +376,10 @@ def test_edge_closure_matches_union_find_over_listed_rows():
     for _ in range(200):
         n = rng.randint(2, 8)
         e = random_entourage(rng, n, rng.choice([0.25, 0.4, 0.55, 0.75]))
-        cases.append(build_skeleton(space_for(e), e))
+        cases.append(build_skeleton(e))
     for g in (hawaiian(3, 16), hawaiian(5, 24)):
-        cases += [build_skeleton(g.space, e) for e in g.ladder]
-    cases.append(build_skeleton(space_for(ONE_LETTER), ONE_LETTER))
+        cases += [build_skeleton(e) for e in g.ladder]
+    cases.append(build_skeleton(ONE_LETTER))
     for sk in cases + list(_stalled_skeletons()):
         cls, rows = rips._closure(sk)
         assert (cls.tolist(), rows) == listed_closure(sk)
@@ -387,7 +387,7 @@ def test_edge_closure_matches_union_find_over_listed_rows():
 
 def test_closure_leaves_a_one_letter_row_to_the_smith_form():
     # the row {0: 1} reaches the Smith form, which kills generator 0's class
-    sk = RipsSkeleton(space_for(ONE_LETTER), ONE_LETTER)
+    sk = RipsSkeleton(ONE_LETTER)
     cls, rows = rips._closure(sk)
     assert rows == [{0: 1}] and cls[0] == 1
     data = sk.h1_data()
@@ -404,7 +404,7 @@ def test_one_letter_rows_keep_the_group_exact():
     for _ in range(2000):
         n = rng.randint(4, 14)
         e = random_entourage(rng, n, rng.choice([0.15, 0.3, 0.45, 0.6, 0.75, 0.9]))
-        sk = build_skeleton(space_for(e), e)
+        sk = build_skeleton(e)
         group = h1(sk)
         assert group == AllRowsH1(sk).group
         if any(len(r) == 1 and abs(c) == 1 for r in rips._closure(sk)[1] for c in r.values()):
@@ -418,7 +418,7 @@ def _h1_layer(e, budget):
     triangle count and the triangles of a fresh skeleton, built in blocks of
     `budget` bytes."""
     with mock.patch.object(rips, "_BLOCK_BYTES", budget):
-        sk = RipsSkeleton(space_for(e), e)
+        sk = RipsSkeleton(e)
         cls, rows = rips._closure(sk)
         return cls.tolist(), rows, sk.triangle_count, sk.triangles.tolist()
 
@@ -471,13 +471,13 @@ def test_h1_torsion_on_rp2():
     # the Smith form unmerged, as rows of two letters that are their own survivors
     base = rp2_relation()
     n = base.n
-    sk = RipsSkeleton(space_for(base), base)
+    sk = RipsSkeleton(base)
     assert homology_oracle(n, sk.edges.tolist(), sk.triangles.tolist()) == (0, (2,))  # the same on every relabelling
     for seed in range(20):
         perm = list(range(n))
         random.Random(seed).shuffle(perm)
         e = Entourage(base.rel[np.ix_(perm, perm)])
-        sk = RipsSkeleton(space_for(e), e)
+        sk = RipsSkeleton(e)
         data = sk.h1_data()
         assert data.group == AllRowsH1(sk).group == AbelianGroup(0, (2,))
         assert _class(data, data.representative(0)) == (1,)
@@ -493,9 +493,9 @@ def test_skeleton_generators_and_ids():
     cases = [random_entourage(rng, rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8])) for _ in range(60)]
     cases += list(hawaiian(3, 16).ladder)
     for e in cases:
-        sk = RipsSkeleton(space_for(e), e)
-        parent, component = vertex_bfs_forest(e)
-        assert (sk.parent, sk.component) == (parent, component)
+        sk = RipsSkeleton(e)
+        parent, _ = vertex_bfs_forest(e)
+        assert sk.parent == parent
         want = [(a, b) for a, b in sk.edges.tolist() if parent[b] != a and parent[a] != b]
         assert sk.generators.tolist() == [list(w) for w in want] and _sorted_int_array(sk.generators, 2)
         gid = np.full((e.n, e.n), -1, dtype=np.int32)
@@ -516,10 +516,10 @@ def test_h1_matches_sympy_oracle_on_hawaiian():
     idx = list(range(0, g.space.n, 3))
     for e in g.ladder:
         sub = Entourage(e.rel[np.ix_(idx, idx)])
-        sk = build_skeleton(space_for(sub), sub)
+        sk = build_skeleton(sub)
         grp = h1(sk)
         assert (grp.rank, grp.torsion) == homology_oracle(len(idx), sk.edges.tolist(), sk.triangles.tolist())
-    sk = build_skeleton(g.space, g.ladder.finest())
+    sk = build_skeleton(g.ladder.finest())
     grp = h1(sk)
     assert (grp.rank, grp.torsion) == homology_oracle(g.space.n, sk.edges.tolist(), sk.triangles.tolist()) == (3, ())
 
@@ -542,17 +542,12 @@ def test_tower_builds_no_triangles():
 def test_a_relation_keeps_its_skeleton_for_its_own_lifetime():
     sp = hexagon_ex72().space
     e = entourage_at(sp, 1.0)
-    sk = build_skeleton(sp, e)
-    assert build_skeleton(sp, e) is sk
-    assert build_skeleton(FiniteSpace(sp.labels, dist=sp.dist), e) is sk  # an equal space
-    # a different space of the same size gets its own skeleton
-    wide = FiniteSpace(sp.labels, dist=2 * sp.dist)
-    other = build_skeleton(wide, e)
-    assert other is not sk and other.space is wide and build_skeleton(wide, e) is other
+    sk = build_skeleton(e)
+    assert build_skeleton(e) is sk and sk.entourage is e
     # nothing process-wide holds a skeleton: it goes with its relation, a
     # cycle only the cyclic collector frees (watched through an array only
     # the skeleton holds, as a slotted skeleton takes no weak reference)
-    gone = weakref.ref(build_skeleton(sp, entourage_at(sp, 1.0)).gen_id)
+    gone = weakref.ref(build_skeleton(entourage_at(sp, 1.0)).gen_id)
     gc.collect()
     assert gone() is None
 
@@ -562,7 +557,7 @@ def test_triangle_count_without_triangles():
     cases = [Entourage.identity(1), Entourage.identity(6), Entourage.complete(2), Entourage.complete(7)]
     cases += [random_entourage(rng, rng.randint(2, 9), rng.choice([0.2, 0.5, 0.8])) for _ in range(60)]
     for e in cases:
-        sk = RipsSkeleton(space_for(e), e)
+        sk = RipsSkeleton(e)
         count = sk.triangle_count
         assert sk._triangles is None and type(count) is int
         assert count == len(sk.triangles)
@@ -572,10 +567,10 @@ def test_skeleton_memory_per_triangle():
     # coarsest hawaiian(5, 24) scale: the array costs 24 B per triangle; a
     # list of tuples built with it would add about 70 B, past both bounds
     g = hawaiian(5, 24)
-    RipsSkeleton(g.space, g.ladder[-1]).triangles  # first-use allocations outside the trace
+    RipsSkeleton(g.ladder[-1]).triangles  # first-use allocations outside the trace
     tracemalloc.start()
     try:
-        sk = RipsSkeleton(g.space, g.ladder[0])
+        sk = RipsSkeleton(g.ladder[0])
         r = len(sk.triangles)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
@@ -589,10 +584,10 @@ def test_skeleton_memory_per_edge():
     # class array and the n x n id matrix keep about 49 B per edge; tuple
     # lists of the edges and generators would add about 110 B
     g = hawaiian(5, 24)
-    RipsSkeleton(g.space, g.ladder[-1]).h1_data()  # first-use allocations outside the trace
+    RipsSkeleton(g.ladder[-1]).h1_data()  # first-use allocations outside the trace
     tracemalloc.start()
     try:
-        sk = RipsSkeleton(g.space, g.ladder[0])
+        sk = RipsSkeleton(g.ladder[0])
         sk.h1_data()
         kept = tracemalloc.get_traced_memory()[0]
     finally:
@@ -622,7 +617,7 @@ def test_closure_temporaries_stay_within_a_few_budgets_at_large_n():
     # what it keeps; with whole n x n node temporaries and whole-generator
     # gathers it peaked 5.1 MB above
     g = hawaiian(5, 96)
-    sk = RipsSkeleton(g.space, g.ladder[0])
+    sk = RipsSkeleton(g.ladder[0])
     tracemalloc.start()
     try:
         data = sk.h1_data()

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -179,6 +180,26 @@ def test_dist_must_agree_with_coords(monkeypatch):
     assert alone == both and alone.dist[0, 1] == 5.0
 
 
+def test_coordinate_distances_are_built_in_place():
+    # the same matrix, bit for bit, as summing the (n, n, d) squared
+    # differences, built without that array: at n = 1,000 the peak stays
+    # within three times the matrix kept
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3, 5):
+        coords = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(200, d))
+        diff = coords[:, None, :] - coords[None, :, :]
+        want = np.sqrt((diff * diff).sum(axis=2))
+        assert np.array_equal(FiniteSpace(range(200), coords=coords).dist, want)
+    coords = rng.random((1000, 2))
+    tracemalloc.start()
+    try:
+        sp = FiniteSpace(range(1000), coords=coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sp.dist.nbytes
+
+
 def test_image_under_composition_inclusion():
     rng = random.Random(23)
     for _ in range(80):
@@ -278,6 +299,24 @@ def test_ladder_json_round_trip():
     # equal relations, and equal spaces, hash equal
     assert len({*back, *g.ladder}) == len(g.ladder)
     assert len({g.space, hexagon_ex73().space}) == 1
+
+
+def test_ladders_round_trip_with_their_names():
+    # a scale is written out and named from its own relation, so reading a
+    # ladder back gives the same relations under the same names
+    from ripscover.gallery import _SPECS, gallery
+
+    specs = ["polygon:12,1", "hexagon_ex72", "hexagon_ex73", "solenoid:2", "hawaiian:3,16"]
+    assert {s.split(":")[0] for s in specs} == set(_SPECS)
+    sp = hexagon_ex72().space
+    explicit = ScaleLadder.from_json(sp, [{"pairs": [[2, 1], [0, 1], [1, 2]], "label": "steps"}, {"pairs": [[1, 0]]}])
+    assert explicit.to_json() == [{"pairs": [[0, 1], [1, 2]], "label": "steps"}, {"pairs": [[0, 1]]}]
+    cases = [(g.space, g.ladder) for g in map(gallery, specs)] + [(sp, explicit)]
+    for space, ladder in cases:
+        back = ScaleLadder.from_json(space, ladder.to_json())
+        assert list(back) == list(ladder)
+        assert [back.describe(i) for i in range(len(back))] == [ladder.describe(i) for i in range(len(ladder))]
+    assert [explicit.describe(i) for i in range(2)] == ["steps", "scale#1"]
 
 
 def test_without_pair():

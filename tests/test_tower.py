@@ -87,6 +87,8 @@ def test_disconnected_scale_reports_component():
     assert t.scale_notes[1]["components"] == 6
     assert t.scale_notes[1]["component_size"] == 1
     assert t.groups[1].is_trivial()
+    # one skeleton per scale: the basepoint component's, not also the whole relation's
+    assert lad[1]._skeleton is None and t.skeletons[1].n == 6
 
 
 def test_tower_validation():
@@ -316,7 +318,7 @@ def test_g_entourage_tries_short_walks_first():
     # at this budget
     g = polygon(12, 1)
     target = g.ladder[0]
-    assert h1(build_skeleton(g.space, target)).rank == 1
+    assert h1(build_skeleton(target)).rank == 1
     _, rep = g_entourage(g.space, target, g.ladder, SearchBudget(states=2000))
     assert len(rep["pairs"]) == 24
     assert [p["pair"] for p in rep["pairs"] if p["verdict"] != "yes"] == []
@@ -406,7 +408,7 @@ def test_built_chain_has_the_edges_class(monkeypatch):
                 passed += 1
     assert passed == len(calls) and asked > passed > 100
     for c in calls:
-        skel = build_skeleton(c.space, c.entourage)
+        skel = build_skeleton(c.entourage)
         assert not any(h1_class(skel, c.seq + (c.seq[0],)))
 
 
@@ -439,9 +441,9 @@ def test_audit_builds_no_skeleton_twice(monkeypatch):
     built = []
     real = RipsSkeleton.__init__
 
-    def counting(self, space, entourage):
+    def counting(self, entourage):
         built.append(entourage)
-        real(self, space, entourage)
+        real(self, entourage)
 
     monkeypatch.setattr(RipsSkeleton, "__init__", counting)
     g = gallery("hawaiian:3,16")
