@@ -17,7 +17,16 @@ from dataclasses import dataclass, field
 
 from .errors import CertificateError, ChainError, MoveError, ValidationError
 from .rips import build_skeleton, h1_class
-from .space import Entourage, FiniteSpace, as_index, compose, entourage_at, space_from_json
+from .space import (
+    DEFAULT_BUDGET,
+    Entourage,
+    FiniteSpace,
+    SearchBudget,
+    as_index,
+    compose,
+    entourage_at,
+    space_from_json,
+)
 
 
 @dataclass(frozen=True)
@@ -32,35 +41,6 @@ class Delete:
 
 
 Move = Insert | Delete
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Explicit bounds for homotopy searches; the move graph is infinite.
-
-    `states` bounds the states one search stores, both directions together,
-    so an Unknown names the budget before memory runs out.  Both chains are
-    first tightened by greedy deletes, and the search runs between the
-    tightened ends; the given chains and those passed on the way, repeated
-    points included, count as stored.
-    `max_length` bounds the length of every chain the search stores.
-    Both bounds are at least 1.
-    """
-
-    states: int = 50_000
-    max_length: int | None = None  # default 4 * n, resolved per space
-
-    def __post_init__(self):
-        if self.states < 1:
-            raise ValidationError(f"the state budget must be at least 1, not {self.states}")
-        if self.max_length is not None and self.max_length < 1:
-            raise ValidationError(f"the chain length bound must be at least 1, not {self.max_length}")
-
-    def resolved_length(self, n: int) -> int:
-        return self.max_length if self.max_length is not None else 4 * n
-
-
-DEFAULT_BUDGET = SearchBudget()
 
 
 @dataclass(frozen=True)

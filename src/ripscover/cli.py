@@ -4,6 +4,11 @@ Subcommands: analyze, cover, join, short, replay, ball, gallery.
 Exit codes: 0 success (or positive verdict), 1 negative verdict on a
 yes/no question, 2 input validation problem, 3 certificate failure.
 Reports are deterministic json: one line, sorted keys, no timestamps.
+
+Each call is a fresh interpreter, so importing this module loads only the
+H1-tower path (`errors`, `space`, `snf`, `rips`, `gallery`, `tower`); each
+command imports the homotopy search (`chains`) and the cover checks
+(`cover`) itself, when it uses them.
 """
 
 from __future__ import annotations
@@ -11,20 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .gallery import gallery as make_gallery
-from .chains import (
-    HomotopyCertificate,
-    SearchBudget,
-    certificate_from_file,
-    is_short,
-    validate_chain,
-)
-from .cover import build_cover_ball, uniform_cover_verdict
 from .errors import CertificateError, RipscoverError, ValidationError
 from .space import (
     FiniteSpace,
     ScaleLadder,
+    SearchBudget,
     SpaceMap,
     as_index,
     as_number,
@@ -35,6 +34,9 @@ from .space import (
     write_report,
 )
 from .tower import build_tower, g_entourage, joinability_witness, uniform_joinability_audit
+
+if TYPE_CHECKING:
+    from .chains import HomotopyCertificate
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -152,6 +154,8 @@ def _load_map(path: str) -> tuple[SpaceMap, list | None]:
 
 
 def cmd_cover(args) -> int:
+    from .cover import uniform_cover_verdict
+
     f, ladder_doc = _load_map(args.map)
     if args.ladder and args.ladder != "auto":
         ladder = _resolve_ladder(args, f.source, None)
@@ -197,6 +201,8 @@ def cmd_join(args) -> int:
 
 
 def cmd_short(args) -> int:
+    from .chains import is_short, validate_chain
+
     doc = _read_object(args.chain, "chain", ("space", "seq"))
     space = _space_field(doc["space"])
     if not isinstance(doc["seq"], list):
@@ -215,6 +221,8 @@ def cmd_short(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .chains import certificate_from_file
+
     cert = certificate_from_file(args.certificate)
     final = cert.replay()
     meta = cert.entourage.meta
@@ -234,6 +242,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    from .cover import build_cover_ball
+
     space, recommended = _load_input(args)
     scale = entourage_at(space, args.eps, strict=args.strict_thresholds)
     ball = build_cover_ball(space, scale, _basepoint(args, space), args.radius, args.budget)

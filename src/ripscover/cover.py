@@ -13,20 +13,15 @@ from operator import add, sub
 
 import numpy as np
 
-from .chains import (
-    DEFAULT_BUDGET,
-    Chain,
-    SearchBudget,
-    Trivalue,
-    decide_homotopic,
-    e_homotopic,
-)
+from .chains import Chain, Trivalue, decide_homotopic, e_homotopic
 from .errors import CarrierMismatch, ChainError, ValidationError
 from .rips import build_skeleton
 from .space import (
+    DEFAULT_BUDGET,
     Entourage,
     FiniteSpace,
     ScaleLadder,
+    SearchBudget,
     SpaceMap,
     ball,
     compose,

@@ -5,28 +5,35 @@ The tower tracks, for every pair of scales, the image of fine-scale cycle
 classes inside the coarse-scale group, as exact integer lattices.  All
 "stabilized" findings carry the finite-depth caveat: agreement inside the
 ladder never certifies the full filter.
+
+Building a tower runs no homotopy search, so the search layer (`chains`)
+is imported by the functions that search, when they first run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chains import (
-    DEFAULT_BUDGET,
-    Chain,
-    HomotopyCertificate,
-    SearchBudget,
-    Trivalue,
-    decide_homotopic,
-    validate_chain,
-)
 from .errors import ValidationError
 from .rips import H1Map, RipsSkeleton, build_skeleton, h1_class, inclusion_h1_map
 from .snf import IntLattice, snf_invariants
-from .space import Entourage, FiniteSpace, ScaleLadder, bfs_forest, path_to_root, scale_name
+from .space import (
+    DEFAULT_BUDGET,
+    Entourage,
+    FiniteSpace,
+    ScaleLadder,
+    SearchBudget,
+    bfs_forest,
+    path_to_root,
+    scale_name,
+)
+
+if TYPE_CHECKING:  # the search layer loads when a witness is first asked for
+    from .chains import Trivalue
 
 LADDER_CAVEAT = (
     "stabilization within the ladder is necessary but not sufficient for the full scale filter"
@@ -289,6 +296,8 @@ def _witness_pair(walker: _RootedWalks, x: int, y: int) -> tuple[Trivalue, tuple
     yes the walks root -> x and root -> y come back with the verdict;
     otherwise its unknown does.
     """
+    from .chains import Chain, Trivalue, decide_homotopic, validate_chain
+
     parent, component = walker.forest
     if not component[x] == component[y] == component[walker.root]:
         return Trivalue("no", obstruction={
@@ -330,6 +339,8 @@ def joinability_witness(
     must be joined through the rest of the space.  No verdicts are exact
     homology statements; Yes verdicts carry a replayed certificate.
     """
+    from .chains import HomotopyCertificate, Trivalue
+
     budget = budget or DEFAULT_BUDGET
     tname = scale_name(target.meta, "target")
     fname = scale_name(fine.meta, "fine")
@@ -436,6 +447,8 @@ def g_entourage(
     exactly the certified pairs plus the diagonal.  Negative verdicts are
     exact homology statements at the ladder's depth.
     """
+    from .chains import Trivalue
+
     budget = budget or DEFAULT_BUDGET
     if not (0 <= basepoint < space.n):
         raise ValidationError("basepoint out of range")

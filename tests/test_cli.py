@@ -370,13 +370,111 @@ assert "numpy.ma" not in sys.modules
 """
 
 
+def _fresh_python(script: str, *args: str) -> str:
+    """Run `script` in a fresh interpreter on this checkout; its stdout."""
+    src = os.path.join(os.path.dirname(FIXTURES), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = [sys.executable, "-c", script, *args]
+    return subprocess.run(argv, env=env, check=True, timeout=120, capture_output=True, text=True).stdout
+
+
 def test_cli_paths_do_not_import_numpy_ma():
     # numpy.ma costs a fresh process about 15 ms to import, and np.unique
     # imports it; neither command may need it
-    src = os.path.join(os.path.dirname(FIXTURES), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    argv = [sys.executable, "-c", _NO_NUMPY_MA, os.path.join(FIXTURES, "fold_map.json"), os.devnull]
-    subprocess.run(argv, env=env, check=True, timeout=120)
+    _fresh_python(_NO_NUMPY_MA, os.path.join(FIXTURES, "fold_map.json"), os.devnull)
+
+
+_LOADED_LAYERS = """
+import json, os, sys
+import ripscover
+import ripscover.cli as cli
+def layers():
+    return sorted(m for m in ("ripscover.chains", "ripscover.cover") if m in sys.modules)
+seen = {"import": layers()}
+assert cli.main(["analyze", "--gallery", "hawaiian:2,16", "--output", os.devnull]) == 0
+seen["analyze"] = layers()
+assert cli.main(["analyze", "--gallery", "hawaiian:2,16", "--audit", "--output", os.devnull]) == 0
+seen["audit"] = layers()
+assert ripscover.uniform_cover_verdict is ripscover.cover.uniform_cover_verdict
+seen["cover name"] = layers()
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_the_search_and_cover_layers_only_when_they_run_them():
+    # every call is a fresh interpreter, so a layer a command never runs is
+    # import time for nothing; a stray top-level import would undo that
+    seen = json.loads(_fresh_python(_LOADED_LAYERS))
+    assert seen == {
+        "import": [],
+        "analyze": [],
+        "audit": ["ripscover.chains"],
+        "cover name": ["ripscover.chains", "ripscover.cover"],
+    }
+
+
+_HELP = """
+import contextlib, io, json, sys
+from ripscover.cli import main
+out = {}
+for command in ("", "analyze", "cover", "join", "short", "replay", "ball", "gallery"):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        try:
+            main([command, "--help"] if command else ["--help"])
+        except SystemExit as e:
+            out[command] = [e.code, text.getvalue()]
+out["layers"] = [m for m in ("ripscover.chains", "ripscover.cover") if m in sys.modules]
+print(json.dumps(out))
+"""
+
+
+def test_help_works_without_the_search_layer():
+    # --budget-states takes its default from SearchBudget, which lives
+    # outside the search layer, so no help text imports it
+    out = json.loads(_fresh_python(_HELP))
+    assert out.pop("layers") == []
+    assert set(out) == set(cli.build_parser()._subparsers._group_actions[0].choices) | {""}
+    assert all(code == 0 and text.startswith("usage: ripscover") for code, text in out.values())
+    assert "--budget-states" in out[""][1]
+
+
+# the package's names when it imported every layer eagerly, by the module that exported them
+_PACKAGE_NAMES = {
+    "chains": ["Chain", "Delete", "HomotopyCertificate", "Insert", "SearchBudget", "Trivalue", "apply_move",
+               "close_chains_certificate", "decide_homotopic", "e_homotopic", "is_short", "validate_chain"],
+    "cover": ["CoverBall", "CoverReport", "build_cover_ball", "c2_check", "c3_check", "chain_lifting_at",
+              "evenly_covers", "generates_at", "is_simplicial_cover", "transverse", "uniform_cover_verdict",
+              "uniqueness_of_lifts"],
+    "errors": ["CarrierMismatch", "CertificateError", "ChainError", "MoveError", "RipscoverError",
+               "ValidationError"],
+    "gallery": ["GallerySpace", "gallery", "hawaiian", "hexagon_ex72", "hexagon_ex73", "polygon", "solenoid"],
+    "rips": ["AbelianGroup", "H1Map", "RipsSkeleton", "build_skeleton", "h1", "h1_class", "inclusion_h1_map"],
+    "space": ["Entourage", "FiniteSpace", "ScaleLadder", "SpaceMap", "ball", "compose", "dump_space",
+              "entourage_at", "image_under", "load_space", "space_from_json"],
+    "tower": ["JoinabilityVerdict", "TowerReport", "TruncatedGeneralizedPath", "build_tower", "g_entourage",
+              "joinability_witness", "ml_diagnostic", "triviality_diagnostic", "uniform_joinability_audit"],
+}
+
+
+def test_package_exports_the_same_names_as_eager_imports_did():
+    import importlib
+
+    import ripscover
+    import ripscover.gallery
+
+    names = {name for module_names in _PACKAGE_NAMES.values() for name in module_names}
+    assert len(names) == 64 and set(ripscover.__all__) == names
+    for module, module_names in _PACKAGE_NAMES.items():
+        mod = importlib.import_module(f"ripscover.{module}")
+        for name in module_names:
+            assert getattr(ripscover, name) is getattr(mod, name), name
+    assert ripscover.gallery is importlib.import_module("ripscover.gallery").gallery  # the function
+    star: dict = {}
+    exec("from ripscover import *", star)
+    assert names <= set(star) and names <= set(dir(ripscover))
+    with pytest.raises(AttributeError):
+        ripscover.no_such_name
 
 
 def test_nan_distance_exits_2(tmp_path, capsys):

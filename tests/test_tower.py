@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from _oracles import ExploredWalker, explored_witness, random_entourage, space_for
-from ripscover import tower
+from ripscover import chains
 from ripscover.chains import DEFAULT_BUDGET, HomotopyCertificate, SearchBudget, Trivalue, decide_homotopic
 from ripscover.errors import ValidationError
 from ripscover.gallery import gallery, hexagon_ex72, hexagon_ex73, polygon, solenoid
@@ -388,7 +388,7 @@ def test_built_chain_has_the_edges_class(monkeypatch):
         calls.append(c)
         return decide_homotopic(c, d, budget)
 
-    monkeypatch.setattr(tower, "decide_homotopic", recording)
+    monkeypatch.setattr(chains, "decide_homotopic", recording)
     rng = random.Random(23)
     asked = passed = 0
     for _ in range(60):
