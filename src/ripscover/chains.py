@@ -218,35 +218,41 @@ class Trivalue:
         return doc
 
 
-def _neighbors(seq: tuple[int, ...], adj, common, max_len: int):
-    """A state's neighbors as (moves, new_state) pairs.
+def _deletes(seq: tuple[int, ...], adj):
+    """A state's delete neighbors as (moves, new_state) pairs, by position.
 
-    `adj` and `common` are the skeleton's move tables.  Moves are plain
-    tuples, `(pos,)` for a delete and `(pos, vertex)` for an insert.  Deletes
-    come first by position, then inserts by position and vertex: this order
-    fixes which states the search visits and which certificate it returns.
-    A delete that leaves a repeated point deletes the repeat too, and an
-    insert never makes one, so the search stores no repeats past the given
-    chains and their tightening paths, which count as stored.
+    `adj` is the skeleton's relation table.  A delete that leaves a repeated
+    point deletes the repeat too, unless that leaves the two-point constant
+    walk.  `_tighten` takes the first of these; the search takes them all.
     """
-    out = []
     L = len(seq)
     for i in range(1, L - 1):
         a, b = seq[i - 1], seq[i + 1]
         if not adj[a][b]:
             continue
         if a != b or L == 3:  # (a, x, a) -> (a, a) keeps its repeat
-            out.append((((i,),), seq[:i] + seq[i + 1:]))
+            yield ((i,),), seq[:i] + seq[i + 1:]
         else:
             # the deletion created one duplicate pair; collapse it
-            out.append((((i,), (i if i < L - 2 else i - 1,)), seq[:i] + seq[i + 2:]))
-    if L + 1 > max_len:
-        return out, True
-    for i in range(1, L):
+            yield ((i,), (i if i < L - 2 else i - 1,)), seq[:i] + seq[i + 2:]
+
+
+def _neighbors(seq: tuple[int, ...], adj, common) -> list:
+    """A state's neighbors as (moves, new_state) pairs.
+
+    `adj` and `common` are the skeleton's move tables.  Moves are plain
+    tuples, `(pos,)` for a delete and `(pos, vertex)` for an insert.  Deletes
+    come first (`_deletes`), then inserts by position and vertex: this order
+    fixes which states the search visits and which certificate it returns.
+    An insert never makes a repeated point, so the search stores no repeats
+    past the given chains and their tightening paths, which count as stored.
+    """
+    out = list(_deletes(seq, adj))
+    for i in range(1, len(seq)):
         head, tail = seq[:i], seq[i:]
         for v in common[seq[i - 1]][seq[i]]:
             out.append((((i, v),), head + (v,) + tail))
-    return out, False
+    return out
 
 
 def _move_objects(moves) -> list[Move]:
@@ -273,20 +279,15 @@ def _h1_obstruction(skel, c_seq: tuple[int, ...], d_seq: tuple[int, ...]) -> dic
     return {"kind": "h1_class", "vector": list(vector)} if any(vector) else None
 
 
-def _tighten(seq: tuple[int, ...], adj, common, seen: dict) -> tuple[int, ...]:
-    """Greedy deletes until none applies; each state reached is recorded in
-    `seen` with its parent edge, as the search records the states it stores.
-
-    At `max_len` equal to the current length `_neighbors` yields deletes
-    only, so taking its first neighbor each time shortens the chain.
-    """
-    while True:
-        neigh, _ = _neighbors(seq, adj, common, len(seq))
-        if not neigh:
-            return seq
-        moves, new = neigh[0]
+def _tighten(seq: tuple[int, ...], adj, seen: dict) -> tuple[int, ...]:
+    """Greedy deletes, each the first `_deletes` offers, until none applies;
+    each state reached is recorded in `seen` with its parent edge, as the
+    search records the states it stores."""
+    while (first := next(_deletes(seq, adj), None)) is not None:
+        moves, new = first
         seen[new] = (seq, moves)
         seq = new
+    return seq
 
 
 def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> Trivalue:
@@ -298,7 +299,9 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
     tightened ends, storing at most `budget.states` states; the given
     chains and their tightening paths count as stored.  Yes always carries a
     certificate that replays from `c` to `d`; a nonzero obstruction yields
-    No; otherwise the spent budget is reported as Unknown.
+    No; otherwise Unknown reports the spent budget and its reason: "state
+    budget exhausted", or "frontier exhausted" when one side's reachable
+    states are all stored and none meets the other's.
     """
     budget = budget or DEFAULT_BUDGET
     if c.space != d.space or c.entourage != d.entourage:
@@ -314,14 +317,12 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
     if obstruction is not None:
         return Trivalue("no", obstruction=obstruction)
 
-    max_len = max(budget.resolved_length(c.space.n), len(c.seq), len(d.seq))
     adj, common = skel.move_tables()
     fwd: dict[tuple[int, ...], tuple | None] = {c.seq: None}
     bwd: dict[tuple[int, ...], tuple | None] = {d.seq: None}
-    fq = deque([_tighten(c.seq, adj, common, fwd)])
-    bq = deque([_tighten(d.seq, adj, common, bwd)])
+    fq = deque([_tighten(c.seq, adj, fwd)])
+    bq = deque([_tighten(d.seq, adj, bwd)])
     expanded = 0
-    truncated_any = False
 
     def finish(meet: tuple[int, ...]) -> Trivalue:
         fpath: list[tuple[int, ...]] = []
@@ -345,8 +346,7 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
 
     def unknown(reason: str) -> Trivalue:
         return Trivalue("unknown", stats={
-            "states_expanded": expanded, "states_stored": len(fwd) + len(bwd),
-            "max_length": max_len, "reason": reason,
+            "states_expanded": expanded, "states_stored": len(fwd) + len(bwd), "reason": reason,
         })
 
     meet = next((state for state in bwd if state in fwd), None)
@@ -364,9 +364,7 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
         for _ in range(len(queue)):
             state = queue.popleft()
             expanded += 1
-            neigh, trunc = _neighbors(state, adj, common, max_len)
-            truncated_any = truncated_any or trunc
-            for moves, new in neigh:
+            for moves, new in _neighbors(state, adj, common):
                 if new in seen:
                     continue
                 seen[new] = (state, moves)
@@ -375,8 +373,7 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
                 if len(fwd) + len(bwd) >= budget.states:
                     return unknown("state budget exhausted")
                 queue.append(new)
-    return unknown("frontier exhausted below length bound" if not truncated_any
-                   else "frontier exhausted; growth truncated by length bound")
+    return unknown("frontier exhausted")
 
 
 def _conjugate(entourage: Entourage, c_seq: tuple[int, ...], d_seq: tuple[int, ...]) -> tuple[int, ...] | dict:

@@ -85,10 +85,7 @@ def _resolve_ladder(args, space: FiniteSpace, recommended: ScaleLadder | None) -
 
 def _config_block(args) -> dict:
     return {
-        "budget": {
-            "states": args.budget_states,
-            "max_chain_length": args.max_chain_length,
-        },
+        "budget": {"states": args.budget_states},
         "strict_thresholds": args.strict_thresholds,
     }
 
@@ -268,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rips skeletons, chain homotopy, covering checks and scale towers",
     )
     parser.add_argument("--budget-states", type=int, default=SearchBudget.states, help="search state budget")
-    parser.add_argument("--max-chain-length", type=int, default=None, help="hard chain length bound (default 4n)")
     parser.add_argument("--strict-thresholds", action="store_true", help="use < instead of <= for eps scales")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -335,7 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # a malformed budget exits 2 before any work
-        args.budget = SearchBudget(states=args.budget_states, max_length=args.max_chain_length)
+        args.budget = SearchBudget(states=args.budget_states)
         return args.func(args)
     except CertificateError as e:
         print(f"certificate error: {e}", file=sys.stderr)

@@ -152,11 +152,10 @@ def c3_check(f: SpaceMap, e: Entourage, fine: Entourage) -> tuple[bool, tuple[in
 
 # c2_check's fixed limits: phase two pairs tight chains of up to
 # C2_SHORT_LINKS links, and each downstairs search gets a leash of
-# C2_DOWN_STATES states (fewer if the state budget is smaller) at chain length
-# C2_DOWN_LENGTH; the pairs phase two examines count against the state budget
+# C2_DOWN_STATES states (fewer if the state budget is smaller); the pairs
+# phase two examines count against the state budget
 C2_SHORT_LINKS = 2
 C2_DOWN_STATES = 400
-C2_DOWN_LENGTH = 12
 
 
 def _obstruction(h1, e_rows, a: int, b: int, diff) -> dict | None:
@@ -237,7 +236,8 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
     tight chains of `_Fan` whose images differ, from every origin, counted
     in `examined` against `budget.states`, and searches downstairs only for
     pairs whose image ends are related and whose upstairs answer is No,
-    once per pair.
+    once per pair, each search storing at most `C2_DOWN_STATES` states
+    (`budget.states` if that is smaller).
 
     Returns {"status": "proved" | "refuted" | "unrefuted", ...}.  A genuine
     positive is only available in the decidable special case (injective
@@ -260,7 +260,7 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
     h1 = build_skeleton(e).h1_data()
     step = h1.step_coords
     e_rows = e.rel.tolist()
-    per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states), max_length=C2_DOWN_LENGTH)
+    per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states))
     examined = 0
     down_unknown = 0
     phase1 = {}
@@ -531,7 +531,6 @@ def build_cover_ball(
     edges: set[tuple[int, int]] = set()
     approximate = False
     layer = [0]
-    last_new: list[int] = [0]
     for _ in range(radius):
         nxt: list[int] = []
         for cid in layer:
@@ -555,13 +554,12 @@ def build_cover_ball(
                     nxt.append(target)
                 edges.add((min(cid, target), max(cid, target)))
         layer = nxt
-        last_new = nxt
         if not nxt:
             break
     if radius == 0:
         frontier = any(q != basepoint for q in ball(entourage, basepoint))
     else:
-        frontier = bool(last_new)
+        frontier = bool(layer)
     return CoverBall(
         space, entourage, basepoint, radius, vertices, sorted(edges), approximate, frontier
     )

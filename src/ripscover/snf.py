@@ -275,8 +275,5 @@ class IntLattice:
     def __eq__(self, other) -> bool:
         return isinstance(other, IntLattice) and self.m == other.m and self.rows == other.rows
 
-    def __hash__(self):
-        return hash((self.m, tuple(tuple(r) for r in self.rows)))
-
     def basis(self) -> list[list[int]]:
         return [r[:] for r in self.rows]

@@ -2,9 +2,9 @@
 
 A space is a fixed finite point set with a symmetric dissimilarity matrix;
 an entourage is a reflexive symmetric boolean relation on the points that
-encodes "close at this scale".  `SearchBudget`, the bounds every homotopy
-search takes, lives here too, so a command reads its budget options
-without loading the search layer.
+encodes "close at this scale".  `SearchBudget`, the one bound every
+homotopy search takes, lives here too, so a command reads its budget
+option without loading the search layer.
 
 What the objects answer is immutable after construction.  Derived data is
 kept by the object it derives from and nothing is kept process-wide, so it
@@ -55,28 +55,22 @@ def as_number(v) -> float:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Explicit bounds for homotopy searches; the move graph is infinite.
+    """The explicit bound of a homotopy search; the move graph is infinite.
 
     `states` bounds the states one search stores, both directions together,
     so an Unknown names the budget before memory runs out.  Both chains are
     first tightened by greedy deletes, and the search runs between the
     tightened ends; the given chains and those passed on the way, repeated
-    points included, count as stored.
-    `max_length` bounds the length of every chain the search stores.
-    Both bounds are at least 1.
+    points included, count as stored.  It bounds length too: each step of
+    the search inserts at most one point, so a stored chain is at most its
+    start's length plus its search depth.  It is at least 1.
     """
 
     states: int = 50_000
-    max_length: int | None = None  # default 4 * n, resolved per space
 
     def __post_init__(self):
         if self.states < 1:
             raise ValidationError(f"the state budget must be at least 1, not {self.states}")
-        if self.max_length is not None and self.max_length < 1:
-            raise ValidationError(f"the chain length bound must be at least 1, not {self.max_length}")
-
-    def resolved_length(self, n: int) -> int:
-        return self.max_length if self.max_length is not None else 4 * n
 
 
 DEFAULT_BUDGET = SearchBudget()

@@ -78,7 +78,7 @@ from ripscover.chains import (
 from ripscover.errors import ChainError, MoveError
 from ripscover.rips import AbelianGroup, build_skeleton, h1_class, inclusion_h1_map
 from ripscover.snf import smith_normal_form
-from ripscover.cover import C2_DOWN_LENGTH, C2_DOWN_STATES, C2_SHORT_LINKS
+from ripscover.cover import C2_DOWN_STATES, C2_SHORT_LINKS
 from ripscover.space import Entourage, FiniteSpace, ball, bfs_forest, image_under, path_to_root
 from ripscover.tower import _mask_to_component
 
@@ -530,7 +530,6 @@ def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -
 
     cc = canonicalize(c.seq)
     dd = canonicalize(d.seq)
-    max_len = max(budget.resolved_length(c.space.n), len(cc), len(dd))
 
     pre_moves, _ = collapse_moves(c.seq)
     post_moves = expand_moves(dd, d.seq)
@@ -550,7 +549,6 @@ def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -
     fq = deque([cc])
     bq = deque([dd])
     expanded = 0
-    truncated_any = False
 
     def build_path(meet: tuple[int, ...]) -> list[Move]:
         fpath: list[tuple[int, ...]] = []
@@ -579,9 +577,7 @@ def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -
         for _ in range(len(queue)):
             state = queue.popleft()
             expanded += 1
-            neigh, trunc = _neighbors(state, adj, common, max_len)
-            truncated_any = truncated_any or trunc
-            for moves, new in neigh:
+            for moves, new in _neighbors(state, adj, common):
                 if new in seen:
                     continue
                 seen[new] = (state, moves)
@@ -590,19 +586,14 @@ def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -
                 if len(fwd) + len(bwd) >= budget.states:
                     return Trivalue("unknown", stats={"reason": "state budget exhausted"})
                 queue.append(new)
-    return Trivalue("unknown", stats={
-        "states_expanded": expanded,
-        "max_length": max_len,
-        "reason": "frontier exhausted below length bound" if not truncated_any
-        else "frontier exhausted; growth truncated by length bound",
-    })
+    return Trivalue("unknown", stats={"states_expanded": expanded, "reason": "frontier exhausted"})
 
 
-def numpy_neighbors(seq: tuple[int, ...], ent: Entourage, max_len: int):
+def numpy_neighbors(seq: tuple[int, ...], ent: Entourage):
     """Canonical-state neighbors, one `np.nonzero` per link, as move objects.
 
     Deletes by position (collapsing a duplicate pair the deletion creates),
-    then inserts by position and ascending vertex; returns (pairs, truncated).
+    then inserts by position and ascending vertex.
     """
     rel = ent.rel
     out = []
@@ -617,15 +608,13 @@ def numpy_neighbors(seq: tuple[int, ...], ent: Entourage, max_len: int):
                     moves.append(Delete(j))
                     new = new[:j] + new[j + 1:]
             out.append((moves, new))
-    if L + 1 > max_len:
-        return out, True
     for i in range(1, L):
         a, b = seq[i - 1], seq[i]
         for v in np.nonzero(rel[a] & rel[b])[0]:
             v = int(v)
             if v != a and v != b:
                 out.append(([Insert(i, v)], seq[:i] + (v,) + seq[i:]))
-    return out, False
+    return out
 
 
 def hermite_contains(lat, vec) -> bool:
@@ -750,7 +739,7 @@ def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | Non
         return {"status": "proved", "note": "injective map with nested scales"}
     ff = image_under(f, fine)
     pair_cap = budget.states
-    per_pair = SearchBudget(states=min(400, budget.states), max_length=12)
+    per_pair = SearchBudget(states=min(400, budget.states))
     examined = 0
     for origin in range(f.source.n) if phase_one else ():
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -833,7 +822,7 @@ def pairwise_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | N
     ff = image_under(f, fine)
     skel = build_skeleton(e)
     pair_cap = budget.states
-    per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states), max_length=C2_DOWN_LENGTH)
+    per_pair = SearchBudget(states=min(C2_DOWN_STATES, budget.states))
     examined = 0
     down_unknown = 0
 

@@ -244,7 +244,7 @@ def test_criterion_7_homology_oracle_equivalence():
 def test_criterion_8_decider_vs_exhaustive_oracle():
     rng = random.Random(31337)
     max_len = 6
-    budget = SearchBudget(states=200_000, max_length=max_len)
+    budget = SearchBudget(states=200_000)
     agreed = 0
     yeses = 0
     noes = 0

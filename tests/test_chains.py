@@ -22,7 +22,7 @@ from ripscover.chains import (
 from ripscover.errors import CertificateError, ChainError, MoveError
 from ripscover.gallery import gallery, hexagon_ex72, hexagon_ex73
 from ripscover.rips import build_skeleton
-from ripscover.space import FiniteSpace, ball, entourage_at
+from ripscover.space import Entourage, FiniteSpace, ball, entourage_at
 
 from _oracles import (
     canonicalize,
@@ -134,6 +134,19 @@ def test_budget_exhaustion_reports_unknown():
     assert r.is_unknown()
     assert r.stats["reason"] == "state budget exhausted"
     assert r.stats["states_stored"] >= 1
+    unknowns = [r]
+    # a triangle-free figure-eight admits no insert, so the search from the
+    # commutator of its two loops stores every state it can reach
+    eight = Entourage.from_pairs(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])
+    sp8 = space_for(eight)
+    commutator = validate_chain(sp8, eight, (0, 1, 2, 3, 0, 4, 5, 6, 0, 3, 2, 1, 0, 6, 5, 4, 0))
+    r = decide_homotopic(commutator, validate_chain(sp8, eight, (0, 0)))
+    assert not r.is_yes()
+    if r.is_unknown():
+        assert r.stats["reason"] == "frontier exhausted"
+        unknowns.append(r)
+    for r in unknowns:
+        assert set(r.stats) == {"states_expanded", "states_stored", "reason"}
 
 
 def test_tightened_search_against_untightened():
@@ -363,14 +376,12 @@ def _cyclic_cover_source(k=3, m=8, chord=0.9):
     return FiniteSpace([f"s{i}" for i in range(n)], coords=coords)
 
 
-def _assert_same_neighbors(sp, ent, seq, max_len):
+def _assert_same_neighbors(sp, ent, seq):
     from ripscover.chains import _move_objects, _neighbors
 
     adj, common = build_skeleton(ent).move_tables()
-    got, truncated = _neighbors(seq, adj, common, max_len)
-    want, want_truncated = numpy_neighbors(seq, ent, max_len)
-    assert truncated == want_truncated
-    assert [(_move_objects(m), new) for m, new in got] == want
+    got = _neighbors(seq, adj, common)
+    assert [(_move_objects(m), new) for m, new in got] == numpy_neighbors(seq, ent)
 
 
 def test_neighbors_match_numpy_enumeration():
@@ -386,16 +397,14 @@ def test_neighbors_match_numpy_enumeration():
             if raw is None:
                 continue
             seq = canonicalize(raw)
-            _assert_same_neighbors(sp, ent, seq, 4 * sp.n)
-            # at the length bound only deletions remain
-            _assert_same_neighbors(sp, ent, seq, len(seq))
+            _assert_same_neighbors(sp, ent, seq)
             checked += 1
         for x in (0, sp.n - 1):
-            _assert_same_neighbors(sp, ent, (x, x), 4 * sp.n)  # two-point constant walk
+            _assert_same_neighbors(sp, ent, (x, x))  # two-point constant walk
     # backtracks a, x, a exercise the duplicate-collapsing deletions
     e1 = entourage_at(ex73, 1.0)
     for seq in [(0, 6, 0), (0, 6, 0, 6), (1, 0, 6, 0, 5), (6, 0, 6, 0, 6), (0, 5, 0, 6, 1)]:
-        _assert_same_neighbors(ex73, e1, seq, 20)
+        _assert_same_neighbors(ex73, e1, seq)
 
 
 def test_pinned_certificate_moves():

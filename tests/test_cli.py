@@ -543,8 +543,6 @@ def _exit_code(argv) -> int:
 @pytest.mark.parametrize("budget", [
     ["--budget-states", "0"],
     ["--budget-states", "-5"],
-    ["--max-chain-length", "0"],
-    ["--max-chain-length", "-3"],
 ])
 @pytest.mark.parametrize("command", [
     ["analyze", "--gallery", "hexagon_ex72"],

@@ -246,7 +246,7 @@ def _assert_reverifies(f, e, fine, got, budget=None):
     img_a, img_b = tuple(f(v) for v in alpha), tuple(f(v) for v in beta)
     if img_a != img_b:
         states = (budget or DEFAULT_BUDGET).states
-        per_pair = SearchBudget(states=min(cover.C2_DOWN_STATES, states), max_length=cover.C2_DOWN_LENGTH)
+        per_pair = SearchBudget(states=min(cover.C2_DOWN_STATES, states))
         ff = image_under(f, fine)
         assert chains.e_homotopic(Chain(f.target, ff, img_a), Chain(f.target, ff, img_b), ff, per_pair).is_yes()
 
