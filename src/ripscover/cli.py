@@ -6,9 +6,9 @@ yes/no question, 2 input validation problem, 3 certificate failure.
 Reports are deterministic json: one line, sorted keys, no timestamps.
 
 Each call is a fresh interpreter, so importing this module loads only the
-H1-tower path (`errors`, `space`, `snf`, `rips`, `gallery`, `tower`); each
-command imports the homotopy search (`chains`) and the cover checks
-(`cover`) itself, when it uses them.
+H1-tower path that the package exports (`errors`, `space`, `snf`, `rips`,
+`gallery`, `tower`); each command imports the homotopy search (`chains`)
+and the cover checks (`cover`) itself, when it uses them.
 """
 
 from __future__ import annotations
@@ -52,12 +52,21 @@ def _basepoint(args, space: FiniteSpace) -> int:
 
 
 def _load_input(args) -> tuple[FiniteSpace, ScaleLadder | None]:
+    """The space and the ladder it comes with: a gallery's own, or, under
+    `--ladder auto`, a json space file's `recommended_ladder`."""
     if getattr(args, "gallery", None):
         g = make_gallery(args.gallery)
         return g.space, g.ladder
-    if getattr(args, "space", None):
-        return load_space(args.space), None
-    raise ValidationError("provide --gallery or --space")
+    path = getattr(args, "space", None)
+    if not path:
+        raise ValidationError("provide --gallery or --space")
+    if not path.endswith(".json"):
+        return load_space(path), None
+    doc = _read_object(path, "space", ())
+    space = space_from_json(doc)
+    if getattr(args, "ladder", None) == "auto" and "recommended_ladder" in doc:
+        return space, ScaleLadder.from_json(space, doc["recommended_ladder"])
+    return space, None
 
 
 def _resolve_ladder(args, space: FiniteSpace, recommended: ScaleLadder | None) -> ScaleLadder:
