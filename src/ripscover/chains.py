@@ -11,7 +11,6 @@ the budget that ran out.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -24,7 +23,8 @@ from .space import (
     SearchBudget,
     as_index,
     compose,
-    entourage_at,
+    read_json_object,
+    scale_from_json,
     space_from_json,
 )
 
@@ -149,9 +149,10 @@ class HomotopyCertificate:
 
     @classmethod
     def from_json(cls, doc: dict) -> "HomotopyCertificate":
-        """Parse a certificate; a relation labelled with an `eps` is that
-        scale of the carried space, so a file cannot bring its own relation.
-        A pair list given next to the `eps` must equal that scale."""
+        """Parse a certificate; its relation is read by `scale_from_json`, so
+        a relation labelled with an `eps` is that scale of the carried space
+        and a file cannot bring its own relation.  A pair list given next to
+        the `eps` must equal that scale."""
         try:
             if doc.get("kind") != "homotopy_certificate":
                 raise CertificateError("not a homotopy certificate document")
@@ -160,20 +161,7 @@ class HomotopyCertificate:
             n = as_index(ent["n"])
             if n != space.n:
                 raise CertificateError(f"the relation is on {n} points, the certificate's space has {space.n}")
-            listed = None
-            if "pairs" in ent or "eps" not in ent:
-                listed = Entourage.from_pairs(n, [(as_index(i), as_index(j)) for i, j in ent["pairs"]])
-            entourage = listed
-            if "eps" in ent:
-                eps, strict = float(ent["eps"]), ent.get("strict", False)
-                if not isinstance(strict, bool):
-                    raise ValueError(f"strict must be true or false, got {strict!r}")
-                entourage = entourage_at(space, eps, strict=strict)
-                if listed is not None and listed != entourage:
-                    raise CertificateError(
-                        f"the relation is not the {'strict ' if strict else ''}eps={eps:g} "
-                        "scale of the certificate's space"
-                    )
+            entourage = scale_from_json(space, ent)
             moves = []
             for m in doc["moves"]:
                 if m[0] == "insert":
@@ -464,10 +452,7 @@ def close_chains_certificate(c: Chain, d: Chain, entourage: Entourage) -> Homoto
 
 def certificate_from_file(path: str) -> HomotopyCertificate:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise CertificateError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise CertificateError("certificate file must hold a json object")
+        doc = read_json_object(path, "certificate")
+    except ValidationError as e:
+        raise CertificateError(str(e)) from e
     return HomotopyCertificate.from_json(doc)

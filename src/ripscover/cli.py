@@ -14,7 +14,6 @@ and the cover checks (`cover`) itself, when it uses them.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING
 
@@ -30,6 +29,7 @@ from .space import (
     dump_space,
     entourage_at,
     load_space,
+    read_json_object,
     space_from_json,
     write_report,
 )
@@ -51,28 +51,30 @@ def _basepoint(args, space: FiniteSpace) -> int:
     return space.distinguished[0][1] if space.distinguished else 0
 
 
-def _load_input(args) -> tuple[FiniteSpace, ScaleLadder | None]:
-    """The space and the ladder it comes with: a gallery's own, or, under
-    `--ladder auto`, a json space file's `recommended_ladder`."""
-    if getattr(args, "gallery", None):
+def _load_input(args, with_ladder: bool = False) -> tuple[FiniteSpace, ScaleLadder | None]:
+    """The space and, when `with_ladder`, the ladder it comes with: a
+    gallery's own, or a json space file's `recommended_ladder`.  A command
+    asks for the ladder only when it uses it, so a malformed ladder it would
+    not read is never an error."""
+    if args.gallery:
         g = make_gallery(args.gallery)
         return g.space, g.ladder
-    path = getattr(args, "space", None)
-    if not path:
+    if not args.space:
         raise ValidationError("provide --gallery or --space")
-    if not path.endswith(".json"):
-        return load_space(path), None
-    doc = _read_object(path, "space", ())
+    if not args.space.endswith(".json"):
+        return load_space(args.space), None
+    doc = read_json_object(args.space, "space")
     space = space_from_json(doc)
-    if getattr(args, "ladder", None) == "auto" and "recommended_ladder" in doc:
+    if with_ladder and "recommended_ladder" in doc:
         return space, ScaleLadder.from_json(space, doc["recommended_ladder"])
     return space, None
 
 
 def _resolve_ladder(args, space: FiniteSpace, recommended: ScaleLadder | None) -> ScaleLadder:
-    """'auto', comma thresholds like '3,1', or count+range like '4@3:0.5'."""
-    spec = getattr(args, "ladder", None)
-    if spec in (None, "auto"):
+    """'auto' (the recommended ladder), comma thresholds like '3,1', or
+    count+range like '4@3:0.5'."""
+    spec = args.ladder
+    if spec == "auto":
         if recommended is None:
             raise ValidationError("no recommended ladder for this input; pass --ladder")
         return recommended
@@ -100,7 +102,7 @@ def _config_block(args) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    space, recommended = _load_input(args)
+    space, recommended = _load_input(args, with_ladder=args.ladder == "auto")
     ladder = _resolve_ladder(args, space, recommended)
     basepoint = _basepoint(args, space)
     tower = build_tower(space, ladder, basepoint)
@@ -128,21 +130,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _read_object(path: str, kind: str, keys) -> dict:
-    """A json object from a file that must hold every key in `keys`."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{kind} file must hold a json object")
-    for key in keys:
-        if key not in doc:
-            raise ValidationError(f"{kind} file is missing '{key}'")
-    return doc
-
-
 def _space_field(value) -> FiniteSpace:
     """A space given inline as a json object or as a path to a space file."""
     if isinstance(value, dict):
@@ -153,7 +140,7 @@ def _space_field(value) -> FiniteSpace:
 
 
 def _load_map(path: str) -> tuple[SpaceMap, list | None]:
-    doc = _read_object(path, "map", ("source", "target", "assign"))
+    doc = read_json_object(path, "map", ("source", "target", "assign"))
     if not isinstance(doc["assign"], list):
         raise ValidationError("map 'assign' must be a list of target indices")
     return SpaceMap(_space_field(doc["source"]), _space_field(doc["target"]), doc["assign"]), doc.get("ladder")
@@ -163,12 +150,10 @@ def cmd_cover(args) -> int:
     from .cover import uniform_cover_verdict
 
     f, ladder_doc = _load_map(args.map)
-    if args.ladder and args.ladder != "auto":
-        ladder = _resolve_ladder(args, f.source, None)
-    elif ladder_doc is not None:
-        ladder = ScaleLadder.from_json(f.source, ladder_doc)
-    else:
-        raise ValidationError("no ladder: add one to the map file or pass --ladder")
+    recommended = None
+    if args.ladder == "auto" and ladder_doc is not None:
+        recommended = ScaleLadder.from_json(f.source, ladder_doc)
+    ladder = _resolve_ladder(args, f.source, recommended)
     report = uniform_cover_verdict(f, ladder, args.budget)
     doc = report.to_json()
     doc["config"] = _config_block(args)
@@ -184,8 +169,9 @@ def _write_certificate(cert: HomotopyCertificate, args) -> str:
 
 
 def cmd_join(args) -> int:
-    space, recommended = _load_input(args)
-    ladder = _resolve_ladder(args, space, recommended) if args.ladder else None
+    """The fine scale is `--fine`, else the finest scale of the input's
+    recommended ladder."""
+    space, recommended = _load_input(args, with_ladder=args.fine is None)
     names = args.pair.split(",")
     if len(names) != 2:
         raise ValidationError("--pair needs two comma-separated points")
@@ -193,10 +179,10 @@ def cmd_join(args) -> int:
     target = entourage_at(space, args.target, strict=args.strict_thresholds)
     if args.fine is not None:
         fine = entourage_at(space, args.fine, strict=args.strict_thresholds)
-    elif ladder is not None:
-        fine = ladder.finest()
+    elif recommended is not None:
+        fine = recommended.finest()
     else:
-        raise ValidationError("pass --fine or a ladder")
+        raise ValidationError("no recommended ladder for this input; pass --fine")
     verdict = joinability_witness(space, x, y, target, fine, args.budget)
     doc = verdict.to_json()
     doc.update({"schema": 1, "kind": "joinability", "config": _config_block(args)})
@@ -209,7 +195,7 @@ def cmd_join(args) -> int:
 def cmd_short(args) -> int:
     from .chains import is_short, validate_chain
 
-    doc = _read_object(args.chain, "chain", ("space", "seq"))
+    doc = read_json_object(args.chain, "chain", ("space", "seq"))
     space = _space_field(doc["space"])
     if not isinstance(doc["seq"], list):
         raise ValidationError("chain 'seq' must be a list of point indices")
@@ -250,7 +236,7 @@ def cmd_replay(args) -> int:
 def cmd_ball(args) -> int:
     from .cover import build_cover_ball
 
-    space, recommended = _load_input(args)
+    space, _ = _load_input(args)
     scale = entourage_at(space, args.eps, strict=args.strict_thresholds)
     ball = build_cover_ball(space, scale, _basepoint(args, space), args.radius, args.budget)
     if args.format == "dot":
@@ -295,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover", help="covering-map report for a map file")
     p.add_argument("--map", required=True, help="json file with source, target, assign, ladder")
-    p.add_argument("--ladder", default=None, help="override ladder (comma thresholds)")
+    p.add_argument("--ladder", default="auto", help="override ladder (comma thresholds)")
     p.add_argument("--output", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_cover)
 
@@ -304,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True, help="two points, e.g. a,b")
     p.add_argument("--target", type=float, required=True, help="target eps")
     p.add_argument("--fine", type=float, default=None, help="fine eps (default: ladder's finest)")
-    p.add_argument("--ladder", default=None, help="'auto' or comma thresholds")
     p.add_argument("--certificate-out", help="where to write the Yes certificate")
     p.set_defaults(func=cmd_join)
 

@@ -287,14 +287,8 @@ _SPECS = {
 
 def gallery(name: str) -> GallerySpace:
     """Build a gallery space from a spec string like 'polygon:12,1' or 'hexagon_ex72'."""
-    base = name
-    args: list[str] = []
-    for sep in (":", "("):
-        if sep in name:
-            base, rest = name.split(sep, 1)
-            rest = rest.rstrip(")")
-            args = rest.split(",") if rest else []
-            break
+    base, _, rest = name.partition(":")
+    args = rest.split(",") if rest else []
     base = base.strip()
     if base not in _SPECS:
         raise ValidationError(f"unknown gallery space {name!r}")

@@ -438,31 +438,38 @@ class ScaleLadder:
 
     @classmethod
     def from_json(cls, space: FiniteSpace, doc) -> "ScaleLadder":
-        """Entries are {"eps": number, "strict": bool} (strict optional) or
-        {"pairs": [[i, j], ...], "label": str} (label optional, kept in the
-        relation's meta)."""
+        """A list of scale entries, coarsest first, each read by `scale_from_json`."""
         if not isinstance(doc, list):
             raise ValidationError(f"a ladder must be a list of scales, got {doc!r}")
-        scales = []
-        for entry in doc:
-            if not isinstance(entry, dict):
-                raise ValidationError(f"ladder entry must be an object, got {entry!r}")
-            if "eps" in entry:
-                strict = entry.get("strict", False)
-                if not isinstance(strict, bool):
-                    raise ValidationError(f"strict must be true or false, got {strict!r}")
-                scale = entourage_at(space, as_number(entry["eps"]), strict=strict)
-            elif "pairs" in entry:
-                try:
-                    pairs = [(as_index(i), as_index(j)) for i, j in entry["pairs"]]
-                except (TypeError, ValueError) as e:
-                    raise ValidationError(f"ladder pairs must be [i, j] index pairs: {e}") from e
-                meta = {"label": str(entry["label"])} if "label" in entry else None
-                scale = Entourage.from_pairs(space.n, pairs, meta=meta)
-            else:
-                raise ValidationError("ladder entry needs 'eps' or 'pairs'")
-            scales.append(scale)
-        return cls(scales)
+        return cls(scale_from_json(space, entry) for entry in doc)
+
+
+def scale_from_json(space: FiniteSpace, entry) -> Entourage:
+    """One scale of `space` from its json entry: {"eps": number, "strict":
+    bool} (strict optional) or {"pairs": [[i, j], ...], "label": str} (label
+    optional, kept in the relation's meta).  Pairs given next to an eps must
+    be that scale; other keys are ignored."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"a scale must be an object, got {entry!r}")
+    if "eps" not in entry and "pairs" not in entry:
+        raise ValidationError("a scale needs 'eps' or 'pairs'")
+    listed = None
+    if "pairs" in entry:
+        try:
+            pairs = [(as_index(i), as_index(j)) for i, j in entry["pairs"]]
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"scale pairs must be [i, j] index pairs: {e}") from e
+        meta = {"label": str(entry["label"])} if "label" in entry else None
+        listed = Entourage.from_pairs(space.n, pairs, meta=meta)
+        if "eps" not in entry:
+            return listed
+    eps, strict = as_number(entry["eps"]), entry.get("strict", False)
+    if not isinstance(strict, bool):
+        raise ValidationError(f"strict must be true or false, got {strict!r}")
+    scale = entourage_at(space, eps, strict=strict)
+    if listed is not None and listed != scale:
+        raise ValidationError(f"the pairs are not the {'strict ' if strict else ''}eps={eps:g} scale")
+    return scale
 
 
 def scale_name(meta: dict, default: str) -> str:
@@ -502,50 +509,47 @@ def space_from_json(doc: dict) -> FiniteSpace:
         raise ValidationError(f"malformed space: {e}") from e
 
 
+def read_json_object(path: str, kind: str, keys=()) -> dict:
+    """A json object from a file that must hold every key in `keys`."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{kind} file must hold a json object")
+    for key in keys:
+        if key not in doc:
+            raise ValidationError(f"{kind} file is missing '{key}'")
+    return doc
+
+
 def load_space(path: str) -> FiniteSpace:
     """Read a space from json, csv-points (the first field of the header is
     `label`), or csv-matrix files."""
     if str(path).endswith(".json"):
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-        return space_from_json(doc)
-    with open(path, newline="") as fh:
-        first = fh.readline()
-    if first.split(",")[0].strip().lower() == "label":
-        labels, coords = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            dim = len(next(reader)) - 1
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != dim + 1:
-                    raise ValidationError(f"{path}:{lineno}: expected {dim + 1} fields")
-                labels.append(row[0].strip())
-                try:
-                    coords.append([float(v) for v in row[1:]])
-                except ValueError as e:
-                    raise ValidationError(f"{path}:{lineno}: {e}") from e
-        return FiniteSpace(labels, coords=coords)
+        return space_from_json(read_json_object(path, "space"))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header:
             raise ValidationError(f"{path}:1: empty file")
-        labels = [s.strip() for s in header]
+        points = header[0].strip().lower() == "label"  # else a matrix under a row of labels
+        labels = [] if points else [s.strip() for s in header]
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(labels):
-                raise ValidationError(f"{path}:{lineno}: expected {len(labels)} fields")
+            if len(row) != len(header):
+                raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
+            if points:
+                labels.append(row.pop(0).strip())
             try:
                 rows.append([float(v) for v in row])
             except ValueError as e:
                 raise ValidationError(f"{path}:{lineno}: {e}") from e
+    if points:
+        return FiniteSpace(labels, coords=rows)
     if len(rows) != len(labels):
         raise ValidationError(f"{path}: matrix is {len(rows)} rows for {len(labels)} labels")
     return FiniteSpace(labels, dist=rows)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -135,7 +136,7 @@ def test_ball_dot_output(tmp_path):
     assert out.read_text().startswith("graph cover_ball")
 
 
-def test_gallery_dump_round_trip(tmp_path):
+def test_gallery_dump_round_trip(tmp_path, capsys):
     out = tmp_path / "hex.json"
     assert run(["gallery", "hexagon_ex72", "--output", str(out)]) == 0
     sp = load_space(str(out))
@@ -149,10 +150,25 @@ def test_gallery_dump_round_trip(tmp_path):
         assert run(["analyze", "--space", str(out), "--audit", "--output", str(tmp_path / "a.json")]) == 0
         assert run(["analyze", "--gallery", spec, "--audit", "--output", str(tmp_path / "b.json")]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    # `join` with no --fine takes the finest scale of the file's ladder
+    reports = []
+    for source in (["--space", str(out)], ["--gallery", "hexagon_ex73"]):
+        assert run(["join", *source, "--pair", "a,b", "--target", "3", "--output", str(tmp_path / "j.json"),
+                    "--certificate-out", str(tmp_path / "cert.json")]) == 0
+        reports.append((tmp_path / "j.json").read_bytes())
+    assert reports[0] == reports[1]
     # a malformed ladder is an input error, unless --ladder overrides it
     out.write_text(json.dumps(dict(doc, recommended_ladder=[{"eps": "x"}])))
     assert run(["analyze", "--space", str(out), "--output", os.devnull]) == 2
     assert run(["analyze", "--space", str(out), "--ladder", "3,1", "--output", os.devnull]) == 0
+    # pairs next to an eps must be that scale
+    e1 = [list(p) for p in entourage_at(sp, 1.0).pairs()]
+    out.write_text(json.dumps(dict(doc, recommended_ladder=[{"eps": 3.0}, {"eps": 1.0, "pairs": [[0, 2]]}])))
+    capsys.readouterr()
+    assert run(["analyze", "--space", str(out), "--output", os.devnull]) == 2
+    assert "the pairs are not the eps=1 scale" in capsys.readouterr().err
+    out.write_text(json.dumps(dict(doc, recommended_ladder=[{"eps": 3.0}, {"eps": 1.0, "pairs": e1}])))
+    assert run(["analyze", "--space", str(out), "--output", os.devnull]) == 0
 
 
 def test_deterministic_reports(tmp_path):
@@ -328,6 +344,7 @@ def test_replay_non_integer_entries_exit_3(tmp_path, capsys, field, value):
     (("entourage",), {"n": 7, "pairs": [[0, 1]]}),  # a relation on more points than the space
     (("start",), [0, 9, 1]),  # a vertex out of range
     (("start",), [0, 3, 1]),  # a link 0-3 unrelated at eps=1
+    (("entourage", "eps"), "1.0"),  # a scale given as a string
 ])
 def test_replay_certificate_faults_exit_3(tmp_path, capsys, path, value):
     sp = hexagon_ex72().space
@@ -448,6 +465,17 @@ def test_help_works_without_the_search_layer():
     assert set(out) == set(cli.build_parser()._subparsers._group_actions[0].choices) | {""}
     assert all(code == 0 and text.startswith("usage: ripscover") for code, text in out.values())
     assert "--budget-states" in out[""][1]
+
+
+def test_readme_cli_examples_parse():
+    # every command line of the README's CLI block, `\` continuations joined
+    with open(os.path.join(os.path.dirname(FIXTURES), os.pardir, "README.md")) as fh:
+        block = fh.read().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    assert len(lines) >= 10 and all(argv[0] == "ripscover" for argv in lines)
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
 
 
 # the package's names, the H1-tower path, by the module that defines them
@@ -624,7 +652,9 @@ _HEXAGON_JOIN = ["join", "--gallery", "hexagon_ex72", "--target", "3"]
     (["cover"], "space_paths", 0, [3.0, 1.0, 0.0]),  # both spaces named by a file path
     (["cover"], "no_ladder", 2, None),  # no ladder in the file and no --ladder
     ([*_HEXAGON_JOIN, "--pair", "a", "--fine", "1"], None, 2, None),  # one point, not a pair
-    ([*_HEXAGON_JOIN, "--pair", "a,b"], None, 2, None),  # neither --fine nor --ladder
+    # no --fine: the finest scale of the gallery's ladder
+    ([*_HEXAGON_JOIN, "--pair", "a,b", "--certificate-out", os.devnull], None, 0, None),
+    (["join", "--pair", "a,b", "--target", "3"], "csv_space", 2, None),  # no --fine, and a csv has no ladder
 ])
 def test_cover_and_join_input_paths(tmp_path, capsys, argv, edit, code, ladder):
     # a cover runs on the identity map file, edited as `edit` says
@@ -640,11 +670,19 @@ def test_cover_and_join_input_paths(tmp_path, capsys, argv, edit, code, ladder):
         path = tmp_path / "map.json"
         path.write_text(json.dumps(doc))
         argv = [*argv, "--map", str(path)]
+    elif edit == "csv_space":
+        path = tmp_path / "space.csv"
+        sp = hexagon_ex72().space
+        rows = zip(sp.labels, sp.coords.tolist())
+        path.write_text("label,x,y\n" + "".join(f"{lab},{x!r},{y!r}\n" for lab, (x, y) in rows))
+        argv = [*argv, "--space", str(path)]
     out = tmp_path / "report.json"
     assert _exit_code([*argv, "--output", str(out)]) == code
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert edit != "csv_space" or "pass --fine" in err
     if ladder is None:
-        assert not out.exists()
+        assert out.exists() == (code == 0)
     else:
         assert [s["eps"] for s in json.loads(out.read_text())["ladder"]] == ladder
 

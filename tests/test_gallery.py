@@ -108,6 +108,8 @@ def test_gallery_dispatcher():
         gallery("klein_bottle")
     with pytest.raises(ValidationError):
         gallery("polygon:12")
+    with pytest.raises(ValidationError):  # a spec's arguments follow its first ':'
+        gallery("polygon(12,1)")
 
 
 def test_distinguished_distances():
