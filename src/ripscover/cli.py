@@ -155,10 +155,9 @@ def cmd_cover(args) -> int:
         recommended = ScaleLadder.from_json(f.source, ladder_doc)
     ladder = _resolve_ladder(args, f.source, recommended)
     report = uniform_cover_verdict(f, ladder, args.budget)
-    doc = report.to_json()
-    doc["config"] = _config_block(args)
-    write_report(doc, args.output)
-    positive = report.verdicts["uniform_covering_map_at_ladder"]
+    report["config"] = _config_block(args)
+    write_report(report, args.output)
+    positive = report["verdicts"]["uniform_covering_map_at_ladder"]
     return EXIT_OK if positive else EXIT_NEGATIVE
 
 
@@ -263,10 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strict-thresholds", action="store_true", help="use < instead of <= for eps scales")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_io(p, gallery_input=True):
-        if gallery_input:
-            p.add_argument("--gallery", help="gallery spec like hexagon_ex72 or solenoid:2")
-            p.add_argument("--space", help="space file (json / csv-points / csv-matrix)")
+    def common_io(p):
+        p.add_argument("--gallery", help="gallery spec like hexagon_ex72 or solenoid:2")
+        p.add_argument("--space", help="space file (json / csv-points / csv-matrix)")
         p.add_argument("--output", help="write the report here instead of stdout")
 
     p = sub.add_parser("analyze", help="tower, diagnostics and skeleton summary")

@@ -42,54 +42,43 @@ def generates_at(f: SpaceMap, e: Entourage, candidates) -> tuple[int, Entourage]
 
 
 def evenly_covers(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
-    """Does every ball upstairs map bijectively onto its image ball?"""
+    """Does every ball upstairs map bijectively onto its image ball?  Exactly
+    when lifts are unique at e (no ball holds two points with one image) and
+    chains lift at (e, e) (every point of an image ball lifts into the ball)."""
     if e.n != f.source.n:
         raise CarrierMismatch("entourage does not live on the map's source")
-    fe = image_under(f, e)
-    for x in range(f.source.n):
-        bx = ball(e, x)
-        images = [f(y) for y in bx]
-        seen: dict[int, int] = {}
-        for y, fy in zip(bx, images):
-            if fy in seen:
-                return False, {"kind": "injectivity", "x": x, "lifts": [seen[fy], y], "image": fy}
-            seen[fy] = y
-        missing = [q for q in ball(fe, f(x)) if q not in seen]
-        if missing:
-            return False, {"kind": "surjectivity", "x": x, "missing": missing[0]}
+    split = _first_split(f, e)
+    if split is not None:
+        x, y, yp = split
+        return False, {"kind": "injectivity", "x": x, "lifts": [y, yp], "image": f(y)}
+    miss = _unlifted_link(f, e, e)
+    if miss is not None:
+        return False, {"kind": "surjectivity", "x": miss[0], "missing": miss[2]}
     return True, None
 
 
 def is_simplicial_cover(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
-    """Even covering plus unique lifting of downstairs triangles."""
+    """Even covering plus unique lifting of downstairs triangles.  A triangle
+    at f(x) is f(x) and two related points u < v of its image ball, which
+    ball(e, x) covers bijectively, so it lifts when their lifts are related."""
     ok, cx = evenly_covers(f, e)
     if not ok:
         return False, cx
-    down = build_skeleton(image_under(f, e))
-    tris_at: dict[int, list[list[int]]] = {}
-    for tri in down.triangles.tolist():
-        for v in tri:
-            tris_at.setdefault(v, []).append(tri)
+    fe = image_under(f, e)
     for x in range(f.source.n):
-        fx = f(x)
-        if fx not in tris_at:
-            continue
-        bx = ball(e, x)
-        lift = {f(y): y for y in bx}
-        for tri in tris_at[fx]:
-            u, v = [p for p in tri if p != fx]
-            y, z = lift[u], lift[v]
-            if not e.related(y, z):
-                return False, {
-                    "kind": "triangle_lift", "x": x, "triangle": tri, "lifts": [y, z],
-                }
+        lift = {f(y): y for y in ball(e, x) if y != x}
+        others = sorted(lift)
+        for i, u in enumerate(others):
+            for v in others[i + 1:]:
+                if fe.related(u, v) and not e.related(lift[u], lift[v]):
+                    tri = sorted((f(x), u, v))
+                    return False, {"kind": "triangle_lift", "x": x, "triangle": tri, "lifts": [lift[u], lift[v]]}
     return True, None
 
 
-def chain_lifting_at(f: SpaceMap, e: Entourage, fine: Entourage) -> tuple[bool, dict | None]:
-    """Can every image-scale link be lifted to an e-link from any fiber point?"""
-    if e.n != f.source.n or fine.n != f.source.n:
-        raise CarrierMismatch("entourages must live on the map's source")
+def _unlifted_link(f: SpaceMap, e: Entourage, fine: Entourage) -> tuple[int, int, int] | None:
+    """First (x, a, b) with a -> b a link of f(fine), f(x) = a and no
+    e-neighbour of x over b, if any."""
     fibers: dict[int, list[int]] = {}
     for x, y in enumerate(f.assign):
         fibers.setdefault(y, []).append(x)
@@ -97,8 +86,18 @@ def chain_lifting_at(f: SpaceMap, e: Entourage, fine: Entourage) -> tuple[bool, 
         for a, b in ((y, yp), (yp, y)):
             for x in fibers.get(a, ()):
                 if not any(e.related(x, xp) for xp in fibers.get(b, ())):
-                    return False, {"kind": "link", "x": x, "link": [a, b]}
-    return True, None
+                    return x, a, b
+    return None
+
+
+def chain_lifting_at(f: SpaceMap, e: Entourage, fine: Entourage) -> tuple[bool, dict | None]:
+    """Can every image-scale link be lifted to an e-link from any fiber point?"""
+    if e.n != f.source.n or fine.n != f.source.n:
+        raise CarrierMismatch("entourages must live on the map's source")
+    miss = _unlifted_link(f, e, fine)
+    if miss is None:
+        return True, None
+    return False, {"kind": "link", "x": miss[0], "link": list(miss[1:])}
 
 
 def transverse(f: SpaceMap, e: Entourage) -> bool:
@@ -115,12 +114,12 @@ def transverse(f: SpaceMap, e: Entourage) -> bool:
 def _product_steps(f: SpaceMap, step: Entourage):
     """Synchronized steps (x, x') -> (y, y') with f(y) = f(y') out of every
     state reachable from the diagonal, in BFS order.  A state's first step
-    in is its BFS-tree edge.  The queue starts in the diagonal set's
-    iteration order, which fixes the witnesses the reports carry."""
+    in is its BFS-tree edge.  The queue starts at the diagonal in point
+    order, so the witnesses the reports carry follow point order."""
     assign = f.assign
     nbrs = [np.flatnonzero(row).tolist() for row in step.rel]
-    seen = {(x, x) for x in range(f.source.n)}
-    queue = list(seen)
+    queue = [(x, x) for x in range(f.source.n)]
+    seen = set(queue)
     while queue:
         nxt = []
         for src in queue:
@@ -134,12 +133,19 @@ def _product_steps(f: SpaceMap, step: Entourage):
         queue = nxt
 
 
+def _first_split(f: SpaceMap, e: Entourage) -> tuple[int, int, int] | None:
+    """The first step of the product walk at e that leaves the diagonal, as
+    (x, y, y'): two e-neighbours of x with one image, if any."""
+    for (x, _), (y, yp) in _product_steps(f, e):
+        if y != yp:
+            return x, y, yp
+    return None
+
+
 def uniqueness_of_lifts(f: SpaceMap, e: Entourage) -> tuple[bool, tuple[int, int] | None]:
     """Exact check that equal-image equal-origin chains must agree."""
-    for _, (y, yp) in _product_steps(f, e):
-        if y != yp:
-            return False, (y, yp)
-    return True, None
+    split = _first_split(f, e)
+    return (True, None) if split is None else (False, split[1:])
 
 
 def c3_check(f: SpaceMap, e: Entourage, fine: Entourage) -> tuple[bool, tuple[int, int] | None]:
@@ -317,32 +323,11 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
     return answer("unrefuted", "no violation found")
 
 
-@dataclass
-class CoverReport:
-    """All per-scale and per-pair covering diagnostics for one map."""
-
-    ladder_descr: list
-    per_scale: list[dict]
-    per_pair: list[dict]
-    verdicts: dict
-    implications: dict
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "cover_report",
-            "ladder": self.ladder_descr,
-            "per_scale": self.per_scale,
-            "per_pair": self.per_pair,
-            "verdicts": self.verdicts,
-            "implications": self.implications,
-        }
-
-
 def uniform_cover_verdict(
     f: SpaceMap, ladder: ScaleLadder, budget: SearchBudget | None = None
-) -> CoverReport:
-    """Assemble every per-scale check and the ladder-level verdicts.
+) -> dict:
+    """Every per-scale and per-pair check and the ladder-level verdicts, as
+    the cover report.
 
     "Uniform covering map at this ladder" asks that every scale has an
     image-structure witness, a fine-or-equal scale with chain lifting, and
@@ -423,7 +408,8 @@ def uniform_cover_verdict(
         "failing": failing,
         "note": "verdicts are relative to the supplied ladder",
     }
-    return CoverReport(ladder.to_json(), per_scale, per_pair, verdicts, implications)
+    return {"schema": 1, "kind": "cover_report", "ladder": ladder.to_json(), "per_scale": per_scale,
+            "per_pair": per_pair, "verdicts": verdicts, "implications": implications}
 
 
 def _prop_29b(f: SpaceMap, ladder: ScaleLadder, lifting: dict[tuple[int, int], bool]) -> bool:

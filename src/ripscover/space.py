@@ -512,10 +512,12 @@ def space_from_json(doc: dict) -> FiniteSpace:
 def read_json_object(path: str, kind: str, keys=()) -> dict:
     """A json object from a file that must hold every key in `keys`."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not UTF-8 text") from e
     if not isinstance(doc, dict):
         raise ValidationError(f"{kind} file must hold a json object")
     for key in keys:
@@ -529,25 +531,28 @@ def load_space(path: str) -> FiniteSpace:
     `label`), or csv-matrix files."""
     if str(path).endswith(".json"):
         return space_from_json(read_json_object(path, "space"))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValidationError(f"{path}:1: empty file")
-        points = header[0].strip().lower() == "label"  # else a matrix under a row of labels
-        labels = [] if points else [s.strip() for s in header]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
-            if points:
-                labels.append(row.pop(0).strip())
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as e:
-                raise ValidationError(f"{path}:{lineno}: {e}") from e
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header:
+                raise ValidationError(f"{path}:1: empty file")
+            points = header[0].strip().lower() == "label"  # else a matrix under a row of labels
+            labels = [] if points else [s.strip() for s in header]
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
+                if points:
+                    labels.append(row.pop(0).strip())
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as e:
+                    raise ValidationError(f"{path}:{lineno}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not UTF-8 text") from e
     if points:
         return FiniteSpace(labels, coords=rows)
     if len(rows) != len(labels):

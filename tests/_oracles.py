@@ -41,6 +41,13 @@ that lists only the triangles with three live edges.
 neighbours with its own `flatnonzero`, as the reference for the one that
 reads them all from one `nonzero`.  `rp2_relation` is a relation whose H1
 has torsion: the face relation of the 6-vertex RP^2's simplices.
+`ball_loop_evenly_covers` keeps the even-covering check that walked each
+ball and its image ball, `skeleton_simplicial_cover` the triangle-lift
+check that read the image scale's skeleton triangles, and
+`fibre_loop_chain_lifting` the chain-lifting check over the fibres, as the
+references for the covering predicates that share the product walk and one
+fibre loop.  `random_voltage_lift` draws k-fold voltage lifts of random
+graphs, where those predicates fail in every way.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ from ripscover.errors import ChainError, MoveError
 from ripscover.rips import AbelianGroup, build_skeleton, h1_class, inclusion_h1_map
 from ripscover.snf import smith_normal_form
 from ripscover.cover import C2_DOWN_STATES, C2_SHORT_LINKS
-from ripscover.space import Entourage, FiniteSpace, ball, bfs_forest, image_under, path_to_root
+from ripscover.space import Entourage, FiniteSpace, SpaceMap, ball, bfs_forest, image_under, path_to_root
 from ripscover.tower import _mask_to_component
 
 
@@ -704,9 +711,77 @@ def random_map(rng: random.Random, n_source: int):
     src = space_for(random_entourage(rng, n_source, 0.5))
     tgt_n = len(used)
     tgt = FiniteSpace([f"w{i}" for i in range(tgt_n)], dist=np.where(np.eye(tgt_n, dtype=bool), 0.0, 1.0))
-    from ripscover.space import SpaceMap
-
     return SpaceMap(src, tgt, assign)
+
+
+def random_voltage_lift(rng: random.Random) -> tuple[SpaceMap, Entourage]:
+    """A k-fold voltage lift of a random graph on m points, k = 1 to 3 and m
+    = 3 to 7, with its relation: points (u, a), a < k, at index u * k + a,
+    and (u, a) ~ (v, pi_uv(a)) for one random permutation pi_uv per base
+    edge u < v.  The map sends (u, a) to u, and the target's eps = 1 scale
+    is the base graph."""
+    m, k = rng.randint(3, 7), rng.randint(1, 3)
+    base = random_entourage(rng, m, 0.5)
+    rel = np.eye(m * k, dtype=bool)
+    for u, v in base.pairs():
+        perm = rng.sample(range(k), k)
+        for a in range(k):
+            rel[u * k + a, v * k + perm[a]] = rel[v * k + perm[a], u * k + a] = True
+    e = Entourage(rel)
+    return SpaceMap(space_for(e), space_for(base), [i // k for i in range(m * k)]), e
+
+
+def ball_loop_evenly_covers(f, e: Entourage) -> tuple[bool, dict | None]:
+    """Does every ball upstairs map bijectively onto its image ball?"""
+    fe = image_under(f, e)
+    for x in range(f.source.n):
+        bx = ball(e, x)
+        images = [f(y) for y in bx]
+        seen: dict[int, int] = {}
+        for y, fy in zip(bx, images):
+            if fy in seen:
+                return False, {"kind": "injectivity", "x": x, "lifts": [seen[fy], y], "image": fy}
+            seen[fy] = y
+        missing = [q for q in ball(fe, f(x)) if q not in seen]
+        if missing:
+            return False, {"kind": "surjectivity", "x": x, "missing": missing[0]}
+    return True, None
+
+
+def skeleton_simplicial_cover(f, e: Entourage) -> tuple[bool, dict | None]:
+    """Even covering plus unique lifting of the image skeleton's triangles."""
+    ok, cx = ball_loop_evenly_covers(f, e)
+    if not ok:
+        return False, cx
+    down = build_skeleton(image_under(f, e))
+    tris_at: dict[int, list[list[int]]] = {}
+    for tri in down.triangles.tolist():
+        for v in tri:
+            tris_at.setdefault(v, []).append(tri)
+    for x in range(f.source.n):
+        fx = f(x)
+        if fx not in tris_at:
+            continue
+        lift = {f(y): y for y in ball(e, x)}
+        for tri in tris_at[fx]:
+            u, v = [p for p in tri if p != fx]
+            y, z = lift[u], lift[v]
+            if not e.related(y, z):
+                return False, {"kind": "triangle_lift", "x": x, "triangle": tri, "lifts": [y, z]}
+    return True, None
+
+
+def fibre_loop_chain_lifting(f, e: Entourage, fine: Entourage) -> tuple[bool, dict | None]:
+    """Can every image-scale link be lifted to an e-link from any fiber point?"""
+    fibers: dict[int, list[int]] = {}
+    for x, y in enumerate(f.assign):
+        fibers.setdefault(y, []).append(x)
+    for y, yp in image_under(f, fine).pairs():
+        for a, b in ((y, yp), (yp, y)):
+            for x in fibers.get(a, ()):
+                if not any(e.related(x, xp) for xp in fibers.get(b, ())):
+                    return False, {"kind": "link", "x": x, "link": [a, b]}
+    return True, None
 
 
 def _chains_up_to(origin: int, e: Entourage, max_links: int, tight: bool = False):

@@ -159,7 +159,7 @@ def test_criterion_4_covering_predicates():
     assert c3_check(f, e1, e1) == (True, None)
     ladder = ScaleLadder.from_thresholds(src, [1.2, 0.6, 0.0])
     rep = uniform_cover_verdict(f, ladder, SearchBudget(states=800))
-    assert rep.verdicts["uniform_covering_map_at_ladder"]
+    assert rep["verdicts"]["uniform_covering_map_at_ladder"]
 
     fold_src = polygon(6, 1).space
     from ripscover.space import FiniteSpace
@@ -172,9 +172,9 @@ def test_criterion_4_covering_predicates():
     frep = uniform_cover_verdict(
         fold, ScaleLadder.from_thresholds(fold_src, [1.8, 1.05]), SearchBudget(states=800)
     )
-    assert not frep.verdicts["uniform_covering_map_at_ladder"]
-    assert frep.verdicts["failing"]
-    done(4, f"double cover positive, fold negative (failing: {frep.verdicts['failing']})")
+    assert not frep["verdicts"]["uniform_covering_map_at_ladder"]
+    assert frep["verdicts"]["failing"]
+    done(4, f"double cover positive, fold negative (failing: {frep['verdicts']['failing']})")
 
 
 def test_criterion_5_uniqueness_transverse_equivalence():

@@ -114,6 +114,9 @@ def test_replay_malformed(tmp_path):
     worse = tmp_path / "worse.json"
     worse.write_text("not json")
     assert run(["replay", str(worse)]) == 3
+    undecodable = tmp_path / "bytes.json"
+    undecodable.write_bytes(b"\xff\xfe\x00")
+    assert run(["replay", str(undecodable)]) == 3
     assert run(["replay", str(tmp_path / "missing.json")]) == 2
 
 
@@ -494,7 +497,7 @@ _PACKAGE_NAMES = {
 _LAYER_NAMES = {
     "chains": ["Chain", "Delete", "HomotopyCertificate", "Insert", "Trivalue", "apply_move",
                "close_chains_certificate", "decide_homotopic", "e_homotopic", "is_short", "validate_chain"],
-    "cover": ["CoverBall", "CoverReport", "build_cover_ball", "c2_check", "c3_check", "chain_lifting_at",
+    "cover": ["CoverBall", "build_cover_ball", "c2_check", "c3_check", "chain_lifting_at",
               "evenly_covers", "generates_at", "is_simplicial_cover", "transverse", "uniform_cover_verdict",
               "uniqueness_of_lifts"],
 }
@@ -642,6 +645,19 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         case = ["cover", "--map", str(bad), "--output", os.devnull]
     assert _exit_code(case) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name, data", [
+    (["cover", "--map"], "map.json", b"\xff\xfe\x00"),
+    (["analyze", "--ladder", "1,0.5", "--space"], "space.json", b"\xff\xfe\x00"),
+    (["analyze", "--space"], "space.csv", b"label,x,y\na,0,0\n\xff,1,0\n"),
+], ids=["cover-json", "analyze-json", "analyze-csv"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, argv, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert _exit_code([*argv, str(path), "--output", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8 text" in err and "Traceback" not in err
 
 
 _HEXAGON_JOIN = ["join", "--gallery", "hexagon_ex72", "--target", "3"]

@@ -23,12 +23,13 @@ from ripscover.cover import (
 )
 from ripscover.errors import ChainError
 from ripscover.gallery import hexagon_ex72, polygon
-from ripscover.rips import build_skeleton
+from ripscover.rips import RipsSkeleton, build_skeleton
 from ripscover.space import (
     Entourage,
     FiniteSpace,
     ScaleLadder,
     SpaceMap,
+    ball,
     compose,
     entourage_at,
     image_under,
@@ -41,6 +42,7 @@ from _oracles import (
     random_entourage,
     random_map,
     random_nested_ladder,
+    random_voltage_lift,
     search_c2_check,
     space_for,
 )
@@ -100,12 +102,16 @@ def test_evenly_covers():
     ok, cx = evenly_covers(FOLD, E1_6)
     assert not ok and cx["kind"] == "injectivity" and cx["x"] in (0, 3)
     # two arcs 0-1 and 2-3 whose images share the point 0: the image ball
-    # of 0 holds 1 and 2, and the ball of source point 0 lifts only 1
+    # of 0 holds 1 and 2.  Chain lifting reads the image's links in order,
+    # and the first that fails is 0 -> 1 from source point 2, whose ball
+    # {2, 3} maps onto {0, 2}
     four = FiniteSpace(list("abcd"), coords=[(0, 0), (1, 0), (5, 0), (6, 0)])
     three = FiniteSpace(list("xyz"), coords=[(0, 0), (1, 0), (2, 0)])
     f = SpaceMap(four, three, [0, 1, 0, 2])
     e = Entourage.from_pairs(4, [(0, 1), (2, 3)])
-    assert evenly_covers(f, e) == (False, {"kind": "surjectivity", "x": 0, "missing": 2})
+    assert evenly_covers(f, e) == (False, {"kind": "surjectivity", "x": 2, "missing": 1})
+    assert ball(image_under(f, e), f(2)) == [0, 1, 2]
+    assert sorted(f(y) for y in ball(e, 2)) == [0, 2]
 
 
 def test_is_simplicial_cover():
@@ -133,6 +139,67 @@ def test_chain_lifting():
     assert not ok and cx["kind"] == "link"
 
 
+def _covering_cases(rng: random.Random):
+    """A random map on a random nested ladder, or a voltage lift at its own
+    relation, its square and itself less one pair."""
+    if rng.random() < 0.5:
+        f = random_map(rng, rng.randint(2, 7))
+        return f, random_nested_ladder(rng, f.source.n, depth=rng.randint(2, 4))
+    f, e = random_voltage_lift(rng)
+    pairs = e.pairs()
+    return f, [compose(e, e), e, e.without_pair(*rng.choice(pairs)) if pairs else e]
+
+
+def _assert_covering_witness(f, e, cx):
+    """An evenly_covers or is_simplicial_cover counterexample re-verifies."""
+    x, fe = cx["x"], image_under(f, e)
+    if cx["kind"] == "injectivity":
+        y, yp = cx["lifts"]
+        assert y != yp and f(y) == f(yp) == cx["image"] and e.related(x, y) and e.related(x, yp)
+    elif cx["kind"] == "surjectivity":
+        b = cx["missing"]
+        assert fe.related(f(x), b) and all(f(y) != b for y in ball(e, x))
+    else:
+        y, z = cx["lifts"]
+        assert e.related(x, y) and e.related(x, z) and not e.related(y, z)
+        tri = cx["triangle"]
+        assert tri == sorted({f(x), f(y), f(z)}) and len(tri) == 3
+        assert fe.related(tri[0], tri[1]) and fe.related(tri[0], tri[2]) and fe.related(tri[1], tri[2])
+
+
+def test_covering_predicates_match_references():
+    # the predicates that share the product walk and the fibre loop give
+    # the booleans of the ball-loop and skeleton references, and each
+    # counterexample re-verifies; the simplicial check's triangle witness is
+    # the reference's, and chain lifting is the fibre loop's, witness and all
+    rng = random.Random(33)
+    kinds = set()
+    for _ in range(1000):
+        f, scales = _covering_cases(rng)
+        for i, e in enumerate(scales):
+            ok_ec, cx_ec = evenly_covers(f, e)
+            ok_sc, cx_sc = is_simplicial_cover(f, e)
+            ok_ul, wit_ul = uniqueness_of_lifts(f, e)
+            ref_ec, ref_sc = _oracles.ball_loop_evenly_covers(f, e), _oracles.skeleton_simplicial_cover(f, e)
+            assert ok_ec == ref_ec[0] and ok_sc == ref_sc[0]
+            assert ok_ec == (ok_ul and chain_lifting_at(f, e, e)[0])
+            assert ok_ul == transverse(f, compose(e, e))
+            if not ok_ul:
+                y, yp = wit_ul
+                assert y != yp and f(y) == f(yp) and (e.rel[y] & e.rel[yp]).any()
+            if ok_ec:
+                assert (ok_sc, cx_sc) == ref_sc
+            else:
+                assert cx_sc == cx_ec
+            for cx in (cx_ec, cx_sc):
+                if cx is not None:
+                    _assert_covering_witness(f, e, cx)
+                    kinds.add(cx["kind"])
+            for fine in scales[i:]:
+                assert chain_lifting_at(f, e, fine) == _oracles.fibre_loop_chain_lifting(f, e, fine)
+    assert kinds == {"injectivity", "surjectivity", "triangle_lift"}
+
+
 def test_transverse():
     assert transverse(F12, E1_12)
     assert not transverse(F12, Entourage.complete(12))
@@ -146,8 +213,9 @@ def test_uniqueness_of_lifts():
     ident = SpaceMap(F12.source, F12.source, range(12))
     assert uniqueness_of_lifts(ident, E2_12) == (True, None)
     assert uniqueness_of_lifts(F12, E1_12) == (True, None)
-    ok, wit = uniqueness_of_lifts(FOLD, E1_6)
-    assert not ok and sorted(wit) in ([1, 5], [2, 4])
+    # the first ball, in point order, with two points over one image: p1 and
+    # p5 around p0, both over q1
+    assert uniqueness_of_lifts(FOLD, E1_6) == (False, (1, 5))
 
 
 def test_uniqueness_implies_transverse_always():
@@ -620,20 +688,20 @@ def test_c2_needs_nested_scales():
 def test_uniform_cover_verdicts():
     lad = ScaleLadder([E2_12, E1_12, E0_12])
     rep = uniform_cover_verdict(F12, lad, SearchBudget(states=500))
-    assert rep.verdicts["uniform_covering_map_at_ladder"]
-    assert rep.verdicts["simplicial_cover_base_at_ladder"]
-    assert rep.implications["simplicial_implies_evenly"]
-    assert rep.implications["lifting_squares_give_structure"]
-    assert rep.implications["uniqueness_iff_transverse_per_scale"]
+    assert rep["verdicts"]["uniform_covering_map_at_ladder"]
+    assert rep["verdicts"]["simplicial_cover_base_at_ladder"]
+    assert rep["implications"]["simplicial_implies_evenly"]
+    assert rep["implications"]["lifting_squares_give_structure"]
+    assert rep["implications"]["uniqueness_iff_transverse_per_scale"]
 
     fold_lad = ScaleLadder([E2_6, E1_6])
     rep = uniform_cover_verdict(FOLD, fold_lad, SearchBudget(states=500))
-    assert not rep.verdicts["uniform_covering_map_at_ladder"]
-    assert rep.verdicts["failing"]
+    assert not rep["verdicts"]["uniform_covering_map_at_ladder"]
+    assert rep["verdicts"]["failing"]
 
     ident = SpaceMap(F12.source, F12.source, range(12))
     rep = uniform_cover_verdict(ident, lad, SearchBudget(states=500))
-    assert rep.verdicts["uniform_covering_map_at_ladder"]
+    assert rep["verdicts"]["uniform_covering_map_at_ladder"]
 
 
 def test_a_ladder_with_no_transverse_scale_fails_transverse():
@@ -642,8 +710,8 @@ def test_a_ladder_with_no_transverse_scale_fails_transverse():
     f, _ = _fixture_map("fold")
     ladder = ScaleLadder.from_json(f.source, [{"eps": 1.9}, {"eps": 1.8}])
     report = uniform_cover_verdict(f, ladder)
-    assert [s["transverse"] for s in report.per_scale] == [False, False]
-    assert report.verdicts["failing"] == ["generates_structure", "transverse", "simplicial_cover"]
+    assert [s["transverse"] for s in report["per_scale"]] == [False, False]
+    assert report["verdicts"]["failing"] == ["generates_structure", "transverse", "simplicial_cover"]
 
 
 def test_uniform_cover_pushes_each_scale_forward_once(monkeypatch):
@@ -668,25 +736,19 @@ def test_uniform_cover_pushes_each_scale_forward_once(monkeypatch):
 
 
 def test_cover_run_leaves_triangle_lists_unbuilt(monkeypatch):
-    # is_simplicial_cover reads the target skeleton's triangle array, and
-    # what it builds is that one read-only array, not a list of tuples
+    # is_simplicial_cover reads each triangle at f(x) from the image ball and
+    # c2_check only the H1 of e, so a cover run builds no triangle array
     built = []
-    real = cover.build_skeleton
+    real = RipsSkeleton.triangles
 
-    def recording(e):
-        built.append(real(e))
-        return built[-1]
+    def recording(skel):
+        built.append(skel)
+        return real.fget(skel)
 
-    monkeypatch.setattr(cover, "build_skeleton", recording)
-    targets = []
+    monkeypatch.setattr(RipsSkeleton, "triangles", property(recording))
     for f, ladder in _cover_batch_maps():
         uniform_cover_verdict(f, ladder)
-        targets += [skel for skel in built if any(skel.entourage is fe for fe in f._images.values())]
-    assert any(skel._triangles is not None and len(skel._triangles) for skel in targets)
-    assert all(
-        skel._triangles is None or (type(skel._triangles) is np.ndarray and not skel._triangles.flags.writeable)
-        for skel in targets
-    )
+    assert built == []
 
 
 def test_cover_ball_simply_connected():
@@ -747,11 +809,11 @@ def test_strict_scale_is_its_own_scale(monkeypatch):
     ladder = ScaleLadder.from_json(f.source, [{"eps": 1.2}, {"eps": 0.6}, {"eps": 0.6, "strict": True}])
     report = uniform_cover_verdict(f, ladder)
     names = ["eps=1.2", "eps=0.6", "eps<0.6"]
-    assert [s["scale"] for s in report.per_scale] == names
-    assert [(p["scale"], p["fine"]) for p in report.per_pair] == [
+    assert [s["scale"] for s in report["per_scale"]] == names
+    assert [(p["scale"], p["fine"]) for p in report["per_pair"]] == [
         (names[i], names[j]) for i in range(3) for j in range(i, 3)
     ]
-    assert report.verdicts["failing"] == ["generates_structure"]
+    assert report["verdicts"]["failing"] == ["generates_structure"]
 
     # two scales under one label: chains lift only from the first, so the
     # second has no lifting pair of its own, whatever its name
@@ -764,5 +826,5 @@ def test_strict_scale_is_its_own_scale(monkeypatch):
 
     monkeypatch.setattr(cover, "chain_lifting_at", lifting_from_first_scale)
     report = uniform_cover_verdict(f, twins)
-    assert [p["chain_lifting"] for p in report.per_pair] == [True, True, False]
-    assert "chain_lifting" in report.verdicts["failing"]
+    assert [p["chain_lifting"] for p in report["per_pair"]] == [True, True, False]
+    assert "chain_lifting" in report["verdicts"]["failing"]
