@@ -30,20 +30,6 @@ from .space import (
 
 
 @dataclass(frozen=True)
-class Insert:
-    pos: int
-    vertex: int
-
-
-@dataclass(frozen=True)
-class Delete:
-    pos: int
-
-
-Move = Insert | Delete
-
-
-@dataclass(frozen=True)
 class Chain:
     """A vertex walk valid at one scale."""
 
@@ -76,26 +62,29 @@ def validate_chain(space: FiniteSpace, entourage: Entourage, seq) -> Chain:
     return Chain(space, entourage, seq)
 
 
-def apply_move(chain: Chain, move: Move) -> Chain:
-    """Insert or delete one interior vertex under the triangle condition."""
+def apply_move(chain: Chain, move: tuple) -> Chain:
+    """Insert or delete one interior vertex under the triangle condition.
+
+    A move is `("insert", pos, vertex)` or `("delete", pos)`, the tuple form
+    of a certificate file's move entries; any other value is a MoveError.
+    """
     seq = chain.seq
     rel = chain.entourage
-    if isinstance(move, Insert):
-        i, v = move.pos, move.vertex
-        if not (0 < i <= len(seq) - 1):
-            raise MoveError(f"insert position {i} would move an endpoint")
-        if not (0 <= v < chain.space.n):
-            raise MoveError(f"vertex {v} out of range")
-        if not (rel.related(seq[i - 1], v) and rel.related(v, seq[i])):
-            raise MoveError(f"insert of {v} at {i} breaks the triangle condition")
-        return Chain(chain.space, chain.entourage, seq[:i] + (v,) + seq[i:])
-    if isinstance(move, Delete):
-        i = move.pos
-        if not (0 < i < len(seq) - 1):
-            raise MoveError(f"delete position {i} would move an endpoint")
-        if not rel.related(seq[i - 1], seq[i + 1]):
-            raise MoveError(f"delete at {i} leaves an unrelated pair ({seq[i - 1]},{seq[i + 1]})")
-        return Chain(chain.space, chain.entourage, seq[:i] + seq[i + 1:])
+    match move:
+        case ("insert", int(i), int(v)):
+            if not (0 < i <= len(seq) - 1):
+                raise MoveError(f"insert position {i} would move an endpoint")
+            if not (0 <= v < chain.space.n):
+                raise MoveError(f"vertex {v} out of range")
+            if not (rel.related(seq[i - 1], v) and rel.related(v, seq[i])):
+                raise MoveError(f"insert of {v} at {i} breaks the triangle condition")
+            return Chain(chain.space, chain.entourage, seq[:i] + (v,) + seq[i:])
+        case ("delete", int(i)):
+            if not (0 < i < len(seq) - 1):
+                raise MoveError(f"delete position {i} would move an endpoint")
+            if not rel.related(seq[i - 1], seq[i + 1]):
+                raise MoveError(f"delete at {i} leaves an unrelated pair ({seq[i - 1]},{seq[i + 1]})")
+            return Chain(chain.space, chain.entourage, seq[:i] + seq[i + 1:])
     raise MoveError(f"unknown move {move!r}")
 
 
@@ -106,7 +95,7 @@ class HomotopyCertificate:
     space: FiniteSpace
     entourage: Entourage
     start: tuple[int, ...]
-    moves: tuple[Move, ...]
+    moves: tuple[tuple, ...]
     end: tuple[int, ...]
 
     def replay(self) -> Chain:
@@ -140,10 +129,7 @@ class HomotopyCertificate:
             "space": self.space.to_json(),
             "entourage": ent,
             "start": list(self.start),
-            "moves": [
-                ["insert", m.pos, m.vertex] if isinstance(m, Insert) else ["delete", m.pos]
-                for m in self.moves
-            ],
+            "moves": [list(m) for m in self.moves],
             "end": list(self.end),
         }
 
@@ -165,9 +151,9 @@ class HomotopyCertificate:
             moves = []
             for m in doc["moves"]:
                 if m[0] == "insert":
-                    moves.append(Insert(as_index(m[1]), as_index(m[2])))
+                    moves.append(("insert", as_index(m[1]), as_index(m[2])))
                 elif m[0] == "delete":
-                    moves.append(Delete(as_index(m[1])))
+                    moves.append(("delete", as_index(m[1])))
                 else:
                     raise CertificateError(f"unknown move kind {m[0]!r}")
             start = tuple(as_index(v) for v in doc["start"])
@@ -219,17 +205,17 @@ def _deletes(seq: tuple[int, ...], adj):
         if not adj[a][b]:
             continue
         if a != b or L == 3:  # (a, x, a) -> (a, a) keeps its repeat
-            yield ((i,),), seq[:i] + seq[i + 1:]
+            yield (("delete", i),), seq[:i] + seq[i + 1:]
         else:
             # the deletion created one duplicate pair; collapse it
-            yield ((i,), (i if i < L - 2 else i - 1,)), seq[:i] + seq[i + 2:]
+            yield (("delete", i), ("delete", i if i < L - 2 else i - 1)), seq[:i] + seq[i + 2:]
 
 
 def _neighbors(seq: tuple[int, ...], adj, common) -> list:
     """A state's neighbors as (moves, new_state) pairs.
 
-    `adj` and `common` are the skeleton's move tables.  Moves are plain
-    tuples, `(pos,)` for a delete and `(pos, vertex)` for an insert.  Deletes
+    `adj` and `common` are the skeleton's move tables.  Moves are the tagged
+    tuples `apply_move` takes, as certificates carry them.  Deletes
     come first (`_deletes`), then inserts by position and vertex: this order
     fixes which states the search visits and which certificate it returns.
     An insert never makes a repeated point, so the search stores no repeats
@@ -239,25 +225,21 @@ def _neighbors(seq: tuple[int, ...], adj, common) -> list:
     for i in range(1, len(seq)):
         head, tail = seq[:i], seq[i:]
         for v in common[seq[i - 1]][seq[i]]:
-            out.append((((i, v),), head + (v,) + tail))
+            out.append(((("insert", i, v),), head + (v,) + tail))
     return out
 
 
-def _move_objects(moves) -> list[Move]:
-    return [Insert(*m) if len(m) == 2 else Delete(*m) for m in moves]
-
-
-def _invert_edge(prev: tuple[int, ...], moves) -> list[tuple[int, ...]]:
-    """Inverse move tuples: transform the edge's result back into `prev`."""
+def _invert_edge(prev: tuple[int, ...], moves) -> list[tuple]:
+    """Inverse moves: transform the edge's result back into `prev`."""
     inv = []
     states = [prev]
     cur = prev
     for m in moves:
-        pos = m[0]
-        cur = cur[:pos] + m[1:] + cur[pos:] if len(m) == 2 else cur[:pos] + cur[pos + 1:]
+        pos = m[1]
+        cur = cur[:pos] + m[2:] + cur[pos:] if m[0] == "insert" else cur[:pos] + cur[pos + 1:]
         states.append(cur)
     for m, before in zip(reversed(moves), reversed(states[:-1])):
-        inv.append((m[0],) if len(m) == 2 else (m[0], before[m[0]]))
+        inv.append(("delete", m[1]) if m[0] == "insert" else ("insert", m[1], before[m[1]]))
     return inv
 
 
@@ -278,7 +260,7 @@ def _tighten(seq: tuple[int, ...], adj, seen: dict) -> tuple[int, ...]:
     return seq
 
 
-def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> Trivalue:
+def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget = DEFAULT_BUDGET) -> Trivalue:
     """Are two same-endpoint chains homotopic relative their endpoints?
 
     The homology obstruction is checked first (cheap and sound).  When it
@@ -291,7 +273,6 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
     budget exhausted", or "frontier exhausted" when one side's reachable
     states are all stored and none meets the other's.
     """
-    budget = budget or DEFAULT_BUDGET
     if c.space != d.space or c.entourage != d.entourage:
         raise ChainError("chains must share a space and scale")
     if c.start != d.start or c.end != d.end:
@@ -327,7 +308,7 @@ def decide_homotopic(c: Chain, d: Chain, budget: SearchBudget | None = None) -> 
             prev, moves = bwd[state]
             fpath.extend(_invert_edge(prev, moves))
             state = prev
-        cert = HomotopyCertificate(c.space, ent, c.seq, tuple(_move_objects(fpath)), d.seq)
+        cert = HomotopyCertificate(c.space, ent, c.seq, tuple(fpath), d.seq)
         if __debug__:
             cert.replay()
         return Trivalue("yes", certificate=cert)
@@ -376,7 +357,7 @@ def _conjugate(entourage: Entourage, c_seq: tuple[int, ...], d_seq: tuple[int, .
     return tseq
 
 
-def e_homotopic(c: Chain, d: Chain, entourage: Entourage, budget: SearchBudget | None = None) -> Trivalue:
+def e_homotopic(c: Chain, d: Chain, entourage: Entourage, budget: SearchBudget = DEFAULT_BUDGET) -> Trivalue:
     """Endpoint-relaxed homotopy at a scale: conjugate by the connecting edges.
 
     Chains valid at finer scales are re-read at `entourage`; unrelated
@@ -407,7 +388,7 @@ def e_obstruction_at(skel, c_seq: tuple[int, ...], d_seq: tuple[int, ...]) -> di
     return _h1_obstruction(skel, c_seq, target)
 
 
-def is_short(c: Chain, entourage: Entourage, budget: SearchBudget | None = None) -> Trivalue:
+def is_short(c: Chain, entourage: Entourage, budget: SearchBudget = DEFAULT_BUDGET) -> Trivalue:
     """Is the chain's class at this scale just the edge between its endpoints?
 
     The edge of a closed chain is the constant chain (x, x), not (x,), which
@@ -440,12 +421,9 @@ def close_chains_certificate(c: Chain, d: Chain, entourage: Entourage) -> Homoto
     if cc.seq == dd.seq:
         return HomotopyCertificate(c.space, e2, cc.seq, (), dd.seq)
     k = len(cc.seq) - 1
-    moves: list[Move] = []
-    for i in range(1, k):
-        moves.append(Insert(2 * i, dd.seq[i]))
-    for i in range(1, k):
-        moves.append(Delete(i))
-    cert = HomotopyCertificate(c.space, e2, cc.seq, tuple(moves), dd.seq)
+    moves = tuple(("insert", 2 * i, dd.seq[i]) for i in range(1, k))
+    moves += tuple(("delete", i) for i in range(1, k))
+    cert = HomotopyCertificate(c.space, e2, cc.seq, moves, dd.seq)
     cert.replay()
     return cert
 

@@ -156,11 +156,9 @@ def c3_check(f: SpaceMap, e: Entourage, fine: Entourage) -> tuple[bool, tuple[in
     return True, None
 
 
-# c2_check's fixed limits: phase two pairs tight chains of up to
-# C2_SHORT_LINKS links, and each downstairs search gets a leash of
-# C2_DOWN_STATES states (fewer if the state budget is smaller); the pairs
-# phase two examines count against the state budget
-C2_SHORT_LINKS = 2
+# c2_check's fixed leash: each downstairs search of phase two stores at
+# most C2_DOWN_STATES states (fewer if the state budget is smaller); the
+# pairs phase two examines count against the state budget
 C2_DOWN_STATES = 400
 
 
@@ -178,12 +176,11 @@ def _obstruction(h1, e_rows, a: int, b: int, diff) -> dict | None:
 
 
 class _Fan:
-    """The tight fine chains from one origin x with 1 to C2_SHORT_LINKS
-    links, in BFS order (neighbours ascending), with their images and their
-    H1 coordinates at e.  Tight means that no point is fine-related to the
-    point two before it.  At two links that is (x, y) for each fine
-    neighbour y, the constant chain (x, x) among them, and (x, y, z) for
-    each z not fine-related to x.
+    """The tight fine chains from one origin x with one or two links, in
+    BFS order (neighbours ascending), with their images and their H1
+    coordinates at e.  Tight means that no point is fine-related to the
+    point two before it: (x, y) for each fine neighbour y, the constant
+    chain (x, x) among them, and (x, y, z) for each z not fine-related to x.
 
     Every chain the rule drops is fine-homotopic to a kept one: (x) to
     (x, x), and (x, y, z) with z related to x to (x, z) by one delete, which
@@ -200,23 +197,14 @@ class _Fan:
 
     __slots__ = ("chains", "images", "vectors", "h1", "e_rows")
 
-    def __init__(self, origin: int, nbrs, fine_rows, assign, h1, e_rows):
-        chains = [(origin, y) for y in nbrs[origin]]
-        vectors = [h1.step_coords(origin, y) for y in nbrs[origin]]
-        frontier = range(len(chains))
-        for _ in range(C2_SHORT_LINKS - 1):
-            done = len(chains)
-            for k in frontier:
-                seq, vec = chains[k], vectors[k]
-                u, back = seq[-1], fine_rows[seq[-2]]
-                for v in nbrs[u]:
-                    if not back[v]:
-                        chains.append(seq + (v,))
-                        vectors.append(tuple(map(add, vec, h1.step_coords(u, v))))
-            frontier = range(done, len(chains))
-        self.chains = chains
-        self.images = [tuple(assign[v] for v in seq) for seq in chains]
-        self.vectors = vectors
+    def __init__(self, x: int, nbrs, fine_rows, assign, h1, e_rows):
+        step = h1.step_coords
+        ones = [(x, y) for y in nbrs[x]]
+        twos = [(x, y, z) for y in nbrs[x] for z in nbrs[y] if not fine_rows[x][z]]
+        self.chains = ones + twos
+        self.images = [tuple(assign[v] for v in seq) for seq in self.chains]
+        self.vectors = [step(x, y) for _, y in ones]
+        self.vectors += [tuple(map(add, step(x, y), step(y, z))) for _, y, z in twos]
         self.h1 = h1
         self.e_rows = e_rows
 
@@ -226,7 +214,7 @@ class _Fan:
         return _obstruction(self.h1, self.e_rows, self.chains[i][-1], self.chains[j][-1], diff)
 
 
-def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | None = None) -> dict:
+def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget = DEFAULT_BUDGET) -> dict:
     """Search for a pair of fine chains violating approximate lift uniqueness.
 
     A pair refutes when its chains are not homotopic at e while their images
@@ -253,7 +241,6 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
     search ran out of budget: refutations this budget may have missed.  The
     fine scale must lie inside e, as on any ladder.
     """
-    budget = budget or DEFAULT_BUDGET
     if e.n != f.source.n or fine.n != f.source.n:
         raise CarrierMismatch("entourages must live on the map's source")
     if not fine.issubset(e):
@@ -324,7 +311,7 @@ def c2_check(f: SpaceMap, e: Entourage, fine: Entourage, budget: SearchBudget | 
 
 
 def uniform_cover_verdict(
-    f: SpaceMap, ladder: ScaleLadder, budget: SearchBudget | None = None
+    f: SpaceMap, ladder: ScaleLadder, budget: SearchBudget = DEFAULT_BUDGET
 ) -> dict:
     """Every per-scale and per-pair check and the ladder-level verdicts, as
     the cover report.
@@ -335,7 +322,6 @@ def uniform_cover_verdict(
     simplicial covering at the finest scale.  Everything is relative to the
     ladder that was supplied.
     """
-    budget = budget or DEFAULT_BUDGET
     if ladder.n != f.source.n:
         raise CarrierMismatch("ladder does not live on the map's source")
     k = len(ladder)
@@ -346,7 +332,9 @@ def uniform_cover_verdict(
         # is_simplicial_cover runs evenly_covers first and returns its failure
         ok_ec = ok_sc or cx_sc["kind"] == "triangle_lift"
         cx_ec = None if ok_ec else cx_sc
-        ok_ul, wit_ul = uniqueness_of_lifts(f, e)
+        # evenly_covers checks uniqueness_of_lifts first and reports its
+        # split as the injectivity failure, with the same two lifts
+        split = not ok_ec and cx_ec["kind"] == "injectivity"
         gen = generates_at(f, e, ladder)
         return {
             "scale": ladder.describe(i),
@@ -355,8 +343,8 @@ def uniform_cover_verdict(
             "evenly_covers_counterexample": cx_ec,
             "simplicial_cover": ok_sc,
             "simplicial_cover_counterexample": cx_sc,
-            "uniqueness_of_lifts": ok_ul,
-            "uniqueness_witness": list(wit_ul) if wit_ul else None,
+            "uniqueness_of_lifts": not split,
+            "uniqueness_witness": cx_ec["lifts"] if split else None,
             "generates_witness": None if gen is None else ladder.describe(gen[0]),
         }
 
@@ -416,13 +404,15 @@ def _prop_29b(f: SpaceMap, ladder: ScaleLadder, lifting: dict[tuple[int, int], b
     """Whenever D o D fits in E and chains lift at (D, F), the image of F
     squares into the image of E; recorded as a concrete per-triple check.
     `lifting[j, t]` is the chain-lifting verdict at ladder indices j <= t."""
+    squares = [compose(d, d) for d in ladder]
     images = [image_under(f, e) for e in ladder]
+    image_squares = [compose(g, g) for g in images]
     for i, e in enumerate(ladder):
         for j in range(i, len(ladder)):
-            if not compose(ladder[j], ladder[j]).issubset(e):
+            if not squares[j].issubset(e):
                 continue
             for t in range(j, len(ladder)):
-                if lifting[j, t] and not compose(images[t], images[t]).issubset(images[i]):
+                if lifting[j, t] and not image_squares[t].issubset(images[i]):
                     return False
     return True
 
@@ -499,7 +489,7 @@ def build_cover_ball(
     entourage: Entourage,
     basepoint: int,
     radius: int,
-    budget: SearchBudget | None = None,
+    budget: SearchBudget = DEFAULT_BUDGET,
 ) -> CoverBall:
     """Grow chain classes from the constant chain, one step per layer.
 
@@ -507,7 +497,6 @@ def build_cover_ball(
     growth stops at the radius and the frontier flag says whether deeper
     layers were cut off.
     """
-    budget = budget or DEFAULT_BUDGET
     if not (0 <= basepoint < space.n):
         raise ValidationError("basepoint out of range")
     if radius < 0:

@@ -329,7 +329,7 @@ def joinability_witness(
     y: int,
     target: Entourage,
     fine: Entourage,
-    budget: SearchBudget | None = None,
+    budget: SearchBudget = DEFAULT_BUDGET,
 ) -> JoinabilityVerdict:
     """Can x and y be joined by a fine-scale chain that is short at the target?
 
@@ -341,7 +341,6 @@ def joinability_witness(
     """
     from .chains import HomotopyCertificate, Trivalue
 
-    budget = budget or DEFAULT_BUDGET
     tname = scale_name(target.meta, "target")
     fname = scale_name(fine.meta, "fine")
     if not fine.issubset(target):
@@ -377,7 +376,7 @@ def _failure(x: int, y: int, v: Trivalue) -> dict:
     return {"pair": [x, y], "verdict": v.kind, "reason": reason}
 
 
-def uniform_joinability_audit(space: FiniteSpace, ladder: ScaleLadder, budget: SearchBudget | None = None) -> dict:
+def uniform_joinability_audit(space: FiniteSpace, ladder: ScaleLadder, budget: SearchBudget = DEFAULT_BUDGET) -> dict:
     """For every coarse scale and finer scale, which fine pairs admit
     joinability witnesses at (coarse, finest)?  The summary verdict holds
     when every scale that has finer scales is fully supported by one.
@@ -392,7 +391,6 @@ def uniform_joinability_audit(space: FiniteSpace, ladder: ScaleLadder, budget: S
     again, which returns that same relation.)
     `supported_per_scale` has one entry per coarse ladder index, in ladder
     order, so two scales that share a label stay apart."""
-    budget = budget or DEFAULT_BUDGET
     if len(ladder) < 2:
         raise ValidationError("audit needs a ladder of length at least 2")
     finest = ladder.finest()
@@ -437,7 +435,7 @@ def g_entourage(
     space: FiniteSpace,
     target: Entourage,
     ladder: ScaleLadder,
-    budget: SearchBudget | None = None,
+    budget: SearchBudget = DEFAULT_BUDGET,
     basepoint: int = 0,
 ) -> tuple[Entourage, dict]:
     """Certified-pair relation: a target pair enters when basepoint chains at
@@ -449,7 +447,6 @@ def g_entourage(
     """
     from .chains import Trivalue
 
-    budget = budget or DEFAULT_BUDGET
     if not (0 <= basepoint < space.n):
         raise ValidationError("basepoint out of range")
     delta = ladder.finest()

@@ -67,15 +67,11 @@ from sympy.polys.matrices.normalforms import invariant_factors
 from ripscover.chains import (
     DEFAULT_BUDGET,
     Chain,
-    Delete,
     HomotopyCertificate,
-    Insert,
-    Move,
     SearchBudget,
     Trivalue,
     _h1_obstruction,
     _invert_edge,
-    _move_objects,
     _neighbors,
     decide_homotopic,
     e_homotopic,
@@ -85,7 +81,7 @@ from ripscover.chains import (
 from ripscover.errors import ChainError, MoveError
 from ripscover.rips import AbelianGroup, build_skeleton, h1_class, inclusion_h1_map
 from ripscover.snf import smith_normal_form
-from ripscover.cover import C2_DOWN_STATES, C2_SHORT_LINKS
+from ripscover.cover import C2_DOWN_STATES
 from ripscover.space import Entourage, FiniteSpace, SpaceMap, ball, bfs_forest, image_under, path_to_root
 from ripscover.tower import _mask_to_component
 
@@ -468,9 +464,9 @@ def canonicalize(seq: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def collapse_moves(seq: tuple[int, ...]) -> tuple[list[Move], tuple[int, ...]]:
+def collapse_moves(seq: tuple[int, ...]) -> tuple[list[tuple], tuple[int, ...]]:
     """Moves deleting consecutive duplicates down to the canonical form."""
-    moves: list[Move] = []
+    moves: list[tuple] = []
     work = list(seq)
     i = 1
     while i < len(work):
@@ -480,18 +476,18 @@ def collapse_moves(seq: tuple[int, ...]) -> tuple[list[Move], tuple[int, ...]]:
         if len(work) == 2:
             break  # the two-point constant walk admits no deletes
         if i < len(work) - 1:
-            moves.append(Delete(i))
+            moves.append(("delete", i))
             del work[i]
         else:
-            moves.append(Delete(i - 1))
+            moves.append(("delete", i - 1))
             del work[i - 1]
             i = max(i - 1, 1)
     return moves, tuple(work)
 
 
-def expand_moves(canonical: tuple[int, ...], target: tuple[int, ...]) -> list[Move]:
+def expand_moves(canonical: tuple[int, ...], target: tuple[int, ...]) -> list[tuple]:
     """Duplicate-insert moves rebuilding `target` from its canonical form."""
-    moves: list[Move] = []
+    moves: list[tuple] = []
     work = list(canonical)
     pos = 0
     while len(work) < len(target):
@@ -501,10 +497,10 @@ def expand_moves(canonical: tuple[int, ...], target: tuple[int, ...]) -> list[Mo
         if pos >= len(work):
             # remaining targets duplicate the final vertex
             i = len(work) - 1
-            moves.append(Insert(i, target[pos]))
+            moves.append(("insert", i, target[pos]))
             work.insert(i, target[pos])
         else:
-            moves.append(Insert(pos, target[pos]))
+            moves.append(("insert", pos, target[pos]))
             work.insert(pos, target[pos])
             pos += 1
     if tuple(work) != tuple(target):
@@ -512,7 +508,7 @@ def expand_moves(canonical: tuple[int, ...], target: tuple[int, ...]) -> list[Mo
     return moves
 
 
-def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -> Trivalue:
+def untightened_decide(c: Chain, d: Chain, budget: SearchBudget = DEFAULT_BUDGET) -> Trivalue:
     """`decide_homotopic` without tightening: the bidirectional search runs
     between the two canonical ends as given.
 
@@ -521,7 +517,6 @@ def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -
     `budget.states` states, so both are compared at an equal stored-state
     budget.
     """
-    budget = budget or DEFAULT_BUDGET
     if c.space != d.space or c.entourage != d.entourage:
         raise ChainError("chains must share a space and scale")
     if c.start != d.start or c.end != d.end:
@@ -541,7 +536,7 @@ def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -
     pre_moves, _ = collapse_moves(c.seq)
     post_moves = expand_moves(dd, d.seq)
 
-    def finish(path_moves: list[Move]) -> Trivalue:
+    def finish(path_moves: list[tuple]) -> Trivalue:
         cert = HomotopyCertificate(c.space, ent, c.seq, tuple(pre_moves + path_moves + post_moves), d.seq)
         if __debug__:
             cert.replay()
@@ -557,8 +552,8 @@ def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -
     bq = deque([dd])
     expanded = 0
 
-    def build_path(meet: tuple[int, ...]) -> list[Move]:
-        fpath: list[tuple[int, ...]] = []
+    def build_path(meet: tuple[int, ...]) -> list[tuple]:
+        fpath: list[tuple] = []
         state = meet
         back = []
         while fwd[state] is not None:
@@ -572,7 +567,7 @@ def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -
             prev, moves = bwd[state]
             fpath.extend(_invert_edge(prev, moves))
             state = prev
-        return _move_objects(fpath)
+        return fpath
 
     while fq or bq:
         # expand the smaller live frontier; an exhausted side keeps serving
@@ -597,7 +592,7 @@ def untightened_decide(c: Chain, d: Chain, budget: SearchBudget | None = None) -
 
 
 def numpy_neighbors(seq: tuple[int, ...], ent: Entourage):
-    """Canonical-state neighbors, one `np.nonzero` per link, as move objects.
+    """Canonical-state neighbors, one `np.nonzero` per link, as move tuples.
 
     Deletes by position (collapsing a duplicate pair the deletion creates),
     then inserts by position and ascending vertex.
@@ -607,12 +602,12 @@ def numpy_neighbors(seq: tuple[int, ...], ent: Entourage):
     L = len(seq)
     for i in range(1, L - 1):
         if rel[seq[i - 1], seq[i + 1]]:
-            moves = [Delete(i)]
+            moves = [("delete", i)]
             new = seq[:i] + seq[i + 1:]
             if 0 < i < len(new) and new[i - 1] == new[i]:
                 j = i if 0 < i < len(new) - 1 else i - 1
                 if 0 < j < len(new) - 1:
-                    moves.append(Delete(j))
+                    moves.append(("delete", j))
                     new = new[:j] + new[j + 1:]
             out.append((moves, new))
     for i in range(1, L):
@@ -620,7 +615,7 @@ def numpy_neighbors(seq: tuple[int, ...], ent: Entourage):
         for v in np.nonzero(rel[a] & rel[b])[0]:
             v = int(v)
             if v != a and v != b:
-                out.append(([Insert(i, v)], seq[:i] + (v,) + seq[i:]))
+                out.append(([("insert", i, v)], seq[:i] + (v,) + seq[i:]))
     return out
 
 
@@ -801,7 +796,7 @@ def _chains_up_to(origin: int, e: Entourage, max_links: int, tight: bool = False
 PHASE_ONE_LINKS = 3
 
 
-def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | None = None,
+def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget = DEFAULT_BUDGET,
                     phase_one: bool = True, full: bool = False) -> dict:
     """The c2 check with a search for every pair: phase one asks e_homotopic
     upstairs for each identical-image pair of up to PHASE_ONE_LINKS links
@@ -809,7 +804,6 @@ def search_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | Non
     each pair of tight chains of up to 2 links (every chain when `full`) and
     upstairs after every downstairs yes.  Both phases together examine at
     most `budget.states` pairs."""
-    budget = budget or DEFAULT_BUDGET
     if fine.issubset(e) and f.is_injective():
         return {"status": "proved", "note": "injective map with nested scales"}
     ff = image_under(f, fine)
@@ -880,16 +874,15 @@ def c2_phase_one_pairs(f, fine: Entourage, origin: int, links: int = PHASE_ONE_L
                 yield members[i], members[j]
 
 
-def pairwise_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | None = None,
+def pairwise_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget = DEFAULT_BUDGET,
                       phase_one: bool = True, full: bool = False) -> dict:
     """The c2 check that asks `e_obstruction_at` about every pair, building
     and reading each pair's loop on its own; its phase one enumerates
     identical-image pairs of up to PHASE_ONE_LINKS links and is skipped when
     `phase_one` is false, and its phase two pairs the tight chains of up to
-    C2_SHORT_LINKS links, or every chain when `full`.  Both phases together
+    two links, or every chain when `full`.  Both phases together
     examine at most `budget.states` pairs, and each downstairs answer is
     searched for afresh."""
-    budget = budget or DEFAULT_BUDGET
     if not fine.issubset(e):
         raise ChainError("c2 needs the fine scale inside e")
     if f.is_injective():
@@ -921,7 +914,7 @@ def pairwise_c2_check(f, e: Entourage, fine: Entourage, budget: SearchBudget | N
             if up is not None:
                 return refuted(a, b, up)
     for origin in range(f.source.n):
-        short = _chains_up_to(origin, fine, C2_SHORT_LINKS, tight=not full)
+        short = _chains_up_to(origin, fine, 2, tight=not full)
         images = [tuple(f(v) for v in seq) for seq in short]
         for i in range(len(short)):
             for j in range(i + 1, len(short)):

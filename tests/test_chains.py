@@ -7,9 +7,7 @@ import pytest
 
 from ripscover.chains import (
     Chain,
-    Delete,
     HomotopyCertificate,
-    Insert,
     SearchBudget,
     apply_move,
     close_chains_certificate,
@@ -54,16 +52,21 @@ def test_validate_chain():
 
 def test_apply_move_rules():
     c = validate_chain(SP, E1, [0, 1, 2])
-    dup = apply_move(c, Insert(1, 0))  # duplicate neighbor is always legal
+    dup = apply_move(c, ("insert", 1, 0))  # duplicate neighbor is always legal
     assert dup.seq == (0, 0, 1, 2)
     with pytest.raises(MoveError):
-        apply_move(c, Delete(1))  # (0,2) unrelated at this scale
+        apply_move(c, ("delete", 1))  # (0,2) unrelated at this scale
     k6 = validate_chain(SP, E3, [0, 2, 4])
-    assert apply_move(k6, Delete(1)).seq == (0, 4)
+    assert apply_move(k6, ("delete", 1)).seq == (0, 4)
     with pytest.raises(MoveError):
-        apply_move(c, Delete(0))  # endpoints immovable
+        apply_move(c, ("delete", 0))  # endpoints immovable
     with pytest.raises(MoveError):
-        apply_move(c, Insert(0, 1))
+        apply_move(c, ("insert", 0, 1))
+    # a value of the wrong shape is a MoveError, not an unpacking error; k6
+    # admits a delete at 1, so ("delete", 1, 2) fails for its shape alone
+    for bad in [("insert", 1), ("delete",), ("delete", 1, 2), ("jump", 1), ()]:
+        with pytest.raises(MoveError, match="unknown move"):
+            apply_move(k6, bad)
 
 
 def test_canonicalize():
@@ -377,11 +380,11 @@ def _cyclic_cover_source(k=3, m=8, chord=0.9):
 
 
 def _assert_same_neighbors(sp, ent, seq):
-    from ripscover.chains import _move_objects, _neighbors
+    from ripscover.chains import _neighbors
 
     adj, common = build_skeleton(ent).move_tables()
     got = _neighbors(seq, adj, common)
-    assert [(_move_objects(m), new) for m, new in got] == numpy_neighbors(seq, ent)
+    assert [(list(m), new) for m, new in got] == numpy_neighbors(seq, ent)
 
 
 def test_neighbors_match_numpy_enumeration():
@@ -418,13 +421,14 @@ def test_pinned_certificate_moves():
     r = decide_homotopic(c, d)
     assert r.is_yes()
     assert r.certificate.moves == (
-        Delete(1), Delete(3), Insert(1, 6), Delete(2), Delete(2), Delete(2), Delete(2), Insert(1, 6),
+        ("delete", 1), ("delete", 3), ("insert", 1, 6), ("delete", 2), ("delete", 2), ("delete", 2),
+        ("delete", 2), ("insert", 1, 6),
     )
     assert r.certificate.replay().seq == d.seq
     back = decide_homotopic(d, c)
     assert back.certificate.moves == (
-        Delete(1), Insert(2, 2), Insert(2, 3), Insert(2, 4), Insert(2, 5), Delete(1),
-        Insert(3, 3), Insert(1, 0),
+        ("delete", 1), ("insert", 2, 2), ("insert", 2, 3), ("insert", 2, 4), ("insert", 2, 5),
+        ("delete", 1), ("insert", 3, 3), ("insert", 1, 0),
     )
     assert back.certificate.replay().seq == c.seq
 

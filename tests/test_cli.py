@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ripscover import cli
-from ripscover.chains import Delete, HomotopyCertificate, Insert, decide_homotopic, validate_chain
+from ripscover.chains import HomotopyCertificate, decide_homotopic, validate_chain
 from ripscover.cli import main
 from ripscover.gallery import hexagon_ex72, hexagon_ex73
 from ripscover.rips import RipsSkeleton
@@ -495,8 +495,8 @@ _PACKAGE_NAMES = {
 # the search and cover names, which the package does not export: importing it
 # loads neither layer
 _LAYER_NAMES = {
-    "chains": ["Chain", "Delete", "HomotopyCertificate", "Insert", "Trivalue", "apply_move",
-               "close_chains_certificate", "decide_homotopic", "e_homotopic", "is_short", "validate_chain"],
+    "chains": ["Chain", "HomotopyCertificate", "Trivalue", "apply_move", "close_chains_certificate",
+               "decide_homotopic", "e_homotopic", "is_short", "validate_chain"],
     "cover": ["CoverBall", "build_cover_ball", "c2_check", "c3_check", "chain_lifting_at",
               "evenly_covers", "generates_at", "is_simplicial_cover", "transverse", "uniform_cover_verdict",
               "uniqueness_of_lifts"],
@@ -804,7 +804,7 @@ def _certificate_doc(listed: bool) -> dict:
     """A replayable eps certificate; `listed` adds the scale's pair list
     next to its eps, as older certificates carry it."""
     space = space_from_json(_points_space())
-    cert = HomotopyCertificate(space, entourage_at(space, 1.5), (0, 1), (Insert(1, 2), Delete(1)), (0, 1))
+    cert = HomotopyCertificate(space, entourage_at(space, 1.5), (0, 1), (("insert", 1, 2), ("delete", 1)), (0, 1))
     cert.replay()
     doc = cert.to_json()
     if listed:

@@ -171,11 +171,14 @@ def test_covering_predicates_match_references():
     # the predicates that share the product walk and the fibre loop give
     # the booleans of the ball-loop and skeleton references, and each
     # counterexample re-verifies; the simplicial check's triangle witness is
-    # the reference's, and chain lifting is the fibre loop's, witness and all
+    # the reference's, and chain lifting is the fibre loop's, witness and all;
+    # the cover report's lift uniqueness, read off its evenly_covers check,
+    # is uniqueness_of_lifts, witness and all
     rng = random.Random(33)
     kinds = set()
     for _ in range(1000):
         f, scales = _covering_cases(rng)
+        report = uniform_cover_verdict(f, ScaleLadder(scales), SearchBudget(states=1))
         for i, e in enumerate(scales):
             ok_ec, cx_ec = evenly_covers(f, e)
             ok_sc, cx_sc = is_simplicial_cover(f, e)
@@ -187,6 +190,9 @@ def test_covering_predicates_match_references():
             if not ok_ul:
                 y, yp = wit_ul
                 assert y != yp and f(y) == f(yp) and (e.rel[y] & e.rel[yp]).any()
+            entry = report["per_scale"][i]
+            assert entry["uniqueness_of_lifts"] == ok_ul
+            assert entry["uniqueness_witness"] == (None if ok_ul else list(wit_ul))
             if ok_ec:
                 assert (ok_sc, cx_sc) == ref_sc
             else:
@@ -301,7 +307,7 @@ def _cover_batch_maps():
 PHASE1 = "no identical-image refutation at any length"
 
 
-def _assert_reverifies(f, e, fine, got, budget=None):
+def _assert_reverifies(f, e, fine, got, budget=DEFAULT_BUDGET):
     """A `refuted` c2 answer's witness: two fine chains from one origin, the
     obstruction `e_obstruction_at` gives at e, and identical images or images
     that c2's downstairs search finds homotopic."""
@@ -313,8 +319,7 @@ def _assert_reverifies(f, e, fine, got, budget=None):
     assert witness["obstruction"] == chains.e_obstruction_at(build_skeleton(e), alpha, beta)
     img_a, img_b = tuple(f(v) for v in alpha), tuple(f(v) for v in beta)
     if img_a != img_b:
-        states = (budget or DEFAULT_BUDGET).states
-        per_pair = SearchBudget(states=min(cover.C2_DOWN_STATES, states))
+        per_pair = SearchBudget(states=min(cover.C2_DOWN_STATES, budget.states))
         ff = image_under(f, fine)
         assert chains.e_homotopic(Chain(f.target, ff, img_a), Chain(f.target, ff, img_b), ff, per_pair).is_yes()
 
@@ -331,7 +336,7 @@ def _same_bytes(got: dict, want: dict) -> bool:
     return json.dumps(got) == json.dumps(want)
 
 
-def _check_against(oracle, same, f, e, fine, budget=None) -> dict:
+def _check_against(oracle, same, f, e, fine, budget=DEFAULT_BUDGET) -> dict:
     """c2_check against a reference c2 check with its 3-link phase one: an
     oracle `refuted` stays `refuted`, every `refuted` witness re-verifies,
     and when phase one does not refute, the answer is the oracle's with its
@@ -448,7 +453,7 @@ def test_c2_refutations_reverify():
     # one origin, exactly the obstruction e_obstruction_at gives, and images
     # that are identical or homotopic downstairs
     maps = _cover_batch_maps()
-    cases = [(f, e, fine, None) for f, e, fine in _every_pair(maps)]
+    cases = [(f, e, fine, DEFAULT_BUDGET) for f, e, fine in _every_pair(maps)]
     rng = random.Random(62)
     for k in range(320):
         cases.append((*_random_c2_case(rng), SearchBudget(states=(1, 7, 30, 300, 2500)[k % 5])))
@@ -496,7 +501,7 @@ def test_c2_counts_unknown_answers_per_pair(monkeypatch):
     planted = set()
     plant_all = False
 
-    def unknown_for_some(c, d, entourage, budget=None):
+    def unknown_for_some(c, d, entourage, budget=DEFAULT_BUDGET):
         got = real(c, d, entourage, budget)
         if got.is_no() or not (plant_all or (sum(c.seq) + 2 * sum(d.seq)) % 3 == 0):
             return got
@@ -615,11 +620,11 @@ def _logged_c2(monkeypatch, f, e, fine):
         log.append(("up", fan.chains[i], fan.chains[j], got))
         return got
 
-    def down(c, d, entourage, budget=None):
+    def down(c, d, entourage, budget=DEFAULT_BUDGET):
         log.append(("down", c.seq, d.seq, entourage))
         return real_down(c, d, entourage, budget)
 
-    def search(c, d, budget=None):
+    def search(c, d, budget=DEFAULT_BUDGET):
         log.append(("search",))
         return real_search(c, d, budget)
 
@@ -749,6 +754,31 @@ def test_cover_run_leaves_triangle_lists_unbuilt(monkeypatch):
     for f, ladder in _cover_batch_maps():
         uniform_cover_verdict(f, ladder)
     assert built == []
+
+
+def test_cover_run_squares_and_walks_each_scale_once(monkeypatch):
+    # on the 3-fold cover of an 8-gon with three scales, the cover run
+    # squares each source scale once (the ladder-level check) and runs the
+    # product walk once per scale (evenly_covers, whose split is the report's
+    # lift uniqueness) and twice per scale pair (c3 and c2's phase one)
+    f, ladder = _cyclic_cover(3, 8)
+    squared = []
+    walks = []
+    real_compose, real_steps = cover.compose, cover._product_steps
+
+    def compose(a, b):
+        squared.append(a.n)
+        return real_compose(a, b)
+
+    def product_steps(f, step):
+        walks.append(step)
+        return real_steps(f, step)
+
+    monkeypatch.setattr(cover, "compose", compose)
+    monkeypatch.setattr(cover, "_product_steps", product_steps)
+    uniform_cover_verdict(f, ladder)
+    assert squared.count(f.source.n) == 3
+    assert len(walks) == 3 + 2 * 6
 
 
 def test_cover_ball_simply_connected():

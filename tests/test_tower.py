@@ -266,7 +266,7 @@ def test_g_entourage_truncated_budget_never_says_no_to_a_certified_pair():
 def test_audit_matches_naive_loop():
     # one verdict per (coarse scale, pair) must give the cells and summary a
     # witness call per (coarse scale, fine scale, pair) gives
-    for g, budget in ((hexagon_ex73(), SearchBudget(states=2000)), (polygon(12, 1), None)):
+    for g, budget in ((hexagon_ex73(), SearchBudget(states=2000)), (polygon(12, 1), DEFAULT_BUDGET)):
         lad = g.ladder
         rep = uniform_joinability_audit(g.space, lad, budget)
         cells, supported = [], []
@@ -384,7 +384,7 @@ def test_built_chain_has_the_edges_class(monkeypatch):
     # never answer no: a no comes only from the exact tests before it
     calls = []
 
-    def recording(c, d, budget=None):
+    def recording(c, d, budget=DEFAULT_BUDGET):
         calls.append(c)
         return decide_homotopic(c, d, budget)
 
