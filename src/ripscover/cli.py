@@ -36,7 +36,7 @@ from .space import (
 from .tower import build_tower, g_entourage, joinability_witness, uniform_joinability_audit
 
 if TYPE_CHECKING:
-    from .chains import HomotopyCertificate
+    from .chains import Trivalue
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -161,10 +161,12 @@ def cmd_cover(args) -> int:
     return EXIT_OK if positive else EXIT_NEGATIVE
 
 
-def _write_certificate(cert: HomotopyCertificate, args) -> str:
-    path = args.certificate_out or "certificate.json"
-    write_report(cert.to_json(), path)
-    return path
+def _write_certificate(verdict: Trivalue, doc: dict, args) -> None:
+    """Write a yes's certificate to `--certificate-out`, if given, and name
+    the file in the report, which carries the certificate inline."""
+    if verdict.is_yes() and args.certificate_out:
+        write_report(verdict.certificate.to_json(), args.certificate_out)
+        doc["certificate_file"] = args.certificate_out
 
 
 def cmd_join(args) -> int:
@@ -185,8 +187,7 @@ def cmd_join(args) -> int:
     verdict = joinability_witness(space, x, y, target, fine, args.budget)
     doc = verdict.to_json()
     doc.update({"schema": 1, "kind": "joinability", "config": _config_block(args)})
-    if verdict.verdict.is_yes() and verdict.verdict.certificate is not None:
-        doc["certificate_file"] = _write_certificate(verdict.verdict.certificate, args)
+    _write_certificate(verdict.verdict, doc, args)
     write_report(doc, args.output)
     return EXIT_OK if not verdict.verdict.is_no() else EXIT_NEGATIVE
 
@@ -205,8 +206,7 @@ def cmd_short(args) -> int:
     verdict = is_short(chain, scale, args.budget)
     out = verdict.to_json()
     out.update({"schema": 1, "kind": "shortness", "config": _config_block(args)})
-    if verdict.is_yes() and verdict.certificate is not None:
-        out["certificate_file"] = _write_certificate(verdict.certificate, args)
+    _write_certificate(verdict, out, args)
     write_report(out, args.output)
     return EXIT_OK if not verdict.is_no() else EXIT_NEGATIVE
 
@@ -288,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True, help="two points, e.g. a,b")
     p.add_argument("--target", type=float, required=True, help="target eps")
     p.add_argument("--fine", type=float, default=None, help="fine eps (default: ladder's finest)")
-    p.add_argument("--certificate-out", help="where to write the Yes certificate")
+    p.add_argument("--certificate-out", help="also write a Yes certificate to this file")
     p.set_defaults(func=cmd_join)
 
     p = sub.add_parser("short", help="is a chain short at a scale")
     p.add_argument("--chain", required=True, help="json file with space, seq, eps")
     p.add_argument("--scale", type=float, required=True, help="scale eps to test shortness at")
-    p.add_argument("--certificate-out", help="where to write the Yes certificate")
+    p.add_argument("--certificate-out", help="also write a Yes certificate to this file")
     p.add_argument("--output", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_short)
 

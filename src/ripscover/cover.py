@@ -29,18 +29,6 @@ from .space import (
 )
 
 
-def generates_at(f: SpaceMap, e: Entourage, candidates) -> tuple[int, Entourage] | None:
-    """First candidate scale F with f(F) o f(F) inside f(E), if any."""
-    if e.n != f.source.n:
-        raise CarrierMismatch("entourage does not live on the map's source")
-    fe = image_under(f, e)
-    for idx, cand in enumerate(candidates):
-        ff = image_under(f, cand)
-        if compose(ff, ff).issubset(fe):
-            return idx, cand
-    return None
-
-
 def evenly_covers(f: SpaceMap, e: Entourage) -> tuple[bool, dict | None]:
     """Does every ball upstairs map bijectively onto its image ball?  Exactly
     when lifts are unique at e (no ball holds two points with one image) and
@@ -325,6 +313,10 @@ def uniform_cover_verdict(
     if ladder.n != f.source.n:
         raise CarrierMismatch("ladder does not live on the map's source")
     k = len(ladder)
+    # fits[t][i]: the image of scale t squares into the image of scale i
+    images = [image_under(f, e) for e in ladder]
+    fits = [[sq.issubset(g) for g in images] for sq in (compose(h, h) for h in images)]
+    squares = [compose(d, d) for d in ladder]
 
     def scale_entry(i: int) -> dict:
         e = ladder[i]
@@ -335,7 +327,7 @@ def uniform_cover_verdict(
         # evenly_covers checks uniqueness_of_lifts first and reports its
         # split as the injectivity failure, with the same two lifts
         split = not ok_ec and cx_ec["kind"] == "injectivity"
-        gen = generates_at(f, e, ladder)
+        gen = next((t for t in range(k) if fits[t][i]), None)
         return {
             "scale": ladder.describe(i),
             "transverse": transverse(f, e),
@@ -345,7 +337,7 @@ def uniform_cover_verdict(
             "simplicial_cover_counterexample": cx_sc,
             "uniqueness_of_lifts": not split,
             "uniqueness_witness": cx_ec["lifts"] if split else None,
-            "generates_witness": None if gen is None else ladder.describe(gen[0]),
+            "generates_witness": None if gen is None else ladder.describe(gen),
         }
 
     def pair_entry(i: int, j: int) -> dict:
@@ -371,21 +363,27 @@ def uniform_cover_verdict(
     transverse_some = any(s["transverse"] for s in per_scale)
     ucm = generates_ok and lifting_ok and transverse_some
     simplicial_base = per_scale[-1]["simplicial_cover"]
-    failing = []
-    if not generates_ok:
-        failing.append("generates_structure")
-    if not lifting_ok:
-        failing.append("chain_lifting")
-    if not transverse_some:
-        failing.append("transverse")
-    if not simplicial_base:
-        failing.append("simplicial_cover")
+    checks = {
+        "generates_structure": generates_ok,
+        "chain_lifting": lifting_ok,
+        "transverse": transverse_some,
+        "simplicial_cover": simplicial_base,
+    }
+    failing = [name for name, ok in checks.items() if not ok]
 
     implications = {
         "simplicial_implies_evenly": all(
             (not s["simplicial_cover"]) or s["evenly_covers"] for s in per_scale
         ),
-        "lifting_squares_give_structure": _prop_29b(f, ladder, lifting),
+        # 2.9(b): D o D inside E and chains lifting at (D, F) give f(F) o f(F) inside f(E)
+        "lifting_squares_give_structure": all(
+            fits[t][i]
+            for i, e in enumerate(ladder)
+            for j in range(i, k)
+            if squares[j].issubset(e)
+            for t in range(j, k)
+            if lifting[j, t]
+        ),
         "uniqueness_iff_transverse_per_scale": all(
             (not s["uniqueness_of_lifts"]) or s["transverse"] for s in per_scale
         ),
@@ -398,23 +396,6 @@ def uniform_cover_verdict(
     }
     return {"schema": 1, "kind": "cover_report", "ladder": ladder.to_json(), "per_scale": per_scale,
             "per_pair": per_pair, "verdicts": verdicts, "implications": implications}
-
-
-def _prop_29b(f: SpaceMap, ladder: ScaleLadder, lifting: dict[tuple[int, int], bool]) -> bool:
-    """Whenever D o D fits in E and chains lift at (D, F), the image of F
-    squares into the image of E; recorded as a concrete per-triple check.
-    `lifting[j, t]` is the chain-lifting verdict at ladder indices j <= t."""
-    squares = [compose(d, d) for d in ladder]
-    images = [image_under(f, e) for e in ladder]
-    image_squares = [compose(g, g) for g in images]
-    for i, e in enumerate(ladder):
-        for j in range(i, len(ladder)):
-            if not squares[j].issubset(e):
-                continue
-            for t in range(j, len(ladder)):
-                if lifting[j, t] and not image_squares[t].issubset(images[i]):
-                    return False
-    return True
 
 
 def _paths_equal(space, entourage, s1, s2, budget) -> Trivalue:
@@ -472,7 +453,9 @@ class CoverBall:
     def to_dot(self) -> str:
         lines = ["graph cover_ball {"]
         for endpoint, cids in sorted(self.fibers().items()):
-            label = self.space.labels[endpoint]
+            # escape \ and then " (DOT's one escape in a quoted string), so
+            # no label can end its quotes early or swallow the closing one
+            label = self.space.labels[endpoint].replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  subgraph "cluster_{label}" {{')
             lines.append(f'    label="{label}";')
             for cid in cids:

@@ -46,7 +46,11 @@ ball and its image ball, `skeleton_simplicial_cover` the triangle-lift
 check that read the image scale's skeleton triangles, and
 `fibre_loop_chain_lifting` the chain-lifting check over the fibres, as the
 references for the covering predicates that share the product walk and one
-fibre loop.  `random_voltage_lift` draws k-fold voltage lifts of random
+fibre loop.  `first_generating_scale` keeps the generation search that
+squares each candidate's image afresh for every scale, and
+`prop_29b_holds` the 2.9(b) triple loop that recomputes every square, as
+the references for the cover report's one table of image squares.
+`random_voltage_lift` draws k-fold voltage lifts of random
 graphs, where those predicates fail in every way.
 """
 
@@ -82,7 +86,9 @@ from ripscover.errors import ChainError, MoveError
 from ripscover.rips import AbelianGroup, build_skeleton, h1_class, inclusion_h1_map
 from ripscover.snf import smith_normal_form
 from ripscover.cover import C2_DOWN_STATES
-from ripscover.space import Entourage, FiniteSpace, SpaceMap, ball, bfs_forest, image_under, path_to_root
+from ripscover.space import (
+    Entourage, FiniteSpace, SpaceMap, ball, bfs_forest, compose, image_under, path_to_root,
+)
 from ripscover.tower import _mask_to_component
 
 
@@ -777,6 +783,32 @@ def fibre_loop_chain_lifting(f, e: Entourage, fine: Entourage) -> tuple[bool, di
                 if not any(e.related(x, xp) for xp in fibers.get(b, ())):
                     return False, {"kind": "link", "x": x, "link": [a, b]}
     return True, None
+
+
+def first_generating_scale(f, e: Entourage, candidates) -> int | None:
+    """Index of the first candidate F with f(F) o f(F) inside f(E), if any."""
+    fe = image_under(f, e)
+    for idx, cand in enumerate(candidates):
+        ff = image_under(f, cand)
+        if compose(ff, ff).issubset(fe):
+            return idx
+    return None
+
+
+def prop_29b_holds(f, scales, lifting: dict[tuple[int, int], bool]) -> bool:
+    """Whenever D o D fits in E and chains lift at (D, F), for E, D, F in
+    ladder order, f(F) o f(F) fits in f(E); every square made afresh."""
+    k = len(scales)
+    for i, e in enumerate(scales):
+        for j in range(i, k):
+            d = scales[j]
+            if not compose(d, d).issubset(e):
+                continue
+            for t in range(j, k):
+                ff = image_under(f, scales[t])
+                if lifting[j, t] and not compose(ff, ff).issubset(image_under(f, e)):
+                    return False
+    return True
 
 
 def _chains_up_to(origin: int, e: Entourage, max_links: int, tight: bool = False):

@@ -80,6 +80,16 @@ def test_join_verdicts_and_replay(tmp_path):
     assert run(["replay", str(cert), "--output", os.devnull]) == 0
 
 
+def test_join_writes_no_certificate_file_unless_asked(tmp_path, monkeypatch, capsys):
+    # the report carries the yes's certificate inline; a file is written
+    # only to --certificate-out
+    monkeypatch.chdir(tmp_path)
+    assert run(["join", "--gallery", "hexagon_ex73", "--pair", "a,b", "--target", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "yes" and "certificate" in doc and "certificate_file" not in doc
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_short_command(tmp_path):
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps({
@@ -493,18 +503,21 @@ _PACKAGE_NAMES = {
               "joinability_witness", "ml_diagnostic", "triviality_diagnostic", "uniform_joinability_audit"],
 }
 # the search and cover names, which the package does not export: importing it
-# loads neither layer
+# loads neither layer.  Each list is every public function and class its
+# module defines, the names a trace of that layer wraps
 _LAYER_NAMES = {
-    "chains": ["Chain", "HomotopyCertificate", "Trivalue", "apply_move", "close_chains_certificate",
-               "decide_homotopic", "e_homotopic", "is_short", "validate_chain"],
+    "chains": ["Chain", "HomotopyCertificate", "Trivalue", "apply_move", "certificate_from_file",
+               "close_chains_certificate", "decide_homotopic", "e_homotopic", "e_obstruction_at", "is_short",
+               "validate_chain"],
     "cover": ["CoverBall", "build_cover_ball", "c2_check", "c3_check", "chain_lifting_at",
-              "evenly_covers", "generates_at", "is_simplicial_cover", "transverse", "uniform_cover_verdict",
+              "evenly_covers", "is_simplicial_cover", "transverse", "uniform_cover_verdict",
               "uniqueness_of_lifts"],
 }
 
 
 def test_package_exports_the_same_names_as_eager_imports_did():
     import importlib
+    import inspect
 
     import ripscover
     import ripscover.gallery
@@ -521,8 +534,11 @@ def test_package_exports_the_same_names_as_eager_imports_did():
     assert names <= set(star) and names <= set(dir(ripscover))
     for module, module_names in _LAYER_NAMES.items():
         mod = importlib.import_module(f"ripscover.{module}")
+        public = {name for name, obj in vars(mod).items()
+                  if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                  and obj.__module__ == mod.__name__}
+        assert set(module_names) == public, module
         for name in module_names:
-            assert getattr(mod, name).__module__ == mod.__name__, name
             with pytest.raises(AttributeError):
                 getattr(ripscover, name)
     with pytest.raises(AttributeError):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from ripscover.cover import (
     c3_check,
     chain_lifting_at,
     evenly_covers,
-    generates_at,
     is_simplicial_cover,
     transverse,
     uniform_cover_verdict,
@@ -79,20 +79,21 @@ E1_6 = entourage_at(FOLD.source, 1.05)
 E2_6 = entourage_at(FOLD.source, 1.8)
 
 
-def test_generates_at():
-    ident = SpaceMap(F12.source, F12.source, range(12))
+def test_generates_witness():
     ladder = ScaleLadder([E2_12, E1_12, E0_12])
-    got = generates_at(ident, E2_12, ladder)
-    assert got is not None and got[1] == E1_12  # first scale whose square fits
+
+    def witness(f, i):
+        return uniform_cover_verdict(f, ladder, SearchBudget(states=1))["per_scale"][i]["generates_witness"]
+
+    ident = SpaceMap(F12.source, F12.source, range(12))
+    assert witness(ident, 0) == ladder.describe(1)  # first scale whose square fits
     # the double cover: the finest metric scale needs the identity scale below it
-    got = generates_at(F12, E1_12, ladder)
-    assert got is not None and got[1] == E0_12
-    got = generates_at(F12, E2_12, ladder)
-    assert got is not None and got[1] == E1_12
+    assert witness(F12, 1) == ladder.describe(2)
+    assert witness(F12, 0) == ladder.describe(1)
     # constant map: anything works
     one = FiniteSpace(["pt"], dist=[[0.0]])
     const = SpaceMap(F12.source, one, [0] * 12)
-    assert generates_at(const, E1_12, ladder)[0] == 0
+    assert witness(const, 1) == ladder.describe(0)
 
 
 def test_evenly_covers():
@@ -173,12 +174,19 @@ def test_covering_predicates_match_references():
     # counterexample re-verifies; the simplicial check's triangle witness is
     # the reference's, and chain lifting is the fibre loop's, witness and all;
     # the cover report's lift uniqueness, read off its evenly_covers check,
-    # is uniqueness_of_lifts, witness and all
+    # is uniqueness_of_lifts, witness and all; its generation witnesses and
+    # its 2.9(b) check, read from one table of image squares, are the
+    # references' that square afresh
     rng = random.Random(33)
-    kinds = set()
+    kinds, generated = set(), set()
     for _ in range(1000):
         f, scales = _covering_cases(rng)
-        report = uniform_cover_verdict(f, ScaleLadder(scales), SearchBudget(states=1))
+        ladder = ScaleLadder(scales)
+        report = uniform_cover_verdict(f, ladder, SearchBudget(states=1))
+        pairs = [(i, j) for i in range(len(scales)) for j in range(i, len(scales))]
+        lifting = {ij: p["chain_lifting"] for ij, p in zip(pairs, report["per_pair"])}
+        assert report["implications"]["lifting_squares_give_structure"] is True
+        assert _oracles.prop_29b_holds(f, scales, lifting) is True
         for i, e in enumerate(scales):
             ok_ec, cx_ec = evenly_covers(f, e)
             ok_sc, cx_sc = is_simplicial_cover(f, e)
@@ -191,6 +199,9 @@ def test_covering_predicates_match_references():
                 y, yp = wit_ul
                 assert y != yp and f(y) == f(yp) and (e.rel[y] & e.rel[yp]).any()
             entry = report["per_scale"][i]
+            gen = _oracles.first_generating_scale(f, e, scales)
+            assert entry["generates_witness"] == (None if gen is None else ladder.describe(gen))
+            generated.add(gen is not None)
             assert entry["uniqueness_of_lifts"] == ok_ul
             assert entry["uniqueness_witness"] == (None if ok_ul else list(wit_ul))
             if ok_ec:
@@ -204,6 +215,7 @@ def test_covering_predicates_match_references():
             for fine in scales[i:]:
                 assert chain_lifting_at(f, e, fine) == _oracles.fibre_loop_chain_lifting(f, e, fine)
     assert kinds == {"injectivity", "surjectivity", "triangle_lift"}
+    assert generated == {True, False}
 
 
 def test_transverse():
@@ -758,9 +770,10 @@ def test_cover_run_leaves_triangle_lists_unbuilt(monkeypatch):
 
 def test_cover_run_squares_and_walks_each_scale_once(monkeypatch):
     # on the 3-fold cover of an 8-gon with three scales, the cover run
-    # squares each source scale once (the ladder-level check) and runs the
-    # product walk once per scale (evenly_covers, whose split is the report's
-    # lift uniqueness) and twice per scale pair (c3 and c2's phase one)
+    # squares each source scale and each image once (the table both
+    # ladder-level facts read) and runs the product walk once per scale
+    # (evenly_covers, whose split is the report's lift uniqueness) and twice
+    # per scale pair (c3 and c2's phase one)
     f, ladder = _cyclic_cover(3, 8)
     squared = []
     walks = []
@@ -778,6 +791,7 @@ def test_cover_run_squares_and_walks_each_scale_once(monkeypatch):
     monkeypatch.setattr(cover, "_product_steps", product_steps)
     uniform_cover_verdict(f, ladder)
     assert squared.count(f.source.n) == 3
+    assert squared.count(f.target.n) == 3
     assert len(walks) == 3 + 2 * 6
 
 
@@ -807,6 +821,15 @@ def test_cover_ball_radius_zero_and_dot():
     assert len(b.vertices) == 1 and b.frontier
     dot = b.to_dot()
     assert dot.startswith("graph") and "v0" in dot
+
+
+def test_cover_ball_dot_escapes_labels():
+    # a quote inside a label or a backslash at its end must not unbalance
+    # the DOT's quoted strings: once they are removed, no quote is left
+    sp = FiniteSpace(['a"b', "c\\"], dist=[[0.0, 1.0], [1.0, 0.0]])
+    dot = build_cover_ball(sp, entourage_at(sp, 1.0), 0, 1).to_dot()
+    assert 'a\\"b' in dot and "c\\\\" in dot
+    assert '"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", dot)
 
 
 def test_shipped_triangle_lift_regression_fixture():
